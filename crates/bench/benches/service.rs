@@ -1,17 +1,14 @@
 //! Throughput and saturation of the placement service: a 16-job batch of
 //! small fast jobs round-tripped through TCP at 1, 4, and one-per-core
 //! workers (distinct seeds, cache disabled — the full solve path), the
-//! cache-hit fast path, the same 16-job batch under both serve modes
-//! (`service_saturation`), and the cache-hit round trip with 64–4096 idle
-//! connections held open against the server (`service_held_open`) — the
-//! event-loop reactor holds them all in one thread, the legacy mode pays a
-//! parked handler thread each. Divide batch times by 16 for the per-job
-//! cost; jobs/sec is its inverse.
+//! cache-hit fast path, the same 16-job batch over 4 connections at 2
+//! workers (`service_saturation`), and the cache-hit round trip with
+//! 64–4096 idle connections held open against the server
+//! (`service_held_open`) — the reactor holds them all in one thread. Divide
+//! batch times by 16 for the per-job cost; jobs/sec is its inverse.
 
 use apls_portfolio::PortfolioEngine;
-use apls_service::{
-    JobSpec, JournalConfig, PlacementService, ServeMode, ServiceClient, ServiceConfig,
-};
+use apls_service::{JobSpec, JournalConfig, PlacementService, ServiceClient, ServiceConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,71 +124,58 @@ fn bench_cache_hit_path(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&journal_dir);
 }
 
-/// Jobs/sec at saturation under each serve mode: the same 16-job batch over
-/// 4 concurrent connections, cache off, so every request runs the full
-/// solve path through either the reactor or a handler thread per
-/// connection. `16 / (ns_per_iter * 1e-9)` is the sustained jobs/sec.
-fn bench_mode_saturation(c: &mut Criterion) {
+/// Jobs/sec at saturation: the same 16-job batch over 4 concurrent
+/// connections, cache off, so every request runs the full solve path
+/// through the reactor. `16 / (ns_per_iter * 1e-9)` is the sustained
+/// jobs/sec.
+fn bench_saturation(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_saturation");
     group.sample_size(4);
     let seeds = AtomicU64::new(0x5EED_0000);
-    for mode in [ServeMode::EventLoop, ServeMode::LegacyThreads] {
-        let service = PlacementService::start(ServiceConfig {
-            mode,
-            workers: 2,
-            queue_capacity: BATCH * 2,
-            cache_capacity: 0,
-            ..ServiceConfig::default()
-        })
-        .expect("service starts");
-        let addr = service.local_addr();
-        group.bench_with_input(BenchmarkId::new(mode.as_str(), 4), &4usize, |b, &connections| {
-            b.iter(|| run_batch(addr, connections, &seeds));
-        });
-        service.shutdown();
-        service.join();
-    }
+    let service = PlacementService::start(ServiceConfig {
+        workers: 2,
+        queue_capacity: BATCH * 2,
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let addr = service.local_addr();
+    group.bench_with_input(BenchmarkId::new("connections", 4), &4usize, |b, &connections| {
+        b.iter(|| run_batch(addr, connections, &seeds));
+    });
+    service.shutdown();
+    service.join();
     group.finish();
 }
 
 /// Cache-hit round-trip latency while N idle connections are held open
-/// against the server. The event-loop reactor keeps every idle socket as a
-/// registered fd in one thread (the curve runs to 4096); legacy-threads
-/// parks one handler thread per connection, so its curve stops at 1024.
+/// against the server; the reactor keeps every idle socket as a registered
+/// fd in one thread.
 fn bench_held_open_connections(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_held_open");
     group.sample_size(8);
-    let curves: [(ServeMode, &[usize]); 2] = [
-        (ServeMode::EventLoop, &[64, 256, 1024, 4096]),
-        (ServeMode::LegacyThreads, &[64, 256, 1024]),
-    ];
-    for (mode, counts) in curves {
-        for &held in counts {
-            let service = PlacementService::start(ServiceConfig {
-                mode,
-                max_connections: 8192,
-                ..ServiceConfig::default()
-            })
-            .expect("service starts");
-            let addr = service.local_addr();
-            let idle: Vec<TcpStream> =
-                (0..held).map(|_| TcpStream::connect(addr).expect("held connection")).collect();
-            let mut client = ServiceClient::connect(addr).expect("connects");
-            let spec = spec_with_seed(0xBEEF);
-            // prime once; every timed round trip is then a pure cache hit
-            assert!(!client.place(&spec).expect("round-trips").cache_hit);
-            group.bench_with_input(BenchmarkId::new(mode.as_str(), held), &held, |b, _| {
-                b.iter(|| {
-                    let response = client.place(&spec).expect("round-trips");
-                    assert!(response.cache_hit);
-                });
+    for held in [64usize, 256, 1024, 4096] {
+        let service = PlacementService::start(ServiceConfig {
+            max_connections: 8192,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let addr = service.local_addr();
+        let idle: Vec<TcpStream> =
+            (0..held).map(|_| TcpStream::connect(addr).expect("held connection")).collect();
+        let mut client = ServiceClient::connect(addr).expect("connects");
+        let spec = spec_with_seed(0xBEEF);
+        // prime once; every timed round trip is then a pure cache hit
+        assert!(!client.place(&spec).expect("round-trips").cache_hit);
+        group.bench_with_input(BenchmarkId::new("held", held), &held, |b, _| {
+            b.iter(|| {
+                let response = client.place(&spec).expect("round-trips");
+                assert!(response.cache_hit);
             });
-            // close the idle sockets before shutdown so every parked legacy
-            // handler sees EOF and joins
-            drop(idle);
-            service.shutdown();
-            service.join();
-        }
+        });
+        drop(idle);
+        service.shutdown();
+        service.join();
     }
     group.finish();
 }
@@ -200,7 +184,7 @@ criterion_group!(
     benches,
     bench_service_throughput,
     bench_cache_hit_path,
-    bench_mode_saturation,
+    bench_saturation,
     bench_held_open_connections
 );
 criterion_main!(benches);

@@ -81,28 +81,12 @@ pub use report::{ConstraintReport, PlacementReport};
 
 use apls_circuit::benchmarks::BenchmarkCircuit;
 use apls_portfolio::{run_engine_once, run_portfolio};
-use apls_portfolio::{PortfolioConfig, PortfolioEngine, PortfolioReport};
+use apls_portfolio::{PortfolioConfig, PortfolioReport};
 use std::time::Instant;
 
-/// Which placement engine [`AnalogPlacer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Symmetric-feasible sequence-pair annealing (Section II).
-    SequencePair,
-    /// Hierarchical B*-tree annealing (Section III).
-    HbTree,
-    /// Deterministic enumeration with enhanced shape functions (Section IV).
-    Deterministic,
-    /// Hierarchical cross-engine pipeline: exhaustive enumeration for small
-    /// basic sets, pinned-seed annealing for larger hierarchy nodes, composed
-    /// bottom-up as enhanced shape functions (see [`shapefn::hier`]). Never
-    /// loses to [`Engine::Deterministic`] by construction.
-    Hier,
-    /// Parallel-tempering sequence-pair annealing (see
-    /// [`seqpair::tempering`]): replicas at a geometric temperature ladder
-    /// exchange configurations on a deterministic pinned-seed swap schedule.
-    Tempering,
-}
+/// Which placement engine [`AnalogPlacer`] runs: the portfolio's own
+/// engine enum, so a single run and a portfolio lane name engines alike.
+pub use apls_portfolio::PortfolioEngine as Engine;
 
 /// The unified placement entry point.
 #[derive(Debug, Clone)]
@@ -178,7 +162,7 @@ impl AnalogPlacer {
         // Dispatch through the portfolio's engine adapter: a single-engine
         // run IS restart 0 of that engine's portfolio lane, which is what
         // guarantees a portfolio can never lose to a single run.
-        let outcome = run_engine_once(circuit, self.engine.into(), self.seed, &settings);
+        let outcome = run_engine_once(circuit, self.engine, self.seed, &settings);
         PlacementReport::new(self.engine, circuit, outcome.placement, start.elapsed())
     }
 
@@ -200,30 +184,6 @@ impl AnalogPlacer {
     #[must_use]
     pub fn place_portfolio(&self, circuit: &BenchmarkCircuit, restarts: usize) -> PortfolioReport {
         run_portfolio(circuit, &self.portfolio_config(restarts))
-    }
-}
-
-impl From<Engine> for PortfolioEngine {
-    fn from(engine: Engine) -> PortfolioEngine {
-        match engine {
-            Engine::SequencePair => PortfolioEngine::SequencePair,
-            Engine::HbTree => PortfolioEngine::HbTree,
-            Engine::Deterministic => PortfolioEngine::Deterministic,
-            Engine::Hier => PortfolioEngine::Hier,
-            Engine::Tempering => PortfolioEngine::Tempering,
-        }
-    }
-}
-
-impl From<PortfolioEngine> for Engine {
-    fn from(engine: PortfolioEngine) -> Engine {
-        match engine {
-            PortfolioEngine::SequencePair => Engine::SequencePair,
-            PortfolioEngine::HbTree => Engine::HbTree,
-            PortfolioEngine::Deterministic => Engine::Deterministic,
-            PortfolioEngine::Hier => Engine::Hier,
-            PortfolioEngine::Tempering => Engine::Tempering,
-        }
     }
 }
 

@@ -5,6 +5,7 @@ use crate::config::PortfolioConfig;
 use crate::engine::PortfolioEngine;
 use crate::stats::{CostStats, RestartHistogram};
 use apls_circuit::{Placement, PlacementMetrics};
+use apls_telemetry::event::quote_into;
 use std::time::Duration;
 
 /// The outcome of one completed restart.
@@ -231,7 +232,9 @@ impl PortfolioReport {
         };
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        out.push_str(&format!("  \"circuit\": \"{}\",\n", esc(&self.circuit_name)));
+        out.push_str("  \"circuit\": ");
+        quote_into(&mut out, &self.circuit_name);
+        out.push_str(",\n");
         out.push_str(&format!("  \"root_seed\": {},\n", self.root_seed));
         out.push_str(&format!("  \"restarts_scheduled\": {},\n", self.restarts_scheduled));
         out.push_str(&format!("  \"restarts_run\": {},\n", self.restarts.len()));
@@ -276,12 +279,9 @@ impl PortfolioReport {
         out.push_str("  ],\n  \"histogram\": [\n");
         let labels = RestartHistogram::labels();
         for (i, (label, count)) in labels.iter().zip(&self.histogram.counts).enumerate() {
-            out.push_str(&format!(
-                "    {{\"bucket\": \"{}\", \"count\": {}}}{}\n",
-                esc(label),
-                count,
-                comma(i, labels.len()),
-            ));
+            out.push_str("    {\"bucket\": ");
+            quote_into(&mut out, label);
+            out.push_str(&format!(", \"count\": {}}}{}\n", count, comma(i, labels.len())));
         }
         out.push_str("  ]\n}\n");
         out
@@ -330,23 +330,6 @@ fn json_opt_bool(v: Option<bool>) -> String {
 
 fn json_opt_usize(v: Option<usize>) -> String {
     v.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -464,11 +447,5 @@ mod tests {
         let text = report.summary();
         assert!(text.contains("miller_opamp"));
         assert!(text.contains(report.best().engine.name()));
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 }

@@ -149,24 +149,12 @@ impl fmt::Display for Json {
 #[must_use]
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    apls_telemetry::event::quote_into(&mut out, s);
     out
 }
 
 /// Deepest allowed array/object nesting. A hostile request of hundreds of
-/// thousands of `[` would otherwise overflow the handler thread's stack and
+/// thousands of `[` would otherwise overflow the reactor thread's stack and
 /// abort the whole process.
 const MAX_DEPTH: usize = 64;
 

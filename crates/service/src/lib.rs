@@ -24,9 +24,13 @@
 //!   [`apls_anneal::rng::SeedStream::seed_for`]`(`[`JOB_SEED_LANE`]`,
 //!   job_index)`, so a replayed job log reproduces every report
 //!   byte-for-byte regardless of worker count;
+//! * **one reactor** ([`PlacementService`]) — a single thread owns the
+//!   listener and every connection behind a readiness poller (epoll on
+//!   Linux, `poll(2)` on other Unixes); the service needs Unix and refuses
+//!   to start elsewhere;
 //! * **graceful shutdown** — a `{"op":"shutdown"}` control request (or
-//!   [`PlacementService::shutdown`]) stops the acceptor, drains the queue
-//!   and joins every thread;
+//!   [`PlacementService::shutdown`]) stops the reactor accepting, drains the
+//!   queue and joins every thread;
 //! * **fault tolerance** ([`journal`], [`fault`], [`sync`]) — an optional
 //!   durable job journal restores completed reports and replays incomplete
 //!   jobs byte-identically after a crash; workers are panic-isolated
@@ -73,6 +77,42 @@ mod poller;
 mod protocol;
 #[cfg(unix)]
 mod reactor;
+/// Non-Unix stand-in for the reactor: with no readiness poller the service
+/// cannot start, so every type here is uninhabited.
+#[cfg(not(unix))]
+mod reactor {
+    use crate::server::Shared;
+    use std::sync::Arc;
+
+    pub(crate) enum Listening {}
+
+    #[derive(Clone)]
+    pub(crate) enum WakeSender {}
+
+    impl Listening {
+        pub(crate) fn new(_: std::net::TcpListener) -> std::io::Result<Listening> {
+            match crate::poller::new_poller()? {}
+        }
+
+        pub(crate) fn waker(&self) -> WakeSender {
+            match *self {}
+        }
+
+        pub(crate) fn poller_name(&self) -> &'static str {
+            match *self {}
+        }
+    }
+
+    impl WakeSender {
+        pub(crate) fn wake(&self) {
+            match *self {}
+        }
+    }
+
+    pub(crate) fn run(listening: Listening, _: &Arc<Shared>) {
+        match listening {}
+    }
+}
 mod server;
 pub mod sync;
 
@@ -82,7 +122,7 @@ pub use fault::FaultPlan;
 pub use journal::{JournalConfig, SyncPolicy};
 pub use protocol::{CircuitSource, JobSpec, PlaceResponse, StreamFrame};
 pub use server::{
-    PlacementService, ServeMode, ServiceConfig, DEFAULT_FLIGHT_RECORDER_CAPACITY, JOB_SEED_LANE,
+    PlacementService, ServiceConfig, DEFAULT_FLIGHT_RECORDER_CAPACITY, JOB_SEED_LANE,
     PROTOCOL_VERSION,
 };
 pub use sync::{lock_or_recover, poison_recoveries};

@@ -41,17 +41,14 @@ pub(crate) struct ServiceMetrics {
     pub jobs_replayed_total: Counter,
     /// Accepted connections dropped by fault injection.
     pub connections_dropped_total: Counter,
-    /// Fds currently registered in the readiness poller (event-loop mode:
-    /// listener + wake pipe + one per connection).
+    /// Fds currently registered in the readiness poller (listener + wake
+    /// pipe + one per connection).
     pub poller_registered_fds: Gauge,
-    /// Times the reactor (or the legacy acceptor) woke from its readiness
-    /// poll with at least one event.
+    /// Times the reactor woke from its readiness poll with at least one
+    /// event.
     pub readiness_wakeups_total: Counter,
     /// Streaming frames written (accepted/queued/progress/report).
     pub frames_sent_total: Counter,
-    /// Live handler threads in legacy-threads mode (reaped opportunistically
-    /// on accept; the regression bound for 10k short-lived connections).
-    pub handler_threads: Gauge,
     /// Reactor iterations that exceeded the stall-watchdog threshold.
     pub reactor_stalls_total: Counter,
     /// Largest outstanding per-connection write buffer seen in the most
@@ -74,7 +71,7 @@ pub(crate) struct ServiceMetrics {
     /// Time from a response/frame being queued to its bytes reaching the
     /// socket (ms): the write-stall component of job latency.
     pub flush_ms: Histogram,
-    /// End-to-end `place` latency as the handler saw it (ms).
+    /// End-to-end `place` latency as the reactor saw it (ms).
     pub total_ms: Histogram,
     /// Time the reactor spent blocked in its readiness poll (ms).
     pub poll_wait_ms: Histogram,
@@ -104,7 +101,6 @@ impl ServiceMetrics {
             poller_registered_fds: registry.gauge("poller_registered_fds"),
             readiness_wakeups_total: registry.counter("readiness_wakeups_total"),
             frames_sent_total: registry.counter("frames_sent_total"),
-            handler_threads: registry.gauge("handler_threads"),
             reactor_stalls_total: registry.counter("reactor_stalls_total"),
             write_buffer_bytes: registry.gauge("write_buffer_bytes"),
             write_buffer_high_water: registry.gauge("write_buffer_high_water_bytes"),

@@ -1,19 +1,18 @@
 //! Readiness polling behind a tiny [`Poller`] trait — the only unsafe code
 //! in the service crate.
 //!
-//! The event-driven reactor ([`crate::PlacementService`] in its default
-//! event-loop mode) needs "tell me which fds are readable/writable" without
-//! pulling in an async runtime or any dependency. `std` deliberately does not
-//! expose this, so this module binds the two relevant POSIX syscalls
-//! directly:
+//! The service's reactor ([`crate::PlacementService`]) needs "tell me which
+//! fds are readable/writable" without pulling in an async runtime or any
+//! dependency. `std` deliberately does not expose this, so this module binds
+//! the two relevant POSIX syscalls directly:
 //!
 //! * [`EpollPoller`] — Linux `epoll_create1`/`epoll_ctl`/`epoll_wait`,
 //!   level-triggered, O(ready) per wakeup. The production path.
 //! * [`PollPoller`] — portable POSIX `poll(2)`, O(registered) per wakeup.
 //!   Compiled (and unit-tested) on every Unix, so the Linux-only epoll
 //!   bindings always have a living fallback.
-//! * non-Unix — [`new_poller`] returns `Unsupported`; the service falls back
-//!   to the legacy thread-per-connection mode, which is pure `std`.
+//! * non-Unix — [`new_poller`] returns `Unsupported`, and so does
+//!   [`crate::PlacementService::start`].
 //!
 //! [`WakePipe`] is the classic self-pipe: a nonblocking pipe whose read end
 //! is registered in the poller, so another thread (a worker finishing a job,
@@ -97,10 +96,9 @@ pub(crate) trait Poller: Send {
 ///
 /// # Errors
 ///
-/// `Unsupported` on non-Unix targets (the caller falls back to
-/// thread-per-connection serving).
+/// Always `Unsupported`: non-Unix targets have no readiness poller.
 #[cfg(not(unix))]
-pub(crate) fn new_poller() -> io::Result<()> {
+pub(crate) fn new_poller() -> io::Result<std::convert::Infallible> {
     Err(io::Error::new(io::ErrorKind::Unsupported, "no readiness poller on this platform"))
 }
 

@@ -1,6 +1,7 @@
-//! The event-loop service core: one reactor thread owns the listener and
-//! every connection behind a readiness poller (epoll on Linux, `poll(2)` on
-//! other Unixes — see [`crate::poller`]).
+//! The service core: one reactor thread owns the listener and every
+//! connection behind a readiness poller (epoll on Linux, `poll(2)` on other
+//! Unixes — see [`crate::poller`]). Non-Unix targets have no poller, so the
+//! service does not run there.
 //!
 //! ```text
 //!            ┌───────────────── reactor thread ─────────────────┐
@@ -23,22 +24,23 @@
 //! connection (reads pause past the high-water mark), never the reactor.
 //!
 //! Everything behind the protocol — admission under the enqueue lock,
-//! derived seeds, cache, journal, deadlines, fault injection — is the exact
-//! code the legacy thread-per-connection mode runs ([`admit_place`]), so
-//! response bytes are identical between modes.
+//! derived seeds, cache, journal, deadlines, fault injection — lives in
+//! [`crate::server`] ([`admit_place`] and the worker pool); this module only
+//! frames lines, dispatches ops and moves bytes.
 
 use crate::json::Json;
-use crate::poller::{Interest, PollEvent, Poller, WakePipe};
+pub(crate) use crate::poller::WakeSender;
+use crate::poller::{new_poller, Interest, PollEvent, Poller, WakePipe};
 use crate::protocol::JobSpec;
 use crate::server::{
     accepted_frame, admit_place, count_response_outcome, error_response, initiate_shutdown,
     ok_envelope, oversized_response, ping_response, progress_frame, queued_frame,
     report_frame_error, report_frame_ok, report_frame_retry, report_frame_timeout, resolve_circuit,
-    stats_response, timeout_response, Admission, CompletionQueue, JobFailure, JobMsg, Responder,
-    Shared, OVERLOADED_LINE, PANIC_ERROR, RETRY_LINE,
+    stats_response, timeout_response, Admission, JobFailure, JobMsg, Shared, OVERLOADED_LINE,
+    PANIC_ERROR, RETRY_LINE,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
@@ -120,7 +122,7 @@ impl Conn {
 /// A job admitted by the reactor, awaiting worker messages. `slot`/`gen`
 /// identify the owning connection; a connection that died (and whose slot
 /// was possibly reused) fails the generation check and the response is
-/// dropped, exactly as a legacy handler hanging up drops its channel.
+/// dropped.
 struct PendingJob {
     slot: usize,
     gen: u64,
@@ -135,7 +137,6 @@ struct PendingJob {
 /// Everything the reactor mutates per iteration.
 struct Reactor {
     shared: Arc<Shared>,
-    completions: Arc<CompletionQueue>,
     poller: Box<dyn Poller>,
     conns: Vec<Option<Conn>>,
     /// Slot generations: bumped on every allocation so stale completions
@@ -156,26 +157,43 @@ struct Reactor {
     draining: bool,
 }
 
-/// Runs the event-loop service core on the current thread until shutdown.
-pub(crate) fn run(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    mut poller: Box<dyn Poller>,
+/// A nonblocking listener and the self-pipe, both registered with a fresh
+/// poller: everything the reactor needs before it can run.
+pub(crate) struct Listening {
+    listener: TcpListener,
+    poller: Box<dyn Poller>,
     pipe: WakePipe,
-) {
-    let Some(completions) = shared.completions() else {
-        // Start wiring guarantees a completion queue in event-loop mode;
-        // without one the reactor cannot receive worker messages.
-        crate::server::accept_loop_fallback(listener, shared);
-        return;
-    };
-    if listener.set_nonblocking(true).is_err()
-        || poller.register(listener.as_raw_fd(), LISTENER, Interest::READ).is_err()
-        || poller.register(pipe.fd(), WAKE, Interest::READ).is_err()
-    {
-        crate::server::accept_loop_fallback(listener, shared);
-        return;
+}
+
+impl Listening {
+    /// Builds the poller and the self-pipe and registers both fds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates poller, pipe and registration failures (fd exhaustion).
+    pub(crate) fn new(listener: TcpListener) -> io::Result<Listening> {
+        let mut poller = new_poller()?;
+        let pipe = WakePipe::new()?;
+        listener.set_nonblocking(true)?;
+        poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        poller.register(pipe.fd(), WAKE, Interest::READ)?;
+        Ok(Listening { listener, poller, pipe })
     }
+
+    /// A waker for other threads: interrupts the reactor's readiness poll.
+    pub(crate) fn waker(&self) -> WakeSender {
+        self.pipe.sender()
+    }
+
+    /// The poller backend's name (`apls_build_info{poller=…}`).
+    pub(crate) fn poller_name(&self) -> &'static str {
+        self.poller.name()
+    }
+}
+
+/// Runs the service core on the current thread until shutdown.
+pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
+    let Listening { listener, poller, pipe } = listening;
     shared.metrics.poller_registered_fds.set(2);
     apls_telemetry::event!(
         shared.telemetry,
@@ -186,7 +204,6 @@ pub(crate) fn run(
 
     let mut reactor = Reactor {
         shared: Arc::clone(shared),
-        completions,
         poller,
         conns: Vec::new(),
         gens: Vec::new(),
@@ -199,15 +216,11 @@ pub(crate) fn run(
         draining: false,
     };
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut listener_registered = true;
 
     loop {
         if reactor.shared.shutdown.load(std::sync::atomic::Ordering::SeqCst) && !reactor.draining {
             reactor.draining = true;
-            if listener_registered {
-                let _ = reactor.poller.deregister(listener.as_raw_fd());
-                listener_registered = false;
-            }
+            let _ = reactor.poller.deregister(listener.as_raw_fd());
             // every idle connection should flush and close now
             for slot in 0..reactor.conns.len() {
                 if reactor.conns[slot].is_some() {
@@ -233,7 +246,7 @@ pub(crate) fn run(
         reactor.shared.metrics.poll_wait_ms.observe((work_start - poll_start).as_secs_f64() * 1e3);
         for event in &events {
             match event.token {
-                LISTENER => reactor.accept_burst(listener),
+                LISTENER => reactor.accept_burst(&listener),
                 WAKE => pipe.drain(),
                 token => {
                     let slot = token - CONN_BASE;
@@ -429,8 +442,7 @@ impl Reactor {
         }
     }
 
-    /// Answers an over-limit request line and schedules the close, exactly
-    /// like the legacy handler.
+    /// Answers an over-limit request line and schedules the close.
     fn overlong_request(&mut self, slot: usize, max_request: usize) {
         self.shared.metrics.requests_total.inc();
         let response = oversized_response(max_request);
@@ -465,13 +477,10 @@ impl Reactor {
             }
             Some("shutdown") => {
                 self.respond_plain(slot, "{\"status\":\"shutting_down\"}".to_string());
-                let addr = self.conns.get_mut(slot).and_then(Option::as_mut).and_then(|conn| {
+                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
                     conn.close_after_flush = true;
-                    conn.stream.local_addr().ok()
-                });
-                if let Some(addr) = addr {
-                    initiate_shutdown(&self.shared, addr);
                 }
+                initiate_shutdown(&self.shared);
             }
             Some("place") => self.place(slot, &json),
             Some("dump") => {
@@ -556,8 +565,7 @@ impl Reactor {
             "place",
             circuit = circuit_name.as_str()
         );
-        let respond = Responder::Reactor(Arc::clone(&self.completions));
-        match admit_place(&spec, circuit, &shared, respond, stream_id.is_some(), start) {
+        match admit_place(&spec, circuit, &shared, stream_id.is_some(), start) {
             Admission::ShuttingDown => {
                 self.fail(slot, stream_id, "unavailable", "service is shutting down");
             }
@@ -650,7 +658,7 @@ impl Reactor {
 
     /// Routes every queued worker message to its owning connection.
     fn drain_completions(&mut self) {
-        for (index, msg) in self.completions.drain() {
+        for (index, msg) in self.shared.completions.drain() {
             match msg {
                 JobMsg::Progress { engine, restart, completed, total, cost } => {
                     let Some(p) = self.pending.get(&index) else { continue };

@@ -1,15 +1,16 @@
-//! The placement daemon: TCP acceptor, bounded job queue, worker pool,
-//! result cache.
+//! The placement daemon: bounded job queue, worker pool, result cache and
+//! the state they share with the readiness reactor ([`crate::reactor`]),
+//! the only thread that touches client sockets.
 //!
 //! ```text
-//!            ┌────────────┐   bounded sync_channel    ┌──────────┐
-//!  TCP ──────► connection │ ──── Job {circuit, ...} ──► worker 0..N
-//!  clients   │  handlers  │ ◄─── JobDone {report} ──── │ run_portfolio
-//!            └────────────┘     (per-job channel)      └────┬─────┘
-//!                 ▲                                         │
-//!                 └──────────── LRU result cache ◄──────────┘
-//!                                     ▲
-//!                    durable job journal (enqueue/complete)
+//!            ┌─────────┐  admit_place: bounded sync_channel  ┌──────────┐
+//!  TCP ──────► reactor │ ─────── Job {circuit, ...} ────────► worker 0..N
+//!  clients   │ thread  │ ◄── JobMsg (CompletionQueue +  ──── │ run_portfolio
+//!            └─────────┘          wake pipe)                 └────┬─────┘
+//!                 ▲                                               │
+//!                 └─────────────── LRU result cache ◄─────────────┘
+//!                                         ▲
+//!                        durable job journal (enqueue/complete)
 //! ```
 //!
 //! Determinism contract: a job's report body is
@@ -36,11 +37,10 @@
 use crate::cache::LruCache;
 use crate::fault::FaultPlan;
 use crate::journal::{Journal, JournalConfig, JournalRecord, Recovery};
-use crate::json::{quote, Json};
+use crate::json::quote;
 use crate::metrics::ServiceMetrics;
-#[cfg(unix)]
-use crate::poller::{new_poller, Interest, PollEvent, Poller, WakePipe, WakeSender};
 use crate::protocol::{CircuitSource, JobSpec};
+use crate::reactor::{Listening, WakeSender};
 use crate::sync::{lock_or_recover, poison_recoveries};
 use apls_anneal::rng::SeedStream;
 use apls_circuit::benchmarks::{self, BenchmarkCircuit};
@@ -50,9 +50,7 @@ use apls_portfolio::{
 };
 use apls_telemetry::{FlightRecorder, Telemetry};
 use std::collections::VecDeque;
-use std::io::Read;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,10 +67,6 @@ pub const JOB_SEED_LANE: u64 = 0x10B;
 /// Wire-protocol version reported by `ping`.
 pub const PROTOCOL_VERSION: u32 = 1;
 
-/// How long a connection handler waits for bytes before re-checking the
-/// shutdown flag. Bounds shutdown latency for idle connections.
-const READ_TICK: Duration = Duration::from_millis(200);
-
 /// Default for [`ServiceConfig::max_request_bytes`]. Inline `.apls` circuits
 /// are the big case (~30 bytes per module line); 16 MiB fits circuits three
 /// orders of magnitude beyond the largest bundled benchmark while bounding
@@ -81,42 +75,8 @@ pub const DEFAULT_MAX_REQUEST_BYTES: usize = 16 * 1024 * 1024;
 
 /// Default for [`ServiceConfig::max_connections`]; beyond the limit, new
 /// connections are refused with an error line so a connection flood cannot
-/// exhaust threads.
+/// exhaust file descriptors.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
-
-/// How long the (nonblocking) acceptor sleeps between polls when no
-/// readiness poller is available (non-Unix, or poller setup failed). With a
-/// poller, the acceptor blocks on readiness and a self-pipe wakeup replaces
-/// the tick entirely.
-const ACCEPT_TICK: Duration = Duration::from_millis(50);
-
-/// How the service maps connections to execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// One reactor thread owns the listener and every connection behind a
-    /// readiness poller (epoll on Linux, `poll(2)` elsewhere): nonblocking
-    /// reads/writes, per-connection buffers, backpressure via interest
-    /// re-registration. Thousands of held-open connections cost buffers, not
-    /// threads. The default; platforms without a poller (non-Unix) fall back
-    /// to [`ServeMode::LegacyThreads`] transparently.
-    #[default]
-    EventLoop,
-    /// The pre-reactor shape: one blocking handler thread per connection.
-    /// Kept as an escape hatch (`apls serve --legacy-threads`) and as the
-    /// portable fallback.
-    LegacyThreads,
-}
-
-impl ServeMode {
-    /// The `stats` wire name of the mode.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ServeMode::EventLoop => "event_loop",
-            ServeMode::LegacyThreads => "legacy_threads",
-        }
-    }
-}
 
 /// Configuration of one service instance.
 #[derive(Debug, Clone)]
@@ -151,10 +111,6 @@ pub struct ServiceConfig {
     /// Deterministic fault injection (tests/CI only; the CLI additionally
     /// requires the `APLS_FAULT_INJECTION=1` environment guard).
     pub fault_plan: Option<FaultPlan>,
-    /// Connection-handling architecture (default [`ServeMode::EventLoop`];
-    /// falls back to [`ServeMode::LegacyThreads`] where no readiness poller
-    /// exists).
-    pub mode: ServeMode,
     /// Optional HTTP sidecar address (`host:port`) exposing Prometheus
     /// `/metrics`, `/healthz` and `/readyz`. `None` (the default) serves no
     /// HTTP endpoint.
@@ -186,7 +142,6 @@ impl Default for ServiceConfig {
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
             journal: None,
             fault_plan: None,
-            mode: ServeMode::default(),
             metrics_addr: None,
             flight_recorder: DEFAULT_FLIGHT_RECORDER_CAPACITY,
             flight_recorder_path: None,
@@ -217,7 +172,9 @@ struct Job {
     /// Cooperative deadline; an expired job answers `timeout`.
     deadline: Option<Instant>,
     enqueued: Instant,
-    respond: Responder,
+    /// Whether a client awaits this job's messages; recovery replays answer
+    /// nobody.
+    reply: bool,
     /// Streamed jobs get per-restart `progress` messages; plain jobs only
     /// the final [`JobMsg::Done`].
     streaming: bool,
@@ -232,7 +189,7 @@ pub(crate) enum JobFailure {
     Timeout,
 }
 
-/// What a worker hands back to the connection handler.
+/// What a worker hands back to the reactor.
 pub(crate) struct JobDone {
     /// The deterministic report (with its cache-hit flag), or why there is
     /// none.
@@ -241,7 +198,7 @@ pub(crate) struct JobDone {
     pub(crate) solve_ms: f64,
 }
 
-/// A worker-to-responder message for one job.
+/// A worker-to-reactor message for one job.
 pub(crate) enum JobMsg {
     /// One restart of a streamed job completed (plan order).
     Progress {
@@ -260,47 +217,16 @@ pub(crate) enum JobMsg {
     Done(JobDone),
 }
 
-/// Where a worker delivers a job's messages.
-pub(crate) enum Responder {
-    /// A blocking handler thread waiting on a per-job channel
-    /// (legacy-threads mode, and the recovery replay's throwaway channel).
-    Sync(mpsc::Sender<JobMsg>),
-    /// The reactor's completion queue plus its wakeup pipe (event-loop
-    /// mode): workers never touch connection sockets, they hand the message
-    /// to the reactor thread that owns them.
-    #[cfg(unix)]
-    Reactor(Arc<CompletionQueue>),
-}
-
-impl Responder {
-    /// Delivers one message for job `index`. Best-effort: a vanished
-    /// receiver (client hung up, reactor shut down) is not an error.
-    pub(crate) fn send(&self, index: u64, msg: JobMsg) {
-        match self {
-            Responder::Sync(tx) => {
-                let _ = index;
-                let _ = tx.send(msg);
-            }
-            #[cfg(unix)]
-            Responder::Reactor(completions) => completions.push(index, msg),
-        }
-    }
-}
-
-/// The reactor's inbound queue of job messages, shared with every worker.
-/// Pushing wakes the reactor out of its readiness poll via the self-pipe.
-#[cfg(unix)]
+/// The reactor's inbound queue of job messages, shared with every worker:
+/// workers never touch connection sockets, they hand each message to the
+/// reactor thread that owns them. Pushing wakes the reactor out of its
+/// readiness poll via the self-pipe.
 pub(crate) struct CompletionQueue {
     queue: Mutex<VecDeque<(u64, JobMsg)>>,
     wake: WakeSender,
 }
 
-#[cfg(unix)]
 impl CompletionQueue {
-    pub(crate) fn new(wake: WakeSender) -> CompletionQueue {
-        CompletionQueue { queue: Mutex::new(VecDeque::new()), wake }
-    }
-
     fn push(&self, index: u64, msg: JobMsg) {
         lock_or_recover(&self.queue).push_back((index, msg));
         self.wake.wake();
@@ -321,7 +247,7 @@ struct EnqueueSlot {
     tx: SyncSender<Job>,
 }
 
-/// State shared by the acceptor/reactor, handlers and workers.
+/// State shared by the reactor, the workers and the metrics sidecar.
 pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     seeds: SeedStream,
@@ -340,23 +266,14 @@ pub(crate) struct Shared {
     /// True while the journal-recovery replay thread is still re-enqueueing
     /// pre-crash jobs; `/readyz` answers 503 until this clears.
     pub(crate) recovery_pending: AtomicBool,
-    /// Self-pipe sender: wakes the reactor (or poller-backed acceptor) out
-    /// of its readiness wait on shutdown and on job completion.
-    #[cfg(unix)]
-    wake: Option<WakeSender>,
-    /// Event-loop mode only: the reactor's completion queue; workers push
-    /// job messages here instead of per-job channels.
-    #[cfg(unix)]
-    completions: Option<Arc<CompletionQueue>>,
+    /// Self-pipe sender: wakes the reactor out of its readiness wait on
+    /// shutdown.
+    wake: WakeSender,
+    /// Where workers push job messages for the reactor.
+    pub(crate) completions: CompletionQueue,
 }
 
 impl Shared {
-    /// The reactor's completion queue (event-loop mode only).
-    #[cfg(unix)]
-    pub(crate) fn completions(&self) -> Option<Arc<CompletionQueue>> {
-        self.completions.clone()
-    }
-
     /// Appends a journal record, degrading to non-durable on failure: the
     /// job is answered either way, the failure is counted and traced, and
     /// the flight recorder captures the moments leading up to it.
@@ -446,19 +363,21 @@ pub struct PlacementService {
     local_addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     recovery: Option<JoinHandle<()>>,
     metrics_server: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl PlacementService {
-    /// Binds the listener and spawns the acceptor and worker threads.
+    /// Binds the listener and spawns the reactor and worker threads.
     ///
     /// # Errors
     ///
-    /// Returns the bind error when the address is unavailable, or the
-    /// journal open/replay error when a configured journal cannot be used.
+    /// Returns the bind error when the address is unavailable, the
+    /// readiness-poller setup error (`Unsupported` off Unix, where the
+    /// service cannot run), or the journal open/replay error when a
+    /// configured journal cannot be used.
     ///
     /// # Panics
     ///
@@ -473,8 +392,7 @@ impl PlacementService {
     ///
     /// # Errors
     ///
-    /// Returns the bind error when the address is unavailable, or the
-    /// journal open/replay error when a configured journal cannot be used.
+    /// As [`PlacementService::start`].
     ///
     /// # Panics
     ///
@@ -485,9 +403,11 @@ impl PlacementService {
     ) -> std::io::Result<PlacementService> {
         assert!(config.workers >= 1, "service needs at least one worker");
         assert!(config.queue_capacity >= 1, "service needs a queue depth of at least 1");
-        let mut config = config;
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         let local_addr = listener.local_addr()?;
+        // The poller, the self-pipe and their registrations come up before
+        // any thread is spawned, so a failure fails the start.
+        let listening = Listening::new(listener)?;
         // Bind the observability sidecar before spawning anything so a bad
         // --metrics-addr fails the whole start instead of leaking threads.
         let metrics_listener = match &config.metrics_addr {
@@ -519,34 +439,6 @@ impl PlacementService {
             None => telemetry,
         };
 
-        // Readiness infrastructure: poller + self-pipe. Event-loop mode needs
-        // both; legacy mode uses them (when available) only to replace the
-        // acceptor's sleep tick with a blocking readiness wait. A platform
-        // where either fails degrades to legacy threads transparently.
-        #[cfg(unix)]
-        let event_infra: Option<(Box<dyn Poller>, WakePipe)> = match (new_poller(), WakePipe::new())
-        {
-            (Ok(poller), Ok(pipe)) => Some((poller, pipe)),
-            _ => None,
-        };
-        #[cfg(unix)]
-        if event_infra.is_none() {
-            config.mode = ServeMode::LegacyThreads;
-        }
-        #[cfg(not(unix))]
-        {
-            config.mode = ServeMode::LegacyThreads;
-        }
-        #[cfg(unix)]
-        let wake = event_infra.as_ref().map(|(_, pipe)| pipe.sender());
-        #[cfg(unix)]
-        let completions = match (config.mode, &wake) {
-            (ServeMode::EventLoop, Some(wake)) => {
-                Some(Arc::new(CompletionQueue::new(wake.clone())))
-            }
-            _ => None,
-        };
-
         let fault = config.fault_plan.clone().filter(|p| !p.is_empty()).map(Arc::new);
         let (journal, recovered) = match &config.journal {
             Some(journal_config) => {
@@ -574,22 +466,19 @@ impl PlacementService {
             metrics: ServiceMetrics::new(),
             recorder,
             recovery_pending: AtomicBool::new(false),
-            #[cfg(unix)]
-            wake,
-            #[cfg(unix)]
-            completions,
+            wake: listening.waker(),
+            completions: CompletionQueue {
+                queue: Mutex::new(VecDeque::new()),
+                wake: listening.waker(),
+            },
             config,
         });
-        #[cfg(unix)]
-        let poller_backend = event_infra.as_ref().map_or("none", |(poller, _)| poller.name());
-        #[cfg(not(unix))]
-        let poller_backend = "none";
         shared.metrics.registry.set_info(
             "build_info",
             &[
                 ("version", env!("CARGO_PKG_VERSION")),
                 ("git", env!("APLS_GIT_HASH")),
-                ("poller", poller_backend),
+                ("poller", listening.poller_name()),
             ],
         );
 
@@ -618,22 +507,9 @@ impl PlacementService {
             .collect();
         let recovery =
             recovered.and_then(|recovery| replay_recovered_jobs(recovery, &shared, recovery_tx));
-        let acceptor = {
+        let reactor = {
             let shared = Arc::clone(&shared);
-            #[cfg(unix)]
-            {
-                let infra = event_infra;
-                Some(std::thread::spawn(move || match (shared.config.mode, infra) {
-                    (ServeMode::EventLoop, Some((poller, pipe))) => {
-                        crate::reactor::run(&listener, &shared, poller, pipe);
-                    }
-                    (_, infra) => accept_loop(&listener, &shared, infra),
-                }))
-            }
-            #[cfg(not(unix))]
-            {
-                Some(std::thread::spawn(move || accept_loop(&listener, &shared, None)))
-            }
+            std::thread::spawn(move || crate::reactor::run(listening, &shared))
         };
         let metrics_server =
             metrics_listener.map(|listener| crate::http::spawn(listener, Arc::clone(&shared)));
@@ -641,7 +517,7 @@ impl PlacementService {
             local_addr,
             metrics_addr,
             shared,
-            acceptor,
+            reactor: Some(reactor),
             recovery,
             metrics_server,
             workers,
@@ -666,7 +542,7 @@ impl PlacementService {
     /// in-flight responses go out. Idempotent; [`PlacementService::join`]
     /// waits for completion.
     pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared, self.local_addr);
+        initiate_shutdown(&self.shared);
     }
 
     /// Blocks until the service has shut down (via
@@ -677,8 +553,8 @@ impl PlacementService {
     }
 
     fn join_threads(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
         }
         if let Some(recovery) = self.recovery.take() {
             let _ = recovery.join();
@@ -747,10 +623,9 @@ fn replay_recovered_jobs(
                 shared.metrics.jobs_recovered_total.inc();
             }
             None => {
-                // The receiving half is dropped immediately: nobody waits
-                // for a replayed job's response, its purpose is the journal
-                // completion record and the cache entry it leaves behind.
-                let (done_tx, _) = mpsc::channel();
+                // Nobody waits for a replayed job's response: its purpose is
+                // the journal completion record and the cache entry it
+                // leaves behind.
                 pending.push(Job {
                     index: job.index,
                     config: job.spec.resolved_config(job.seed),
@@ -758,7 +633,7 @@ fn replay_recovered_jobs(
                     cache_key,
                     deadline: None,
                     enqueued: Instant::now(),
-                    respond: Responder::Sync(done_tx),
+                    reply: false,
                     streaming: false,
                 });
                 shared.metrics.jobs_replayed_total.inc();
@@ -785,146 +660,20 @@ fn replay_recovered_jobs(
     }))
 }
 
-pub(crate) fn initiate_shutdown(shared: &Shared, local_addr: SocketAddr) {
+pub(crate) fn initiate_shutdown(shared: &Shared) {
     if shared.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
     // Dropping the only SyncSender lets the workers drain the queue and exit.
     lock_or_recover(&shared.enqueue).take();
-    // The self-pipe pops the reactor (or the poller-backed acceptor) out of
-    // its readiness wait immediately — no loopback round trip needed.
-    #[cfg(unix)]
-    if let Some(wake) = &shared.wake {
-        wake.wake();
-        return;
-    }
-    // Best-effort accelerator: a throwaway connection makes a (blocking)
-    // acceptor observe the flag immediately. The nonblocking acceptor's poll
-    // tick bounds shutdown latency even when this connect cannot succeed.
-    let mut wake = local_addr;
-    if wake.ip().is_unspecified() {
-        wake.set_ip(match wake.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
-    let _ = TcpStream::connect(wake);
+    // The self-pipe pops the reactor out of its readiness wait immediately.
+    shared.wake.wake();
 }
-
-/// The legacy acceptor's optional readiness infrastructure: a poller watching
-/// the listener plus the self-pipe that replaces the sleep tick.
-#[cfg(unix)]
-type AcceptInfra = Option<(Box<dyn Poller>, WakePipe)>;
-#[cfg(not(unix))]
-type AcceptInfra = Option<()>;
 
 /// The refusal line written when [`ServiceConfig::max_connections`] live
 /// connections already exist.
 pub(crate) const OVERLOADED_LINE: &[u8] =
     b"{\"status\":\"error\",\"kind\":\"overloaded\",\"error\":\"connection limit reached, retry later\"}\n";
-
-/// The reactor's escape hatch when its own setup fails after spawn: serve
-/// with blocking handler threads (and the sleep-tick acceptor) instead of
-/// not serving at all.
-#[cfg(unix)]
-pub(crate) fn accept_loop_fallback(listener: &TcpListener, shared: &Arc<Shared>) {
-    accept_loop(listener, shared, None);
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, infra: AcceptInfra) {
-    // Nonblocking accept so observing the shutdown flag never depends on the
-    // wake-up self-connect reaching the listener (it may not, e.g. for
-    // 0.0.0.0 binds on platforms that don't route them to loopback). With a
-    // poller + self-pipe we block on readiness between bursts; without, we
-    // fall back to the ACCEPT_TICK sleep poll.
-    let nonblocking = listener.set_nonblocking(true).is_ok();
-    #[cfg(unix)]
-    let mut infra = infra.and_then(|(mut poller, pipe)| {
-        use std::os::unix::io::AsRawFd;
-        let listener_ok = nonblocking
-            && poller.register(listener.as_raw_fd(), 0, Interest::READ).is_ok()
-            && poller.register(pipe.fd(), 1, Interest::READ).is_ok();
-        if listener_ok {
-            shared.metrics.poller_registered_fds.set(2);
-            Some((poller, pipe, Vec::<PollEvent>::new()))
-        } else {
-            None
-        }
-    });
-    #[cfg(not(unix))]
-    let _ = infra;
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut accepted: u64 = 0;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                accept_one(stream, shared, &mut accepted, &mut handlers);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                #[cfg(unix)]
-                if let Some((poller, pipe, events)) = infra.as_mut() {
-                    match poller.poll(events, None) {
-                        Ok(n) => {
-                            if n > 0 {
-                                shared.metrics.readiness_wakeups_total.inc();
-                            }
-                            pipe.drain();
-                            continue;
-                        }
-                        Err(_) => {
-                            // poller went bad mid-run: degrade to sleep ticks
-                            shared.metrics.poller_registered_fds.set(0);
-                            infra = None;
-                        }
-                    }
-                }
-                std::thread::sleep(ACCEPT_TICK);
-            }
-            Err(_) => {
-                if !nonblocking {
-                    // a blocking accept that errors repeatedly must not spin
-                    std::thread::sleep(ACCEPT_TICK);
-                }
-            }
-        }
-    }
-    shared.metrics.poller_registered_fds.set(0);
-    for handler in handlers {
-        let _ = handler.join();
-    }
-    shared.metrics.handler_threads.set(0);
-}
-
-/// Admits (or refuses) one accepted connection in legacy-threads mode.
-fn accept_one(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    accepted: &mut u64,
-    handlers: &mut Vec<JoinHandle<()>>,
-) {
-    let connection = *accepted;
-    *accepted += 1;
-    if shared.fault.as_ref().is_some_and(|plan| plan.drop_connection(connection)) {
-        shared.metrics.connections_dropped_total.inc();
-        return; // dropping the stream closes it mid-handshake
-    }
-    // reap finished handlers so a long-running daemon holds handles (and
-    // memory) only for *live* connections, not every connection ever seen
-    handlers.retain(|h| !h.is_finished());
-    if handlers.len() >= shared.config.max_connections {
-        let mut stream = stream;
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.write_all(OVERLOADED_LINE);
-        shared.metrics.handler_threads.set(handlers.len() as i64);
-        return; // dropping the stream closes it
-    }
-    let handler_shared = Arc::clone(shared);
-    handlers.push(std::thread::spawn(move || handle_connection(stream, &handler_shared)));
-    shared.metrics.handler_threads.set(handlers.len() as i64);
-}
 
 fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     loop {
@@ -962,22 +711,24 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         shared.metrics.in_flight.sub(1);
         let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
         shared.metrics.solve_ms.observe(solve_ms);
-        let done = JobDone { outcome, queue_ms, solve_ms };
-        // The handler may have hung up (client gone); nothing to do then.
-        job.respond.send(job.index, JobMsg::Done(done));
+        if job.reply {
+            // The client may have hung up; the reactor drops the message then.
+            let done = JobDone { outcome, queue_ms, solve_ms };
+            shared.completions.push(job.index, JobMsg::Done(done));
+        }
     }
 }
 
-/// Relays per-restart progress of a streamed job to its responder while the
+/// Relays per-restart progress of a streamed job to the reactor while the
 /// solve runs. Observe-only: the report body stays byte-identical.
 struct ProgressRelay<'a> {
-    respond: &'a Responder,
+    completions: &'a CompletionQueue,
     index: u64,
 }
 
 impl RestartObserver for ProgressRelay<'_> {
     fn restart_complete(&self, record: &RestartRecord, completed: usize, total: usize) {
-        self.respond.send(
+        self.completions.push(
             self.index,
             JobMsg::Progress {
                 engine: record.engine.name(),
@@ -1022,7 +773,7 @@ fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, boo
             seed = job.config.root_seed
         );
         let cancel = job.deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
-        let relay = ProgressRelay { respond: &job.respond, index: job.index };
+        let relay = ProgressRelay { completions: &shared.completions, index: job.index };
         let observer = job.streaming.then_some(&relay as &dyn RestartObserver);
         let result =
             run_portfolio_observed(&job.circuit, &job.config, &shared.telemetry, &cancel, observer);
@@ -1039,91 +790,6 @@ fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, boo
             let report = report.to_json_deterministic();
             lock_or_recover(&shared.cache).insert(job.cache_key.clone(), report.clone());
             Ok((report, false))
-        }
-    }
-}
-
-/// Whether the handler keeps serving this connection after a request.
-enum Flow {
-    Continue,
-    Close,
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    shared.metrics.connections_active.add(1);
-    apls_telemetry::event!(shared.telemetry, "service", "accept");
-    // A handler panic must not leak the active-connections slot.
-    let _ = catch_unwind(AssertUnwindSafe(|| handle_connection_inner(stream, shared)));
-    shared.metrics.connections_active.sub(1);
-}
-
-fn handle_connection_inner(stream: TcpStream, shared: &Arc<Shared>) {
-    // accepted sockets can inherit the listener's nonblocking flag on some
-    // platforms; the handler wants blocking reads with a timeout
-    let _ = stream.set_nonblocking(false);
-    // One-line request/response traffic is latency-bound: without NODELAY,
-    // Nagle holds the reply until the peer's delayed ACK (~40 ms per turn).
-    let _ = stream.set_nodelay(true);
-    let Ok(()) = stream.set_read_timeout(Some(READ_TICK)) else { return };
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut buf: Vec<u8> = Vec::new();
-    let max_request = shared.config.max_request_bytes;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // The `Take` adapter enforces the request cap *during* the read, so a
-        // peer streaming bytes without newlines can never make the daemon
-        // buffer more than max_request_bytes + 1 bytes. Partial data stays in
-        // `buf` across read-timeout ticks.
-        let limit = (max_request + 1 - buf.len()) as u64;
-        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                if buf.len() > max_request {
-                    let _ = writer
-                        .write_all(format!("{}\n", oversized_response(max_request)).as_bytes());
-                    break;
-                }
-                // under the cap and no newline means EOF arrived mid-line:
-                // process what we have, the next read reports the EOF
-                let Ok(text) = std::str::from_utf8(&buf) else {
-                    let _ = writer.write_all(
-                        format!(
-                            "{}\n",
-                            error_response("bad_request", "request is not valid UTF-8")
-                        )
-                        .as_bytes(),
-                    );
-                    break;
-                };
-                let request = text.trim();
-                let flow = if request.is_empty() {
-                    Flow::Continue
-                } else {
-                    let (mut response, flow) = process_request(request, shared, &writer);
-                    response.push('\n');
-                    let flush_start = Instant::now();
-                    if writer.write_all(response.as_bytes()).and_then(|()| writer.flush()).is_err()
-                    {
-                        break;
-                    }
-                    // Legacy mode writes synchronously, so queued→flushed
-                    // collapses to the write itself.
-                    shared.metrics.flush_ms.observe(flush_start.elapsed().as_secs_f64() * 1e3);
-                    flow
-                };
-                buf.clear();
-                if matches!(flow, Flow::Close) {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                continue; // idle tick: re-check the shutdown flag
-            }
-            Err(_) => break,
         }
     }
 }
@@ -1250,51 +916,6 @@ pub(crate) fn count_response_outcome(shared: &Shared, response: &str) {
     }
 }
 
-fn process_request(line: &str, shared: &Arc<Shared>, writer: &TcpStream) -> (String, Flow) {
-    shared.metrics.requests_total.inc();
-    let (response, flow) = dispatch_request(line, shared, writer);
-    // Centralised outcome accounting: every error/retry path funnels through
-    // the envelope status, so the counters cannot drift from the protocol.
-    count_response_outcome(shared, &response);
-    (response, flow)
-}
-
-fn dispatch_request(line: &str, shared: &Arc<Shared>, writer: &TcpStream) -> (String, Flow) {
-    let json = match Json::parse(line) {
-        Ok(json) => json,
-        Err(e) => {
-            return (error_response("bad_request", &format!("invalid JSON: {e}")), Flow::Continue)
-        }
-    };
-    let op = json.get("op").and_then(Json::as_str);
-    apls_telemetry::event!(
-        shared.telemetry,
-        "service",
-        "request",
-        op = op.unwrap_or("(missing)").to_string()
-    );
-    match op {
-        Some("ping") => (ping_response(), Flow::Continue),
-        Some("stats") => (stats_response(shared), Flow::Continue),
-        Some("dump") => (dump_response(shared), Flow::Continue),
-        Some("shutdown") => {
-            if let Ok(addr) = writer.local_addr() {
-                initiate_shutdown(shared, addr);
-            }
-            ("{\"status\":\"shutting_down\"}".to_string(), Flow::Close)
-        }
-        Some("place") => (place(&json, shared, writer), Flow::Continue),
-        Some(other) => (
-            error_response(
-                "bad_request",
-                &format!("unknown op '{other}' (place, ping, stats, dump, shutdown)"),
-            ),
-            Flow::Continue,
-        ),
-        None => (error_response("bad_request", "request needs an 'op' field"), Flow::Continue),
-    }
-}
-
 /// Handles the `dump` op: writes the flight-recorder ring to disk and
 /// answers with where it landed and how much it held.
 pub(crate) fn dump_response(shared: &Shared) -> String {
@@ -1331,8 +952,7 @@ pub(crate) fn stats_response(shared: &Shared) -> String {
     let uptime_seconds = shared.refresh_uptime();
     let (ready, _) = shared.is_ready();
     format!(
-        "{{\"status\":\"ok\",\"mode\":{},\"workers\":{},\"queue_capacity\":{},\"cache_capacity\":{},\"jobs_completed\":{},\"cache_hits\":{},\"cache_entries\":{},\"uptime_ms\":{:.0},\"uptime_seconds\":{},\"ready\":{},\"queue_depth\":{},\"in_flight\":{},\"connections\":{},\"telemetry_enabled\":{},\"journal_enabled\":{},\"poison_recoveries\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}},\"metrics\":{}}}",
-        quote(shared.config.mode.as_str()),
+        "{{\"status\":\"ok\",\"workers\":{},\"queue_capacity\":{},\"cache_capacity\":{},\"jobs_completed\":{},\"cache_hits\":{},\"cache_entries\":{},\"uptime_ms\":{:.0},\"uptime_seconds\":{},\"ready\":{},\"queue_depth\":{},\"in_flight\":{},\"connections\":{},\"telemetry_enabled\":{},\"journal_enabled\":{},\"poison_recoveries\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}},\"metrics\":{}}}",
         shared.config.workers,
         shared.config.queue_capacity,
         shared.config.cache_capacity,
@@ -1374,7 +994,7 @@ pub(crate) enum Admission {
         /// The cached deterministic report body.
         report: String,
     },
-    /// The job was enqueued; its messages arrive via the responder.
+    /// The job was enqueued; its messages arrive via the completion queue.
     Enqueued {
         /// The job's arrival-order index.
         index: u64,
@@ -1385,14 +1005,12 @@ pub(crate) enum Admission {
 
 /// Admits one `place` job: assigns the arrival-order index, resolves the
 /// seed, probes the cache and journals — all atomically under the enqueue
-/// lock, so derived seeds stay replay-stable whatever the outcome. Shared by
-/// the legacy blocking handlers and the reactor; timing spans and `total_ms`
-/// accounting stay with the caller.
+/// lock, so derived seeds stay replay-stable whatever the outcome. Timing
+/// spans and `total_ms` accounting stay with the caller.
 pub(crate) fn admit_place(
     spec: &JobSpec,
     circuit: BenchmarkCircuit,
-    shared: &Arc<Shared>,
-    respond: Responder,
+    shared: &Shared,
     streaming: bool,
     accepted: Instant,
 ) -> Admission {
@@ -1458,7 +1076,7 @@ pub(crate) fn admit_place(
         cache_key,
         deadline,
         enqueued: Instant::now(),
-        respond,
+        reply: true,
         streaming,
     };
     match slot.tx.try_send(job) {
@@ -1487,198 +1105,6 @@ pub(crate) const RETRY_LINE: &str =
     "{\"status\":\"retry\",\"error\":\"job queue full, retry later\"}";
 pub(crate) const PANIC_ERROR: &str =
     "placement worker panicked while solving this job; the service is still up";
-pub(crate) const WORKER_GONE_ERROR: &str = "worker terminated before completing the job";
-
-/// Writes one intermediate stream frame (plus newline) to the peer.
-/// Best-effort: a dead peer surfaces on the final write, not here.
-fn write_frame(shared: &Shared, mut writer: &TcpStream, line: &str) {
-    if writer
-        .write_all(line.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .is_ok()
-    {
-        shared.metrics.frames_sent_total.inc();
-        apls_telemetry::event!(shared.telemetry, "service", "frame");
-    }
-}
-
-fn place(json: &Json, shared: &Arc<Shared>, writer: &TcpStream) -> String {
-    let spec = match JobSpec::from_json(json) {
-        Ok(spec) => spec,
-        Err(e) => return error_response("bad_request", &e),
-    };
-    // A streamed job answers with tagged frames even on failure, so a client
-    // multiplexing several jobs can attribute the failure to its id.
-    let stream_id = if spec.stream == Some(true) { spec.stream_id } else { None };
-    let fail = |kind: &str, message: &str| match stream_id {
-        Some(cid) => count_and_frame(shared, report_frame_error(cid, kind, message)),
-        None => error_response(kind, message),
-    };
-    let circuit = match resolve_circuit(&spec.circuit) {
-        Ok(circuit) => circuit,
-        Err(e) => return fail("bad_request", &e),
-    };
-    let circuit_name = circuit.name.clone();
-    let deadline_ms = spec.deadline_ms;
-
-    let total_start = Instant::now();
-    let mut request_span = apls_telemetry::span!(
-        shared.telemetry,
-        "service",
-        "place",
-        circuit = circuit_name.as_str()
-    );
-    let (done_tx, done_rx) = mpsc::channel();
-    let admission = admit_place(
-        &spec,
-        circuit,
-        shared,
-        Responder::Sync(done_tx),
-        stream_id.is_some(),
-        total_start,
-    );
-    let (id, seed) = match admission {
-        Admission::ShuttingDown => return fail("unavailable", "service is shutting down"),
-        Admission::QueueFull => {
-            return match stream_id {
-                Some(cid) => count_and_frame(shared, report_frame_retry(cid)),
-                None => RETRY_LINE.to_string(),
-            }
-        }
-        Admission::Cached { index, seed, report } => {
-            let elapsed_ms = total_start.elapsed().as_secs_f64() * 1e3;
-            shared.metrics.total_ms.observe(elapsed_ms);
-            if request_span.is_recording() {
-                request_span.arg("id", index);
-                request_span.arg("seed", seed);
-                request_span.arg("cache_hit", true);
-            }
-            return match stream_id {
-                Some(cid) => {
-                    write_frame(shared, writer, &accepted_frame(cid, index, &circuit_name, seed));
-                    // a hit never consumed a queue slot: depth 0
-                    write_frame(shared, writer, &queued_frame(cid, 0));
-                    shared.metrics.frames_sent_total.inc();
-                    report_frame_ok(
-                        cid,
-                        index,
-                        &circuit_name,
-                        seed,
-                        true,
-                        0.0,
-                        elapsed_ms,
-                        elapsed_ms,
-                        &report,
-                    )
-                }
-                None => ok_envelope(
-                    index,
-                    &circuit_name,
-                    seed,
-                    true,
-                    0.0,
-                    elapsed_ms,
-                    elapsed_ms,
-                    &report,
-                ),
-            };
-        }
-        Admission::Enqueued { index, seed } => (index, seed),
-    };
-    if let Some(cid) = stream_id {
-        write_frame(shared, writer, &accepted_frame(cid, id, &circuit_name, seed));
-        let depth = shared.metrics.queue_depth.get().max(0) as u64;
-        write_frame(shared, writer, &queued_frame(cid, depth));
-    }
-
-    loop {
-        let msg = match done_rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => return fail("internal", WORKER_GONE_ERROR),
-        };
-        match msg {
-            JobMsg::Progress { engine, restart, completed, total, cost } => {
-                if let Some(cid) = stream_id {
-                    write_frame(
-                        shared,
-                        writer,
-                        &progress_frame(cid, engine, restart, completed, total, cost),
-                    );
-                }
-            }
-            JobMsg::Done(done) => {
-                let total_ms = total_start.elapsed().as_secs_f64() * 1e3;
-                shared.metrics.total_ms.observe(total_ms);
-                return match done.outcome {
-                    Ok((report, cache_hit)) => {
-                        if request_span.is_recording() {
-                            request_span.arg("id", id);
-                            request_span.arg("seed", seed);
-                            request_span.arg("cache_hit", cache_hit);
-                        }
-                        match stream_id {
-                            Some(cid) => {
-                                shared.metrics.frames_sent_total.inc();
-                                report_frame_ok(
-                                    cid,
-                                    id,
-                                    &circuit_name,
-                                    seed,
-                                    cache_hit,
-                                    done.queue_ms,
-                                    done.solve_ms,
-                                    total_ms,
-                                    &report,
-                                )
-                            }
-                            None => ok_envelope(
-                                id,
-                                &circuit_name,
-                                seed,
-                                cache_hit,
-                                done.queue_ms,
-                                done.solve_ms,
-                                total_ms,
-                                &report,
-                            ),
-                        }
-                    }
-                    Err(JobFailure::Timeout) => {
-                        if request_span.is_recording() {
-                            request_span.arg("id", id);
-                            request_span.arg("timed_out", true);
-                        }
-                        match stream_id {
-                            Some(cid) => {
-                                shared.metrics.frames_sent_total.inc();
-                                report_frame_timeout(
-                                    cid,
-                                    id,
-                                    &circuit_name,
-                                    seed,
-                                    deadline_ms.unwrap_or(0),
-                                )
-                            }
-                            None => {
-                                timeout_response(id, &circuit_name, seed, deadline_ms.unwrap_or(0))
-                            }
-                        }
-                    }
-                    Err(JobFailure::Panic) => fail("internal", PANIC_ERROR),
-                };
-            }
-        }
-    }
-}
-
-/// Counts a final report frame in the frame metric and returns the line;
-/// its error/retry outcome is counted by [`count_response_outcome`] at the
-/// response sink, exactly like plain envelopes.
-fn count_and_frame(shared: &Shared, frame: String) -> String {
-    shared.metrics.frames_sent_total.inc();
-    frame
-}
 
 fn ok_fields(
     circuit: &str,

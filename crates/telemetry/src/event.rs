@@ -204,4 +204,16 @@ mod tests {
         assert!(line.contains("\"x\":null"));
         assert!(!line.contains("dur"));
     }
+
+    #[test]
+    fn escaping_handles_quotes_and_control_chars() {
+        let quoted = |s: &str| {
+            let mut out = String::new();
+            quote_into(&mut out, s);
+            out
+        };
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(quoted("\r\t"), "\"\\r\\t\"");
+        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
+    }
 }

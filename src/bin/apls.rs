@@ -28,8 +28,8 @@ use analog_layout_synthesis::portfolio::{
 };
 use analog_layout_synthesis::service::json::Json;
 use analog_layout_synthesis::service::{
-    FaultPlan, JobSpec, JournalConfig, PlacementService, RetryPolicy, ServeMode, ServiceClient,
-    ServiceConfig, StreamFrame,
+    FaultPlan, JobSpec, JournalConfig, PlacementService, RetryPolicy, ServiceClient, ServiceConfig,
+    StreamFrame,
 };
 use analog_layout_synthesis::telemetry::{
     RecordingCollector, StreamCollector, Telemetry, TraceSummary,
@@ -223,18 +223,6 @@ fn serve_command() -> Command {
                 .long("fault-plan")
                 .value_name("FILE")
                 .help("Deterministic fault-injection plan (tests/CI only; requires APLS_FAULT_INJECTION=1)"),
-        )
-        .arg(
-            Arg::new("event-loop")
-                .long("event-loop")
-                .action(ArgAction::SetTrue)
-                .help("Serve connections from one readiness-driven reactor thread (the default)"),
-        )
-        .arg(
-            Arg::new("legacy-threads")
-                .long("legacy-threads")
-                .action(ArgAction::SetTrue)
-                .help("Escape hatch: one blocking handler thread per connection (the pre-reactor architecture)"),
         )
         .arg(
             Arg::new("metrics-addr")
@@ -620,11 +608,6 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
         max_request_bytes: defaults.max_request_bytes,
         journal,
         fault_plan,
-        mode: if matches.get_flag("legacy-threads") {
-            ServeMode::LegacyThreads
-        } else {
-            ServeMode::EventLoop
-        },
         metrics_addr: matches.get_one::<String>("metrics-addr").cloned(),
         flight_recorder: parse_optional(
             matches.get_one::<String>("flight-recorder-events"),
@@ -654,14 +637,10 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
         }
         None => Telemetry::disabled(),
     };
-    let mode_note = match config.mode {
-        ServeMode::EventLoop => "event loop",
-        ServeMode::LegacyThreads => "legacy threads",
-    };
     let service = PlacementService::start_with_telemetry(config, telemetry)
         .map_err(|e| format!("cannot start service: {e}"))?;
     println!(
-        "apls service listening on {} ({mode_note}, {workers} worker(s), queue {queue}, cache {cache}{journal_note}{fault_note})",
+        "apls service listening on {} ({workers} worker(s), queue {queue}, cache {cache}{journal_note}{fault_note})",
         service.local_addr()
     );
     if let Some(addr) = service.metrics_addr() {
@@ -1016,14 +995,12 @@ fn run_trace(matches: &ArgMatches) -> Result<(), String> {
 /// One dashboard frame rendered from a parsed `stats` reply.
 fn render_top(addr: &str, stats: &Json) -> String {
     use std::fmt::Write as _;
-    let str_of = |key: &str| stats.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
     let num = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
     let mut out = String::new();
     let ready = stats.get("ready").and_then(Json::as_bool).unwrap_or(false);
     let _ = writeln!(
         out,
-        "apls top — {addr}  mode={} workers={} uptime={}s  {}",
-        str_of("mode"),
+        "apls top — {addr}  workers={} uptime={}s  {}",
         num("workers"),
         num("uptime_seconds"),
         if ready { "READY" } else { "NOT READY" },

@@ -1,14 +1,13 @@
 //! Saturation and resource-bound tests for the service core: hundreds of
-//! connections held open against the event-loop reactor with streamed jobs
-//! interleaved among them (stats counters must reconcile), and the
-//! legacy-threads handler-reaping regression — ten thousand short-lived
-//! connections must not accumulate ten thousand `JoinHandle`s or threads.
+//! connections held open against the reactor with streamed jobs interleaved
+//! among them (stats counters must reconcile), and ten thousand short-lived
+//! connections whose poller slots must all be recycled.
 
 use std::net::TcpStream;
 
 use analog_layout_synthesis::portfolio::PortfolioEngine;
 use analog_layout_synthesis::service::{
-    JobSpec, PlacementService, ServeMode, ServiceClient, ServiceConfig, StreamFrame,
+    JobSpec, PlacementService, ServiceClient, ServiceConfig, StreamFrame,
 };
 
 /// Extracts an integer metric/field value from the `stats` JSON by name.
@@ -32,7 +31,6 @@ fn event_loop_holds_256_connections_with_interleaved_streaming() {
     const STREAMERS: usize = 16;
 
     let service = PlacementService::start(ServiceConfig {
-        mode: ServeMode::EventLoop,
         workers: 2,
         queue_capacity: 64,
         ..ServiceConfig::default()
@@ -79,7 +77,6 @@ fn event_loop_holds_256_connections_with_interleaved_streaming() {
         "listener + wake pipe + one fd per held connection"
     );
     assert_eq!(metric(&stats, "jobs_completed"), STREAMERS as i64);
-    assert_eq!(metric(&stats, "handler_threads"), 0, "the reactor spawns no handler threads");
     assert!(
         metric(&stats, "frames_sent_total") >= frames_seen as i64,
         "server counted fewer frames than clients received: {stats}"
@@ -93,51 +90,17 @@ fn event_loop_holds_256_connections_with_interleaved_streaming() {
     service.join();
 }
 
-/// The legacy-threads regression: 10k connections that open and immediately
-/// close must not leave 10k `JoinHandle`s (or live threads) behind — the
-/// acceptor reaps finished handlers opportunistically, so the gauge stays
-/// far below the connection count.
+/// Connection churn: closed connections must leave the poller's fd table
+/// (slots are recycled), so after 10k accept/close cycles only the listener,
+/// the wake pipe and the one live stats connection remain registered.
 #[test]
-fn legacy_threads_reap_handlers_across_10k_short_lived_connections() {
-    let service = PlacementService::start(ServiceConfig {
-        mode: ServeMode::LegacyThreads,
-        ..ServiceConfig::default()
-    })
-    .expect("service starts");
+fn event_loop_recycles_slots_across_short_lived_connections() {
+    let service = PlacementService::start(ServiceConfig::default()).expect("service starts");
     let addr = service.local_addr();
 
     // 100 batches of 100: batching amortizes the per-EOF scheduling
     // round-trip on one core while still churning 10k distinct connections.
     for _ in 0..100 {
-        let batch: Vec<TcpStream> =
-            (0..100).map(|_| TcpStream::connect(addr).expect("connects")).collect();
-        drop(batch);
-    }
-
-    let mut client = ServiceClient::connect(addr).expect("connects");
-    let stats = client.stats().expect("stats");
-    let handler_threads = metric(&stats, "handler_threads");
-    assert!(
-        handler_threads <= 256,
-        "handler JoinHandles must be reaped, found {handler_threads} live after 10k connections"
-    );
-
-    client.shutdown().expect("acknowledged");
-    service.join();
-}
-
-/// The same churn against the reactor: closed connections must leave the
-/// poller's fd table (slots are recycled), so after thousands of
-/// accept/close cycles only the listener, the wake pipe and the one live
-/// stats connection remain registered.
-#[test]
-fn event_loop_recycles_slots_across_short_lived_connections() {
-    let service =
-        PlacementService::start(ServiceConfig { mode: ServeMode::EventLoop, ..Default::default() })
-            .expect("service starts");
-    let addr = service.local_addr();
-
-    for _ in 0..20 {
         let batch: Vec<TcpStream> =
             (0..100).map(|_| TcpStream::connect(addr).expect("connects")).collect();
         drop(batch);
@@ -158,7 +121,6 @@ fn event_loop_recycles_slots_across_short_lived_connections() {
         (3..=8).contains(&fds),
         "expected ~3 registered fds (listener, wake pipe, this connection), found {fds}"
     );
-    assert_eq!(metric(&client.stats().expect("stats"), "handler_threads"), 0);
 
     client.shutdown().expect("acknowledged");
     service.join();

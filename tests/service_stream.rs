@@ -1,19 +1,18 @@
 //! Streaming-protocol tests: tagged frames arrive in protocol order
 //! (`accepted → queued → progress* → report`), concurrent streamed jobs on
 //! one connection never interleave mid-line, and the streamed report body is
-//! byte-identical to the blocking path for every bundled circuit — in both
-//! the event-loop and legacy-threads serve modes.
+//! byte-identical to the blocking path for every bundled circuit.
 
 use std::collections::HashMap;
 
 use analog_layout_synthesis::circuit::benchmarks;
 use analog_layout_synthesis::portfolio::PortfolioEngine;
 use analog_layout_synthesis::service::{
-    JobSpec, PlaceResponse, PlacementService, ServeMode, ServiceClient, ServiceConfig, StreamFrame,
+    JobSpec, PlaceResponse, PlacementService, ServiceClient, ServiceConfig, StreamFrame,
 };
 
-fn start(mode: ServeMode) -> PlacementService {
-    PlacementService::start(ServiceConfig { mode, workers: 2, ..ServiceConfig::default() })
+fn start() -> PlacementService {
+    PlacementService::start(ServiceConfig { workers: 2, ..ServiceConfig::default() })
         .expect("service starts")
 }
 
@@ -28,8 +27,9 @@ fn fast_spec(circuit: &str, seed: u64) -> JobSpec {
 }
 
 /// Drives one streamed job and checks the full frame grammar.
-fn assert_stream_ordering(mode: ServeMode) {
-    let service = start(mode);
+#[test]
+fn streamed_frames_arrive_in_order_event_loop() {
+    let service = start();
     let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
     let spec = fast_spec("miller_opamp_fig6", 11);
 
@@ -81,18 +81,8 @@ fn assert_stream_ordering(mode: ServeMode) {
 }
 
 #[test]
-fn streamed_frames_arrive_in_order_event_loop() {
-    assert_stream_ordering(ServeMode::EventLoop);
-}
-
-#[test]
-fn streamed_frames_arrive_in_order_legacy_threads() {
-    assert_stream_ordering(ServeMode::LegacyThreads);
-}
-
-#[test]
 fn cache_hit_streams_accepted_queued_report_without_progress() {
-    let service = start(ServeMode::EventLoop);
+    let service = start();
     let addr = service.local_addr();
     let mut client = ServiceClient::connect(addr).expect("connects");
     let spec = fast_spec("folded_cascode", 3);
@@ -124,7 +114,7 @@ fn cache_hit_streams_accepted_queued_report_without_progress() {
 /// respect the grammar.
 #[test]
 fn pipelined_streams_on_one_connection_interleave_only_at_line_boundaries() {
-    let service = start(ServeMode::EventLoop);
+    let service = start();
     let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
 
     let circuits = ["miller_opamp_fig6", "comparator_v2", "buffer", "biasynth"];
@@ -175,7 +165,7 @@ fn pipelined_streams_on_one_connection_interleave_only_at_line_boundaries() {
 /// still completes normally.
 #[test]
 fn duplicate_in_flight_stream_id_is_refused() {
-    let service = start(ServeMode::EventLoop);
+    let service = start();
     let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
 
     let first = fast_spec("miller_v2", 5).with_stream(7);
@@ -214,14 +204,13 @@ fn duplicate_in_flight_stream_id_is_refused() {
     service.join();
 }
 
-/// The determinism contract survives both the mode switch and the streaming
-/// path: for every bundled circuit, a blocking solve on a legacy-threads
-/// service and a streamed solve on an event-loop service (separate caches,
-/// both cold) produce byte-identical report bodies.
+/// The determinism contract survives the streaming path: for every bundled
+/// circuit, a blocking solve and a streamed solve on two separate services
+/// (separate caches, both cold) produce byte-identical report bodies.
 #[test]
 fn streamed_reports_are_byte_identical_to_blocking_on_all_bundled_circuits() {
-    let blocking_service = start(ServeMode::LegacyThreads);
-    let streaming_service = start(ServeMode::EventLoop);
+    let blocking_service = start();
+    let streaming_service = start();
     let mut blocking = ServiceClient::connect(blocking_service.local_addr()).expect("connects");
     let mut streaming = ServiceClient::connect(streaming_service.local_addr()).expect("connects");
 
