@@ -28,7 +28,8 @@
 //!   and the seed streams key off);
 //! * [`canonical_hash`] / [`circuit_fingerprint`] — stable FNV-1a content
 //!   hashes of the canonical form, used by `apls-service` as the circuit
-//!   component of its result-cache key.
+//!   component of its result-cache key (a hit also needs byte-equal
+//!   canonical text).
 //!
 //! The grammar is documented in DESIGN.md §10; the seven bundled benchmark
 //! circuits are checked in under `examples/circuits/*.apls`.
@@ -64,9 +65,9 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Stable 64-bit FNV-1a hash of a byte string.
 ///
-/// Used to key `apls-service`'s result cache by canonical circuit text; the
-/// function is pinned here (rather than `std::hash`) so the hash is stable
-/// across Rust releases and platforms.
+/// `apls-service` keys its result cache and journal records by this hash of
+/// the canonical circuit text; the function is pinned here (rather than
+/// `std::hash`) so the hash is stable across Rust releases and platforms.
 #[must_use]
 pub fn canonical_hash(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -82,8 +83,9 @@ pub fn canonical_hash(text: &str) -> u64 {
 /// placement engines always share a fingerprint; as with any 64-bit
 /// non-cryptographic hash, distinct circuits can collide, so treat it as a
 /// summary for logs and change detection, not as proof of identity
-/// (`apls-service` keys its cache on the full canonical text for exactly
-/// this reason).
+/// (`apls-service` keys its cache by (hash, config, seed) and, for exactly
+/// this reason, serves a hit only when the cached entry's canonical text is
+/// byte-equal to the request's).
 #[must_use]
 pub fn circuit_fingerprint(circuit: &BenchmarkCircuit) -> u64 {
     canonical_hash(&serialize_circuit(circuit))

@@ -1,13 +1,16 @@
-//! A small LRU map for finished placement reports.
+//! A small LRU map: the daemon's result cache and its circuit intern table.
 //!
-//! The service keys results by `(canonical circuit text, canonical config
-//! string, seed)` — full content, not hashes, so key collisions are
-//! impossible by construction; values are the deterministic report bodies.
-//! Capacities are small
+//! The service keys results by `(circuit hash, canonical config string,
+//! seed)` plus byte-equal canonical text on hit: each entry keeps the
+//! canonical circuit text it was solved for, and a probe whose text differs
+//! (a 64-bit hash collision) is a miss, never another circuit's report (see
+//! [`LruCache::get_checked`]). Values are the deterministic report bodies,
+//! stored already escaped as JSON string literals. Capacities are small
 //! (hundreds), so recency is tracked with a monotonic stamp per entry and
 //! eviction scans for the minimum — O(capacity), branch-free simple, and
 //! plenty fast next to placement jobs that take milliseconds to seconds.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -51,16 +54,31 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Looks a key up, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.get_checked(key, |_| true)
+    }
+
+    /// Looks a key up, but counts a match as a hit only when `accept`
+    /// approves its value; a rejected match is a miss, exactly as if the key
+    /// were absent, and keeps its recency.
+    pub fn get_checked<Q>(&mut self, key: &Q, accept: impl FnOnce(&V) -> bool) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {
-            Some((stamp, value)) => {
+            Some((stamp, value)) if accept(value) => {
                 *stamp = tick;
                 self.stats.hits += 1;
                 Some(&*value)
             }
-            None => {
+            _ => {
                 self.stats.misses += 1;
                 None
             }
@@ -146,6 +164,23 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&1), Some(&"a2"));
         assert_eq!(cache.get(&2), Some(&"b"));
+    }
+
+    #[test]
+    fn a_rejected_match_is_a_miss() {
+        let mut cache = LruCache::new(2);
+        cache.insert(1, "a");
+        assert_eq!(cache.get_checked(&1, |v| *v == "b"), None);
+        assert_eq!(cache.get_checked(&1, |v| *v == "a"), Some(&"a"));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, insertions: 1, evictions: 0 });
+    }
+
+    #[test]
+    fn borrowed_keys_look_up_owned_ones() {
+        let mut cache: LruCache<std::sync::Arc<str>, u32> = LruCache::new(2);
+        cache.insert("text".into(), 7);
+        assert_eq!(cache.get("text"), Some(&7));
+        assert_eq!(cache.get("other"), None);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * A **complete** record is appended when a worker (or the cache-hit fast
 //!   path) finishes the job, with the full deterministic report body — the
 //!   journal doubles as the result store a restarted daemon serves
-//!   pre-crash reports from.
+//!   pre-crash reports from. A worker can finish a job before the reactor
+//!   has appended its enqueue record, so a complete record may precede its
+//!   enqueue; replay holds it until the enqueue arrives.
 //!
 //! **Recovery** ([`Journal::open`]) replays the log: completed jobs seed the
 //! result cache, incomplete jobs are re-enqueued with their *recorded* seed —
@@ -38,7 +40,7 @@ use crate::fault::FaultPlan;
 use crate::json::{quote, Json};
 use crate::protocol::JobSpec;
 use crate::sync::lock_or_recover;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
 use std::path::PathBuf;
@@ -113,8 +115,9 @@ pub(crate) enum JournalRecord<'a> {
         index: u64,
         /// `canonical_hash` of the report body.
         report_fp: u64,
-        /// The deterministic report JSON, verbatim.
-        report: &'a str,
+        /// The deterministic report JSON, already escaped as a JSON string
+        /// literal (the service caches it that way), written verbatim.
+        quoted_report: &'a str,
     },
 }
 
@@ -125,9 +128,8 @@ impl JournalRecord<'_> {
                 "{{\"v\":{JOURNAL_VERSION},\"type\":\"enqueue\",\"index\":{index},\"seed\":{seed},\"circuit_hash\":{circuit_hash},\"config_fp\":{config_fp},\"spec\":{}}}\n",
                 quote(spec)
             ),
-            JournalRecord::Complete { index, report_fp, report } => format!(
-                "{{\"v\":{JOURNAL_VERSION},\"type\":\"complete\",\"index\":{index},\"report_fp\":{report_fp},\"report\":{}}}\n",
-                quote(report)
+            JournalRecord::Complete { index, report_fp, quoted_report } => format!(
+                "{{\"v\":{JOURNAL_VERSION},\"type\":\"complete\",\"index\":{index},\"report_fp\":{report_fp},\"report\":{quoted_report}}}\n",
             ),
         }
     }
@@ -258,9 +260,12 @@ impl Drop for Journal {
 
 /// Replays journal text into per-job state. Stops at the first unparseable
 /// line (a torn tail write); records after a torn line are unreachable by
-/// construction, since appends are strictly ordered.
+/// construction, since appends are strictly ordered. A complete record that
+/// arrives before its job's enqueue record is held and attached when the
+/// enqueue arrives; one whose enqueue never arrives is dropped.
 fn replay(text: &str) -> Recovery {
     let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
+    let mut early_reports: HashMap<u64, String> = HashMap::new();
     let mut torn = 0usize;
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     for (i, line) in lines.iter().enumerate() {
@@ -269,14 +274,16 @@ fn replay(text: &str) -> Recovery {
             break;
         };
         match record {
-            ParsedRecord::Enqueue(job) => {
+            ParsedRecord::Enqueue(mut job) => {
+                job.report = early_reports.remove(&job.index);
                 jobs.insert(job.index, *job);
             }
-            ParsedRecord::Complete { index, report } => {
-                if let Some(job) = jobs.get_mut(&index) {
-                    job.report = Some(report);
+            ParsedRecord::Complete { index, report } => match jobs.get_mut(&index) {
+                Some(job) => job.report = Some(report),
+                None => {
+                    early_reports.insert(index, report);
                 }
-            }
+            },
         }
     }
     let next_index = jobs.keys().next_back().map_or(0, |max| max + 1);
@@ -355,7 +362,11 @@ mod tests {
                 })
                 .expect("appends");
             journal
-                .append(&JournalRecord::Complete { index: 0, report_fp: 33, report: "{\"x\":1}" })
+                .append(&JournalRecord::Complete {
+                    index: 0,
+                    report_fp: 33,
+                    quoted_report: &quote("{\"x\":1}"),
+                })
                 .expect("appends");
             journal
                 .append(&JournalRecord::Enqueue {
@@ -380,6 +391,27 @@ mod tests {
         assert_eq!((pending.index, pending.seed), (1, 9));
         assert!(pending.report.is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_complete_record_before_its_enqueue_restores_the_job() {
+        let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
+        let complete = |index| {
+            JournalRecord::Complete { index, report_fp: 33, quoted_report: &quote("{\"x\":1}") }
+                .render()
+        };
+        // job 0 completes before its enqueue lands; job 5's enqueue never
+        // lands at all
+        let text =
+            [complete(0), enqueue_record(0, 7, &spec), complete(5), enqueue_record(1, 9, &spec)]
+                .concat();
+        let recovery = replay(&text);
+        assert_eq!(recovery.jobs.len(), 2);
+        assert_eq!(recovery.jobs[0].index, 0);
+        assert_eq!(recovery.jobs[0].report.as_deref(), Some("{\"x\":1}"), "restored, not replayed");
+        assert_eq!(recovery.jobs[1].index, 1);
+        assert!(recovery.jobs[1].report.is_none());
+        assert_eq!(recovery.next_index, 2, "an orphaned complete record adds no job");
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! * **bounded queue + worker pool** ([`PlacementService`]) — a
 //!   `sync_channel` of configurable depth feeds N solver threads; a full
 //!   queue answers `{"status":"retry"}` instead of buffering unboundedly;
-//! * **result cache** ([`cache::LruCache`]) — keyed by (canonical circuit
-//!   text, canonical config string, seed), full content rather than hashes
-//!   so a collision can never cross-serve a report; hits are answered
-//!   before a queue slot is spent and the response envelope says so
-//!   (`"cache_hit": true`);
+//! * **result cache** ([`cache::LruCache`]) — keyed by (circuit hash,
+//!   canonical config string, seed) plus byte-equal canonical circuit text
+//!   on hit, so a hash collision is a miss and can never cross-serve a
+//!   report; each circuit is resolved to its canonical text and hash once
+//!   (bundled names per process, inline text through an intern table) and
+//!   reports are stored already escaped, so a hit is a lookup plus a copy;
+//!   hits are answered before a queue slot is spent and the response
+//!   envelope says so (`"cache_hit": true`);
 //! * **determinism** — report bodies are
 //!   [`apls_portfolio::PortfolioReport::to_json_deterministic`], a pure
 //!   function of `(circuit, config, seed)`; derived job seeds come from
@@ -67,6 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod canonical;
 mod client;
 pub mod fault;
 mod http;

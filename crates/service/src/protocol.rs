@@ -366,9 +366,10 @@ impl JobSpec {
     /// omitted fields produce identical strings. `threads` and `deadline_ms`
     /// are deliberately excluded — thread count and time budget never change
     /// a *completed* report — and the seed is a separate cache-key
-    /// component. The service uses this string (with
-    /// the canonical circuit text and the seed) as its cache key, comparing
-    /// content rather than hashes so collisions cannot cross-serve reports.
+    /// component. The service keys its cache by (circuit hash, this string,
+    /// seed) and serves a hit only when the entry's canonical circuit text is
+    /// byte-equal to the request's, so a hash collision cannot cross-serve
+    /// reports.
     #[must_use]
     pub fn config_canonical(&self) -> String {
         let config = self.resolved_config(0);
@@ -385,8 +386,8 @@ impl JobSpec {
     }
 
     /// [`canonical_hash`] of [`JobSpec::config_canonical`] — a compact
-    /// summary for logs and tests (the cache itself keys on the full
-    /// string).
+    /// summary for the journal, logs and tests (the cache itself keys on
+    /// the full string).
     #[must_use]
     pub fn config_fingerprint(&self) -> u64 {
         canonical_hash(&self.config_canonical())

@@ -35,10 +35,11 @@ use crate::protocol::JobSpec;
 use crate::server::{
     accepted_frame, admit_place, count_response_outcome, error_response, initiate_shutdown,
     ok_envelope, oversized_response, ping_response, progress_frame, queued_frame,
-    report_frame_error, report_frame_ok, report_frame_retry, report_frame_timeout, resolve_circuit,
-    stats_response, timeout_response, Admission, JobFailure, JobMsg, Shared, OVERLOADED_LINE,
-    PANIC_ERROR, RETRY_LINE,
+    report_frame_error, report_frame_ok, report_frame_retry, report_frame_timeout, stats_response,
+    timeout_response, Admission, JobFailure, JobMsg, Shared, OVERLOADED_LINE, PANIC_ERROR,
+    RETRY_LINE,
 };
+use apls_circuit::benchmarks::BenchmarkCircuit;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -128,7 +129,8 @@ struct PendingJob {
     gen: u64,
     /// `Some` for streamed jobs: the client's correlation id.
     client_id: Option<u64>,
-    circuit: String,
+    /// The job's circuit (for the name its responses echo).
+    circuit: Arc<BenchmarkCircuit>,
     seed: u64,
     deadline_ms: Option<u64>,
     start: Instant,
@@ -547,25 +549,22 @@ impl Reactor {
                 return;
             }
         }
-        let circuit = match resolve_circuit(&spec.circuit) {
-            Ok(circuit) => circuit,
+        let canonical = match self.shared.circuits.resolve(&spec.circuit) {
+            Ok(canonical) => canonical,
             Err(e) => {
                 self.fail(slot, stream_id, "bad_request", &e);
                 return;
             }
         };
-        let circuit_name = circuit.name.clone();
+        let circuit = Arc::clone(&canonical.circuit);
+        let circuit_name = circuit.name.as_str();
         let deadline_ms = spec.deadline_ms;
         // the span handle must not borrow self (respond_* methods take &mut
         // self), so it hangs off an owned clone of the shared state
         let shared = Arc::clone(&self.shared);
-        let mut request_span = apls_telemetry::span!(
-            shared.telemetry,
-            "service",
-            "place",
-            circuit = circuit_name.as_str()
-        );
-        match admit_place(&spec, circuit, &shared, stream_id.is_some(), start) {
+        let mut request_span =
+            apls_telemetry::span!(shared.telemetry, "service", "place", circuit = circuit_name);
+        match admit_place(&spec, canonical, &shared, stream_id.is_some(), start) {
             Admission::ShuttingDown => {
                 self.fail(slot, stream_id, "unavailable", "service is shutting down");
             }
@@ -573,7 +572,7 @@ impl Reactor {
                 Some(cid) => self.respond_frame(slot, report_frame_retry(cid)),
                 None => self.respond_plain(slot, RETRY_LINE.to_string()),
             },
-            Admission::Cached { index, seed, report } => {
+            Admission::Cached { index, seed, quoted_report } => {
                 let total_ms = start.elapsed().as_secs_f64() * 1e3;
                 self.shared.metrics.total_ms.observe(total_ms);
                 if request_span.is_recording() {
@@ -583,32 +582,32 @@ impl Reactor {
                 }
                 match stream_id {
                     Some(cid) => {
-                        self.respond_frame(slot, accepted_frame(cid, index, &circuit_name, seed));
+                        self.respond_frame(slot, accepted_frame(cid, index, circuit_name, seed));
                         // a hit never consumed a queue slot: depth 0
                         self.respond_frame(slot, queued_frame(cid, 0));
                         let frame = report_frame_ok(
                             cid,
                             index,
-                            &circuit_name,
+                            circuit_name,
                             seed,
                             true,
                             0.0,
                             total_ms,
                             total_ms,
-                            &report,
+                            &quoted_report,
                         );
                         self.respond_frame(slot, frame);
                     }
                     None => {
                         let response = ok_envelope(
                             index,
-                            &circuit_name,
+                            circuit_name,
                             seed,
                             true,
                             0.0,
                             total_ms,
                             total_ms,
-                            &report,
+                            &quoted_report,
                         );
                         self.respond_plain(slot, response);
                     }
@@ -625,7 +624,7 @@ impl Reactor {
                         slot,
                         gen: self.gens[slot],
                         client_id: stream_id,
-                        circuit: circuit_name.clone(),
+                        circuit: Arc::clone(&circuit),
                         seed,
                         deadline_ms,
                         start,
@@ -638,7 +637,7 @@ impl Reactor {
                 match stream_id {
                     Some(cid) => {
                         conn.streaming_ids.insert(cid);
-                        self.respond_frame(slot, accepted_frame(cid, index, &circuit_name, seed));
+                        self.respond_frame(slot, accepted_frame(cid, index, circuit_name, seed));
                         let depth = self.shared.metrics.queue_depth.get().max(0) as u64;
                         self.respond_frame(slot, queued_frame(cid, depth));
                     }
@@ -688,7 +687,7 @@ impl Reactor {
                                 Ok((report, cache_hit)) => report_frame_ok(
                                     cid,
                                     index,
-                                    &p.circuit,
+                                    &p.circuit.name,
                                     p.seed,
                                     *cache_hit,
                                     done.queue_ms,
@@ -699,7 +698,7 @@ impl Reactor {
                                 Err(JobFailure::Timeout) => report_frame_timeout(
                                     cid,
                                     index,
-                                    &p.circuit,
+                                    &p.circuit.name,
                                     p.seed,
                                     p.deadline_ms.unwrap_or(0),
                                 ),
@@ -717,7 +716,7 @@ impl Reactor {
                             let response = match &done.outcome {
                                 Ok((report, cache_hit)) => ok_envelope(
                                     index,
-                                    &p.circuit,
+                                    &p.circuit.name,
                                     p.seed,
                                     *cache_hit,
                                     done.queue_ms,
@@ -727,7 +726,7 @@ impl Reactor {
                                 ),
                                 Err(JobFailure::Timeout) => timeout_response(
                                     index,
-                                    &p.circuit,
+                                    &p.circuit.name,
                                     p.seed,
                                     p.deadline_ms.unwrap_or(0),
                                 ),

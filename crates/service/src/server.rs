@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!            ┌─────────┐  admit_place: bounded sync_channel  ┌──────────┐
-//!  TCP ──────► reactor │ ─────── Job {circuit, ...} ────────► worker 0..N
+//!  TCP ──────► reactor │ ────── Job {canonical, ...} ───────► worker 0..N
 //!  clients   │ thread  │ ◄── JobMsg (CompletionQueue +  ──── │ run_portfolio
 //!            └─────────┘          wake pipe)                 └────┬─────┘
 //!                 ▲                                               │
@@ -35,21 +35,22 @@
 //! at pinned points for testing.
 
 use crate::cache::LruCache;
+use crate::canonical::{Canonical, Interner};
 use crate::fault::FaultPlan;
 use crate::journal::{Journal, JournalConfig, JournalRecord, Recovery};
 use crate::json::quote;
 use crate::metrics::ServiceMetrics;
-use crate::protocol::{CircuitSource, JobSpec};
+use crate::protocol::JobSpec;
 use crate::reactor::{Listening, WakeSender};
 use crate::sync::{lock_or_recover, poison_recoveries};
 use apls_anneal::rng::SeedStream;
-use apls_circuit::benchmarks::{self, BenchmarkCircuit};
-use apls_io::{canonical_hash, serialize_circuit};
+use apls_io::canonical_hash;
 use apls_portfolio::{
     run_portfolio_observed, CancelToken, PortfolioConfig, RestartObserver, RestartRecord,
 };
 use apls_telemetry::{FlightRecorder, Telemetry};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -149,24 +150,57 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The result-cache key: full canonical content, not hashes, so a 64-bit
-/// hash collision can never serve one client another circuit's report.
-/// (`HashMap` hashes the strings internally; equality compares the bytes.)
+/// The result-cache key: (circuit hash, canonical config string, seed).
+/// The 64-bit hash alone proves nothing, so a key match is a hit only when
+/// the entry's canonical circuit text is byte-equal to the request's (see
+/// [`probe`]): a hash collision is a miss, never another circuit's report.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
-    /// Canonical `.apls` text of the circuit.
-    circuit: String,
+    /// [`canonical_hash`] of the canonical `.apls` text of the circuit.
+    circuit_hash: u64,
     /// Canonical string of every result-relevant config field.
     config: String,
     /// The job's root seed.
     seed: u64,
 }
 
+/// One finished report in the result cache, ready to copy onto the wire
+/// and into the journal.
+#[derive(Debug, Clone)]
+struct CachedReport {
+    /// Canonical `.apls` text of the circuit the report was solved for.
+    circuit: Arc<str>,
+    /// The deterministic report body, escaped as a JSON string literal.
+    quoted: Arc<str>,
+    /// [`canonical_hash`] of the report body (the journal's `report_fp`).
+    report_fp: u64,
+}
+
+impl CachedReport {
+    /// Escapes and fingerprints `report` once, as it enters the cache.
+    fn new(circuit: Arc<str>, report: &str) -> CachedReport {
+        CachedReport { circuit, quoted: quote(report).into(), report_fp: canonical_hash(report) }
+    }
+}
+
+/// Probes the result cache for `key`, solved for the canonical circuit
+/// text `circuit`. An entry under the same key but for different text (a
+/// circuit-hash collision) counts as a miss.
+fn probe(
+    cache: &Mutex<LruCache<CacheKey, CachedReport>>,
+    key: &CacheKey,
+    circuit: &Arc<str>,
+) -> Option<CachedReport> {
+    lock_or_recover(cache)
+        .get_checked(key, |entry| Arc::ptr_eq(&entry.circuit, circuit) || entry.circuit == *circuit)
+        .cloned()
+}
+
 /// One queued placement job.
 struct Job {
     /// Arrival-order job index (the envelope's `id`, the journal's `index`).
     index: u64,
-    circuit: BenchmarkCircuit,
+    canonical: Canonical,
     config: PortfolioConfig,
     cache_key: CacheKey,
     /// Cooperative deadline; an expired job answers `timeout`.
@@ -191,9 +225,9 @@ pub(crate) enum JobFailure {
 
 /// What a worker hands back to the reactor.
 pub(crate) struct JobDone {
-    /// The deterministic report (with its cache-hit flag), or why there is
-    /// none.
-    pub(crate) outcome: Result<(String, bool), JobFailure>,
+    /// The deterministic report, escaped as a JSON string literal (with its
+    /// cache-hit flag), or why there is none.
+    pub(crate) outcome: Result<(Arc<str>, bool), JobFailure>,
     pub(crate) queue_ms: f64,
     pub(crate) solve_ms: f64,
 }
@@ -255,7 +289,9 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     jobs_completed: AtomicU64,
     cache_hits: AtomicU64,
-    cache: Mutex<LruCache<CacheKey, String>>,
+    cache: Mutex<LruCache<CacheKey, CachedReport>>,
+    /// Resolves request circuits to their memoised canonical form.
+    pub(crate) circuits: Interner,
     enqueue: Mutex<Option<EnqueueSlot>>,
     journal: Option<Journal>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
@@ -459,6 +495,7 @@ impl PlacementService {
             jobs_completed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            circuits: Interner::new(config.cache_capacity),
             enqueue: Mutex::new(Some(EnqueueSlot { next_index, tx })),
             journal,
             fault,
@@ -599,27 +636,22 @@ fn replay_recovered_jobs(
     }
     let mut pending: Vec<Job> = Vec::new();
     for job in recovery.jobs {
-        let Ok(circuit) = resolve_circuit(&job.spec.circuit) else {
+        let Ok(canonical) = shared.circuits.resolve(&job.spec.circuit) else {
             apls_telemetry::event!(shared.telemetry, "service", "recovery_skip", id = job.index);
             continue;
         };
-        let circuit_canonical = serialize_circuit(&circuit);
+        let config = job.spec.config_canonical();
         // Integrity gate: a record whose fingerprints no longer match its
         // spec (bit rot, foreign journal) must not poison the cache.
-        if canonical_hash(&circuit_canonical) != job.circuit_hash
-            || job.spec.config_fingerprint() != job.config_fp
-        {
+        if canonical.hash != job.circuit_hash || canonical_hash(&config) != job.config_fp {
             apls_telemetry::event!(shared.telemetry, "service", "recovery_skip", id = job.index);
             continue;
         }
-        let cache_key = CacheKey {
-            circuit: circuit_canonical,
-            config: job.spec.config_canonical(),
-            seed: job.seed,
-        };
+        let cache_key = CacheKey { circuit_hash: canonical.hash, config, seed: job.seed };
         match job.report {
             Some(report) => {
-                lock_or_recover(&shared.cache).insert(cache_key, report);
+                let entry = CachedReport::new(Arc::clone(&canonical.text), &report);
+                lock_or_recover(&shared.cache).insert(cache_key, entry);
                 shared.metrics.jobs_recovered_total.inc();
             }
             None => {
@@ -629,7 +661,7 @@ fn replay_recovered_jobs(
                 pending.push(Job {
                     index: job.index,
                     config: job.spec.resolved_config(job.seed),
-                    circuit,
+                    canonical,
                     cache_key,
                     deadline: None,
                     enqueued: Instant::now(),
@@ -692,11 +724,11 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
 
         let outcome = execute_job(&job, shared, queue_ms);
         match &outcome {
-            Ok((report, _)) => {
+            Ok((entry, _)) => {
                 shared.journal_append(&JournalRecord::Complete {
                     index: job.index,
-                    report_fp: canonical_hash(report),
-                    report,
+                    report_fp: entry.report_fp,
+                    quoted_report: &entry.quoted,
                 });
                 shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
             }
@@ -713,6 +745,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         shared.metrics.solve_ms.observe(solve_ms);
         if job.reply {
             // The client may have hung up; the reactor drops the message then.
+            let outcome = outcome.map(|(entry, cache_hit)| (entry.quoted, cache_hit));
             let done = JobDone { outcome, queue_ms, solve_ms };
             shared.completions.push(job.index, JobMsg::Done(done));
         }
@@ -744,12 +777,15 @@ impl RestartObserver for ProgressRelay<'_> {
 /// Runs one dequeued job to a report, a cache hit, or a failure — never a
 /// panic: the solve is wrapped in `catch_unwind` so an engine crash (or an
 /// injected one) is confined to this job.
-fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, bool), JobFailure> {
+fn execute_job(
+    job: &Job,
+    shared: &Shared,
+    queue_ms: f64,
+) -> Result<(CachedReport, bool), JobFailure> {
     // Re-check the cache after dequeue: back-to-back identical misses dedupe.
-    let cached = lock_or_recover(&shared.cache).get(&job.cache_key).cloned();
-    if let Some(report) = cached {
+    if let Some(entry) = probe(&shared.cache, &job.cache_key, &job.canonical.text) {
         shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok((report, true));
+        return Ok((entry, true));
     }
     // A job that expired while queued is not worth starting.
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -769,14 +805,19 @@ fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, boo
             shared.telemetry,
             "service",
             "solve",
-            circuit = job.circuit.name.as_str(),
+            circuit = job.canonical.circuit.name.as_str(),
             seed = job.config.root_seed
         );
         let cancel = job.deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
         let relay = ProgressRelay { completions: &shared.completions, index: job.index };
         let observer = job.streaming.then_some(&relay as &dyn RestartObserver);
-        let result =
-            run_portfolio_observed(&job.circuit, &job.config, &shared.telemetry, &cancel, observer);
+        let result = run_portfolio_observed(
+            &job.canonical.circuit,
+            &job.config,
+            &shared.telemetry,
+            &cancel,
+            observer,
+        );
         if span.is_recording() {
             span.arg("queue_ms", queue_ms);
             span.arg("timed_out", result.is_err());
@@ -787,9 +828,10 @@ fn execute_job(job: &Job, shared: &Shared, queue_ms: f64) -> Result<(String, boo
         Err(_) => Err(JobFailure::Panic),
         Ok(Err(_cancelled)) => Err(JobFailure::Timeout),
         Ok(Ok(report)) => {
-            let report = report.to_json_deterministic();
-            lock_or_recover(&shared.cache).insert(job.cache_key.clone(), report.clone());
-            Ok((report, false))
+            let entry =
+                CachedReport::new(Arc::clone(&job.canonical.text), &report.to_json_deterministic());
+            lock_or_recover(&shared.cache).insert(job.cache_key.clone(), entry.clone());
+            Ok((entry, false))
         }
     }
 }
@@ -858,11 +900,15 @@ pub(crate) fn report_frame_ok(
     queue_ms: f64,
     solve_ms: f64,
     total_ms: f64,
-    report: &str,
+    quoted_report: &str,
 ) -> String {
-    format!(
-        "{{\"frame\":\"report\",\"id\":{cid},\"job\":{job},{}}}",
-        ok_fields(circuit, seed, cache_hit, queue_ms, solve_ms, total_ms, report),
+    ok_line(
+        format_args!("\"frame\":\"report\",\"id\":{cid},\"job\":{job},"),
+        circuit,
+        seed,
+        cache_hit,
+        [queue_ms, solve_ms, total_ms],
+        quoted_report,
     )
 }
 
@@ -991,8 +1037,9 @@ pub(crate) enum Admission {
         index: u64,
         /// The resolved root seed.
         seed: u64,
-        /// The cached deterministic report body.
-        report: String,
+        /// The cached deterministic report body, escaped as a JSON string
+        /// literal.
+        quoted_report: Arc<str>,
     },
     /// The job was enqueued; its messages arrive via the completion queue.
     Enqueued {
@@ -1009,13 +1056,12 @@ pub(crate) enum Admission {
 /// spans and `total_ms` accounting stay with the caller.
 pub(crate) fn admit_place(
     spec: &JobSpec,
-    circuit: BenchmarkCircuit,
+    canonical: Canonical,
     shared: &Shared,
     streaming: bool,
     accepted: Instant,
 ) -> Admission {
-    let circuit_canonical = serialize_circuit(&circuit);
-    let circuit_hash = canonical_hash(&circuit_canonical);
+    let circuit_hash = canonical.hash;
     let config_canonical = spec.config_canonical();
     let deadline_ms = spec.deadline_ms;
 
@@ -1025,8 +1071,6 @@ pub(crate) fn admit_place(
     };
     let index = slot.next_index;
     let seed = spec.seed.unwrap_or_else(|| shared.seeds.seed_for(JOB_SEED_LANE, index));
-    let config = spec.resolved_config(seed);
-    let cache_key = CacheKey { circuit: circuit_canonical, config: config_canonical, seed };
     // The journaled spec is self-contained for replay: seed pinned to the
     // resolved value, deadline stripped (a replayed job deserves its full
     // time budget — the deadline bounded the original request's latency, not
@@ -1040,39 +1084,40 @@ pub(crate) fn admit_place(
         journal_spec.stream_id = None;
         journal_spec.to_json_line()
     });
-    let config_fp = spec.config_fingerprint();
+    let config_fp = canonical_hash(&config_canonical);
+    let enqueue_record = journal_spec.as_deref().map(|spec| JournalRecord::Enqueue {
+        index,
+        seed,
+        circuit_hash,
+        config_fp,
+        spec,
+    });
+    let cache_key = CacheKey { circuit_hash, config: config_canonical, seed };
     // Probe the cache here, before spending a queue slot: a hit is answered
     // even when the queue is full of multi-second solves. Hits still consume
     // a job index, exactly as enqueued jobs do, so derived seeds stay
     // replay-stable either way.
-    let cached = lock_or_recover(&shared.cache).get(&cache_key).cloned();
-    if let Some(report) = cached {
+    if let Some(entry) = probe(&shared.cache, &cache_key, &canonical.text) {
         slot.next_index += 1;
-        if let Some(spec_line) = &journal_spec {
-            shared.journal_append(&JournalRecord::Enqueue {
-                index,
-                seed,
-                circuit_hash,
-                config_fp,
-                spec: spec_line,
-            });
+        if let Some(record) = &enqueue_record {
+            shared.journal_append(record);
             shared.journal_append(&JournalRecord::Complete {
                 index,
-                report_fp: canonical_hash(&report),
-                report: &report,
+                report_fp: entry.report_fp,
+                quoted_report: &entry.quoted,
             });
         }
         drop(guard);
         shared.metrics.admit_ms.observe(accepted.elapsed().as_secs_f64() * 1e3);
         shared.cache_hits.fetch_add(1, Ordering::Relaxed);
         shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        return Admission::Cached { index, seed, report };
+        return Admission::Cached { index, seed, quoted_report: entry.quoted };
     }
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     let job = Job {
         index,
-        circuit,
-        config,
+        config: spec.resolved_config(seed),
+        canonical,
         cache_key,
         deadline,
         enqueued: Instant::now(),
@@ -1082,14 +1127,8 @@ pub(crate) fn admit_place(
     match slot.tx.try_send(job) {
         Ok(()) => {
             slot.next_index += 1;
-            if let Some(spec_line) = &journal_spec {
-                shared.journal_append(&JournalRecord::Enqueue {
-                    index,
-                    seed,
-                    circuit_hash,
-                    config_fp,
-                    spec: spec_line,
-                });
+            if let Some(record) = &enqueue_record {
+                shared.journal_append(record);
             }
             shared.metrics.queue_depth.add(1);
             shared.metrics.admit_ms.observe(accepted.elapsed().as_secs_f64() * 1e3);
@@ -1106,20 +1145,26 @@ pub(crate) const RETRY_LINE: &str =
 pub(crate) const PANIC_ERROR: &str =
     "placement worker panicked while solving this job; the service is still up";
 
-fn ok_fields(
+/// The `ok` answer to a job: `head` (the plain envelope's or the report
+/// frame's leading fields), then the fields both share in one order, so the
+/// report body is byte-identical between the two paths. The report arrives
+/// already escaped as a JSON string literal and is copied, not re-quoted;
+/// the line is built with one `String` write.
+fn ok_line(
+    head: std::fmt::Arguments<'_>,
     circuit: &str,
     seed: u64,
     cache_hit: bool,
-    queue_ms: f64,
-    solve_ms: f64,
-    total_ms: f64,
-    report: &str,
+    [queue_ms, solve_ms, total_ms]: [f64; 3],
+    quoted_report: &str,
 ) -> String {
-    format!(
-        "\"status\":\"ok\",\"circuit\":{},\"seed\":{seed},\"cache_hit\":{cache_hit},\"queue_ms\":{queue_ms:.3},\"solve_ms\":{solve_ms:.3},\"total_ms\":{total_ms:.3},\"report\":{}",
+    let mut line = String::with_capacity(quoted_report.len() + 256);
+    let _ = write!(
+        line,
+        "{{{head}\"status\":\"ok\",\"circuit\":{},\"seed\":{seed},\"cache_hit\":{cache_hit},\"queue_ms\":{queue_ms:.3},\"solve_ms\":{solve_ms:.3},\"total_ms\":{total_ms:.3},\"report\":{quoted_report}}}",
         quote(circuit),
-        quote(report),
-    )
+    );
+    line
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1131,21 +1176,69 @@ pub(crate) fn ok_envelope(
     queue_ms: f64,
     solve_ms: f64,
     total_ms: f64,
-    report: &str,
+    quoted_report: &str,
 ) -> String {
-    format!(
-        "{{\"id\":{id},{}}}",
-        ok_fields(circuit, seed, cache_hit, queue_ms, solve_ms, total_ms, report),
+    ok_line(
+        format_args!("\"id\":{id},"),
+        circuit,
+        seed,
+        cache_hit,
+        [queue_ms, solve_ms, total_ms],
+        quoted_report,
     )
 }
 
-pub(crate) fn resolve_circuit(source: &CircuitSource) -> Result<BenchmarkCircuit, String> {
-    match source {
-        CircuitSource::Bundled(name) => benchmarks::by_name(name).ok_or_else(|| {
-            format!("unknown circuit '{name}' (available: {})", benchmarks::names().join(", "))
-        }),
-        CircuitSource::Inline(text) => {
-            apls_io::parse_circuit(text).map_err(|e| format!("invalid inline circuit: {e}"))
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::CacheStats;
+
+    /// Two different canonical circuit texts forced onto one circuit hash
+    /// must never be served each other's reports, and every probe must count
+    /// exactly one hit or one miss.
+    #[test]
+    fn a_circuit_hash_collision_is_a_miss_not_a_cross_served_report() {
+        let cache = Mutex::new(LruCache::new(8));
+        let text_a: Arc<str> = "apls 1\ncircuit \"a\"\n".into();
+        let text_b: Arc<str> = "apls 1\ncircuit \"b\"\n".into();
+        let key = CacheKey { circuit_hash: 42, config: "restarts=1".to_string(), seed: 7 };
+
+        let entry_a = CachedReport::new(Arc::clone(&text_a), "{\"report\":\"a\"}");
+        lock_or_recover(&cache).insert(key.clone(), entry_a);
+        let hit = probe(&cache, &key, &text_a).expect("same text hits");
+        assert_eq!(&*hit.quoted, quote("{\"report\":\"a\"}"));
+        assert_eq!(hit.report_fp, canonical_hash("{\"report\":\"a\"}"));
+        // a byte-equal copy in a different allocation hits too
+        let copy_a: Arc<str> = String::from(&*text_a).into();
+        assert!(probe(&cache, &key, &copy_a).is_some());
+        assert!(probe(&cache, &key, &text_b).is_none(), "b must not get a's report");
+
+        // b solved and inserted under the same key takes the entry over
+        let entry_b = CachedReport::new(Arc::clone(&text_b), "{\"report\":\"b\"}");
+        lock_or_recover(&cache).insert(key.clone(), entry_b);
+        let hit = probe(&cache, &key, &text_b).expect("b hits its own report");
+        assert_eq!(&*hit.quoted, quote("{\"report\":\"b\"}"));
+        assert!(probe(&cache, &key, &text_a).is_none(), "a must not get b's report");
+
+        let stats = lock_or_recover(&cache).stats();
+        assert_eq!(stats, CacheStats { hits: 3, misses: 2, insertions: 2, evictions: 0 });
+        assert_eq!(lock_or_recover(&cache).len(), 1);
+    }
+
+    #[test]
+    fn ok_lines_copy_the_escaped_report() {
+        let quoted = quote("{\"x\":\"a\\nb\"}");
+        assert_eq!(
+            ok_envelope(3, "c\"1", 9, true, 0.0, 1.5, 2.25, &quoted),
+            format!(
+                "{{\"id\":3,\"status\":\"ok\",\"circuit\":\"c\\\"1\",\"seed\":9,\"cache_hit\":true,\"queue_ms\":0.000,\"solve_ms\":1.500,\"total_ms\":2.250,\"report\":{quoted}}}"
+            )
+        );
+        assert_eq!(
+            report_frame_ok(5, 3, "c", 9, false, 0.5, 1.0, 2.0, &quoted),
+            format!(
+                "{{\"frame\":\"report\",\"id\":5,\"job\":3,\"status\":\"ok\",\"circuit\":\"c\",\"seed\":9,\"cache_hit\":false,\"queue_ms\":0.500,\"solve_ms\":1.000,\"total_ms\":2.000,\"report\":{quoted}}}"
+            )
+        );
     }
 }

@@ -7,6 +7,7 @@
 use analog_layout_synthesis::circuit::benchmarks;
 use analog_layout_synthesis::io::serialize_circuit;
 use analog_layout_synthesis::portfolio::PortfolioEngine;
+use analog_layout_synthesis::service::json::Json;
 use analog_layout_synthesis::service::{JobSpec, PlacementService, ServiceClient, ServiceConfig};
 
 /// A mixed workload: different circuits, sources, engine subsets and seeds —
@@ -125,26 +126,46 @@ fn repeat_requests_hit_the_cache_with_identical_bodies() {
 #[test]
 fn inline_and_bundled_sources_share_cache_entries() {
     // The cache keys on canonical circuit content, not on how it was sent:
-    // an inline copy of a bundled circuit hits the bundled run's entry.
+    // an inline copy of a bundled circuit hits the bundled run's entry,
+    // whether it is sent canonical (resolved by its bytes once interned) or
+    // hand-edited (parsed, then resolved to the same canonical text).
     let service = PlacementService::start(ServiceConfig::default()).expect("service starts");
     let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
 
-    let by_name = JobSpec::bundled("comparator_v2")
-        .with_seed(8)
-        .with_restarts(1)
-        .with_engines([PortfolioEngine::SequencePair])
-        .with_fast(true);
-    let inline = JobSpec::inline(serialize_circuit(&benchmarks::comparator_v2()))
-        .with_seed(8)
-        .with_restarts(1)
-        .with_engines([PortfolioEngine::SequencePair])
-        .with_fast(true);
+    let job = |spec: JobSpec| {
+        spec.with_seed(8)
+            .with_restarts(1)
+            .with_engines([PortfolioEngine::SequencePair])
+            .with_fast(true)
+    };
+    let canonical = serialize_circuit(&benchmarks::comparator_v2());
+    let hand_edited = format!(
+        "# comparator, hand-edited\n\n{}\n\n",
+        canonical.replace("module ", "module   ").replace('\n', "  \n# spacer\n")
+    );
+    assert_ne!(hand_edited, canonical);
 
-    let first = client.place(&by_name).expect("round-trips");
-    let second = client.place(&inline).expect("round-trips");
+    let first = client.place(&job(JobSpec::bundled("comparator_v2"))).expect("round-trips");
     assert!(first.is_ok() && !first.cache_hit);
-    assert!(second.is_ok() && second.cache_hit, "same canonical circuit, same cache entry");
-    assert_eq!(first.report, second.report);
+    // the canonical copy twice: parsed and interned, then found by its bytes
+    let sources = [
+        JobSpec::inline(canonical.clone()),
+        JobSpec::inline(hand_edited),
+        JobSpec::inline(canonical),
+    ];
+    for spec in sources {
+        let response = client.place(&job(spec)).expect("round-trips");
+        assert!(response.is_ok() && response.cache_hit, "same canonical circuit, same cache entry");
+        assert_eq!(first.report, response.report);
+    }
+
+    // one solved miss (probed by the reactor and re-checked by the worker),
+    // one insertion: resolving inline circuits adds no cache insertions
+    let stats = Json::parse(&client.stats().expect("stats")).expect("stats parse");
+    let cache = stats.get("cache").expect("cache stats");
+    let count = |field: &str| cache.get(field).and_then(Json::as_u64).expect(field);
+    assert_eq!((count("hits"), count("misses"), count("insertions")), (3, 2, 1), "{stats:?}");
+    assert_eq!(stats.get("cache_hits").and_then(Json::as_u64), Some(3));
 
     service.shutdown();
     service.join();

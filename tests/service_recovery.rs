@@ -4,6 +4,8 @@
 //! and everything stays byte-identical to a service that never crashed.
 
 use analog_layout_synthesis::circuit::benchmarks;
+use analog_layout_synthesis::io::{canonical_hash, circuit_fingerprint};
+use analog_layout_synthesis::service::json::quote;
 use analog_layout_synthesis::service::{
     FaultPlan, JobSpec, JournalConfig, PlaceResponse, PlacementService, ServiceClient,
     ServiceConfig,
@@ -193,6 +195,46 @@ fn a_failed_completion_record_degrades_durability_not_service_and_replays() {
     let b = client.place(&spec_b).expect("round-trips");
     assert!(b.is_ok() && b.cache_hit, "{b:?}");
     assert_eq!(b.report.as_deref(), Some(report_b.as_str()));
+
+    service.shutdown();
+    service.join();
+}
+
+#[test]
+fn a_complete_record_written_before_its_enqueue_restores_the_job() {
+    // A fast worker can append a job's complete record before the reactor
+    // appends its enqueue record; recovery must still restore the report
+    // rather than re-solve the job.
+    let journal = TempJournal::new("complete-first");
+    let spec = JobSpec::bundled("miller_v2").with_seed(31).with_restarts(1).with_fast(true);
+    let report = reference_run(std::slice::from_ref(&spec))[0].report.clone().expect("report");
+    let complete = format!(
+        "{{\"v\":1,\"type\":\"complete\",\"index\":0,\"report_fp\":{},\"report\":{}}}\n",
+        canonical_hash(&report),
+        quote(&report),
+    );
+    let enqueue = format!(
+        "{{\"v\":1,\"type\":\"enqueue\",\"index\":0,\"seed\":31,\"circuit_hash\":{},\"config_fp\":{},\"spec\":{}}}\n",
+        circuit_fingerprint(&benchmarks::miller_v2()),
+        spec.config_fingerprint(),
+        quote(&spec.to_json_line()),
+    );
+    std::fs::write(&journal.path, complete + &enqueue).expect("journal written");
+
+    let service = PlacementService::start(ServiceConfig {
+        workers: 1,
+        journal: Some(JournalConfig::new(&journal.path)),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("\"jobs_recovered_total\":1"), "restored: {stats}");
+    assert!(stats.contains("\"jobs_replayed_total\":0"), "not replayed: {stats}");
+    let response = client.place(&spec).expect("round-trips");
+    assert!(response.is_ok() && response.cache_hit, "{response:?}");
+    assert_eq!(response.report.as_deref(), Some(report.as_str()));
+    assert!(client.stats().expect("stats").contains("\"jobs_completed\":1"), "no solve ran");
 
     service.shutdown();
     service.join();
