@@ -20,7 +20,7 @@
 //!   journal doubles as the result store a restarted daemon serves
 //!   pre-crash reports from. A worker can finish a job before the reactor
 //!   has appended its enqueue record, so a complete record may precede its
-//!   enqueue; replay holds it until the enqueue arrives.
+//!   enqueue; replay holds it until the next enqueue record (see [`replay`]).
 //!
 //! **Recovery** ([`Journal::open`]) replays the log: completed jobs seed the
 //! result cache, incomplete jobs are re-enqueued with their *recorded* seed —
@@ -157,7 +157,7 @@ pub(crate) struct RecoveredJob {
 pub(crate) struct Recovery {
     /// Jobs in index order (completed and incomplete).
     pub jobs: Vec<RecoveredJob>,
-    /// The job counter resumes here (highest journaled index + 1).
+    /// The job counter resumes here (highest index in any record + 1).
     pub next_index: u64,
     /// Unparseable lines skipped at the tail (torn final append ⇒ 1).
     pub torn_lines: usize,
@@ -260,12 +260,19 @@ impl Drop for Journal {
 
 /// Replays journal text into per-job state. Stops at the first unparseable
 /// line (a torn tail write); records after a torn line are unreachable by
-/// construction, since appends are strictly ordered. A complete record that
-/// arrives before its job's enqueue record is held and attached when the
-/// enqueue arrives; one whose enqueue never arrives is dropped.
+/// construction, since appends are strictly ordered.
+///
+/// A complete record that arrives before its job's enqueue record is held
+/// until the next enqueue record. Enqueue records are appended in index
+/// order under the admission lock, so the next one belongs to the held
+/// job if its enqueue was written at all; any other held record is an
+/// orphan (a crash or a failed append lost its enqueue) and is dropped.
+/// Orphans still count towards `next_index`, so their index is never
+/// handed to another job whose recovery could pick up the old report.
 fn replay(text: &str) -> Recovery {
     let mut jobs: BTreeMap<u64, RecoveredJob> = BTreeMap::new();
     let mut early_reports: HashMap<u64, String> = HashMap::new();
+    let mut next_index = 0;
     let mut torn = 0usize;
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     for (i, line) in lines.iter().enumerate() {
@@ -275,18 +282,22 @@ fn replay(text: &str) -> Recovery {
         };
         match record {
             ParsedRecord::Enqueue(mut job) => {
+                next_index = next_index.max(job.index + 1);
                 job.report = early_reports.remove(&job.index);
+                early_reports.clear();
                 jobs.insert(job.index, *job);
             }
-            ParsedRecord::Complete { index, report } => match jobs.get_mut(&index) {
-                Some(job) => job.report = Some(report),
-                None => {
-                    early_reports.insert(index, report);
+            ParsedRecord::Complete { index, report } => {
+                next_index = next_index.max(index + 1);
+                match jobs.get_mut(&index) {
+                    Some(job) => job.report = Some(report),
+                    None => {
+                        early_reports.insert(index, report);
+                    }
                 }
-            },
+            }
         }
     }
-    let next_index = jobs.keys().next_back().map_or(0, |max| max + 1);
     Recovery { jobs: jobs.into_values().collect(), next_index, torn_lines: torn }
 }
 
@@ -393,25 +404,79 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    fn complete_record(index: u64, report: &str) -> String {
+        JournalRecord::Complete { index, report_fp: 33, quoted_report: &quote(report) }.render()
+    }
+
     #[test]
     fn a_complete_record_before_its_enqueue_restores_the_job() {
         let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
-        let complete = |index| {
-            JournalRecord::Complete { index, report_fp: 33, quoted_report: &quote("{\"x\":1}") }
-                .render()
-        };
         // job 0 completes before its enqueue lands; job 5's enqueue never
         // lands at all
-        let text =
-            [complete(0), enqueue_record(0, 7, &spec), complete(5), enqueue_record(1, 9, &spec)]
-                .concat();
+        let text = [
+            complete_record(0, "{\"x\":1}"),
+            enqueue_record(0, 7, &spec),
+            complete_record(5, "{\"x\":5}"),
+            enqueue_record(1, 9, &spec),
+        ]
+        .concat();
         let recovery = replay(&text);
         assert_eq!(recovery.jobs.len(), 2);
         assert_eq!(recovery.jobs[0].index, 0);
         assert_eq!(recovery.jobs[0].report.as_deref(), Some("{\"x\":1}"), "restored, not replayed");
         assert_eq!(recovery.jobs[1].index, 1);
         assert!(recovery.jobs[1].report.is_none());
-        assert_eq!(recovery.next_index, 2, "an orphaned complete record adds no job");
+        assert_eq!(recovery.next_index, 6, "an orphaned complete record's index is never reused");
+    }
+
+    #[test]
+    fn an_orphaned_complete_record_never_attaches_to_a_later_job() {
+        let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
+        // complete 2 is orphaned (its enqueue was lost); a journal that
+        // later hands index 2 out again must not restore the new job from it
+        let text = [
+            enqueue_record(0, 7, &spec),
+            complete_record(2, "{\"x\":2}"),
+            enqueue_record(1, 9, &spec),
+            enqueue_record(2, 11, &spec),
+        ]
+        .concat();
+        let recovery = replay(&text);
+        assert_eq!(recovery.jobs.len(), 3);
+        assert_eq!(recovery.jobs[2].index, 2);
+        assert!(recovery.jobs[2].report.is_none(), "the orphan's report is not this job's");
+        assert_eq!(recovery.next_index, 3);
+
+        // The way this daemon writes journals: a crash leaves complete 4
+        // as the last record; the next run resumes past it, and its own
+        // incomplete job recovers as incomplete.
+        let path = tempfile("orphan");
+        let config = JournalConfig::new(&path);
+        std::fs::write(
+            &path,
+            [enqueue_record(3, 7, &spec), complete_record(4, "{\"x\":4}")].concat(),
+        )
+        .unwrap();
+        {
+            let (journal, recovery) = Journal::open(&config, None).expect("opens");
+            assert_eq!(recovery.next_index, 5);
+            let spec = JobSpec::bundled("miller_v2").with_seed(13).to_json_line();
+            journal
+                .append(&JournalRecord::Enqueue {
+                    index: recovery.next_index,
+                    seed: 13,
+                    circuit_hash: 11,
+                    config_fp: 22,
+                    spec: &spec,
+                })
+                .expect("appends");
+        }
+        let (_journal, recovery) = Journal::open(&config, None).expect("re-opens");
+        let indices: Vec<u64> = recovery.jobs.iter().map(|job| job.index).collect();
+        assert_eq!(indices, [3, 5]);
+        assert!(recovery.jobs.iter().all(|job| job.report.is_none()));
+        assert_eq!(recovery.next_index, 6);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

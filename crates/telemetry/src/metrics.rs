@@ -12,12 +12,10 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default latency histogram bucket upper bounds, in milliseconds. The
-/// bottom buckets resolve the service's per-request stages (a cache-hit
-/// admission takes tens of microseconds).
+/// Default latency histogram bucket upper bounds, in milliseconds.
 pub const LATENCY_MS_BOUNDS: &[f64] = &[
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-    1000.0, 2500.0, 5000.0,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
+    5000.0,
 ];
 
 /// A monotonically increasing counter.
