@@ -150,6 +150,14 @@ fn bench_engine_moves(c: &mut Criterion) {
         let placer = HbTreePlacer::new(&circuit);
         b.iter(|| placer.run(&config));
     });
+    // The largest bundled hierarchy (110 modules, deep sub-circuit nesting):
+    // where repacking only the perturbed sub-circuit and its ancestors pays.
+    let lna = benchmarks::lnamixbias();
+    group.bench_with_input(BenchmarkId::new("hbtree_2000", lna.module_count()), &0, |b, _| {
+        let config = HbTreePlacerConfig { seed: 3, schedule, ..HbTreePlacerConfig::default() };
+        let placer = HbTreePlacer::new(&lna);
+        b.iter(|| placer.run(&config));
+    });
     let big = benchmarks::generate(
         "flat50",
         GeneratorConfig { module_count: 50, seed: 5, ..GeneratorConfig::default() },

@@ -32,6 +32,18 @@ use apls_circuit::{
 };
 use apls_geometry::{Dims, Orientation, Point, Rect};
 use rand::{Rng, RngCore};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of node change stamps. Process-wide, so no two trees ever hand out
+/// the same stamp: a stamp identifies one version of one node's contents.
+/// Starts at 1; 0 marks a scratch slot that was never packed.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Reserves `n` fresh stamps and returns the first. `Relaxed` suffices: the
+/// counter publishes no other data, and `fetch_add` is atomic at any ordering.
+fn fresh_stamps(n: usize) -> u64 {
+    NEXT_STAMP.fetch_add(n as u64, Ordering::Relaxed)
+}
 
 /// How one hierarchy node is placed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +72,9 @@ enum NodeKind {
 /// assert!(placement.is_complete());
 /// assert_eq!(placement.metrics(&circuit.netlist).overlap_area, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is structural: it compares node contents, not change stamps.
+#[derive(Debug, Clone)]
 pub struct HbTree {
     /// One entry per hierarchy node, indexed by `HierarchyNodeId::index`.
     kinds: Vec<NodeKind>,
@@ -82,6 +96,25 @@ pub struct HbTree {
     /// leaf tokens whose module allows rotation (rotating a sub-circuit block
     /// would transpose its footprint without transposing its contents).
     token_rotatable: Vec<bool>,
+    /// Change stamp of each hierarchy node: fresh in [`HbTree::new`], fresh
+    /// again for the node [`HbTree::perturb_logged`] picks, and put back by
+    /// [`HbTree::undo`]. Equal stamps mean equal contents, clones included.
+    stamps: Vec<u64>,
+}
+
+impl PartialEq for HbTree {
+    fn eq(&self, other: &Self) -> bool {
+        // every field but `stamps`, which only keys the packing cache
+        self.kinds == other.kinds
+            && self.children == other.children
+            && self.root == other.root
+            && self.module_dims == other.module_dims
+            && self.module_count == other.module_count
+            && self.rotatable == other.rotatable
+            && self.mirrored == other.mirrored
+            && self.perturb_candidates == other.perturb_candidates
+            && self.token_rotatable == other.token_rotatable
+    }
 }
 
 /// The inverse record of one [`HbTree::perturb_logged`] call: which hierarchy
@@ -90,6 +123,8 @@ pub struct HbTree {
 #[derive(Debug, Clone, Default)]
 pub struct HbUndoLog {
     node: Option<usize>,
+    /// The perturbed node's stamp before the perturbation.
+    stamp: u64,
     tree: TreeUndoLog,
 }
 
@@ -106,13 +141,11 @@ impl HbUndoLog {
 }
 
 /// Reusable working storage for [`HbTree::pack_into`]: per-node sub-placement
-/// buffers, the shared token-dimension table, contour/packing scratch, and a
-/// cache of the static (leaf and common-centroid) sub-placements, which never
-/// change during annealing.
+/// buffers, the shared token-dimension table and contour/packing scratch.
 ///
-/// A scratch belongs to one `HbTree` topology (clones of the same tree
-/// included): reusing it across different circuits gives wrong cached
-/// placements.
+/// The per-node buffers double as a cache keyed by node change stamps, so a
+/// pack redoes only the nodes that changed since this scratch last packed
+/// them, plus their ancestors. Any scratch may pack any tree.
 #[derive(Debug, Clone, Default)]
 pub struct HbPackScratch {
     /// `(module, rect, rotated)` triples per hierarchy node, block-relative.
@@ -125,9 +158,9 @@ pub struct HbPackScratch {
     pack: PackScratch,
     packed: PackedBTree,
     island: SymmetryIsland,
-    /// Marks leaf/common-centroid nodes whose sub-placement is already
-    /// computed; those never change, so they are packed exactly once.
-    static_done: Vec<bool>,
+    /// Stamp of the node contents each slot of `node_rects`/`node_dims` was
+    /// packed from (0: never packed).
+    packed_at: Vec<u64>,
 }
 
 impl HbPackScratch {
@@ -142,7 +175,7 @@ impl HbPackScratch {
             self.node_rects.resize_with(node_count, Vec::new);
             self.node_dims.resize(node_count, Dims::ZERO);
             self.token_dims.resize(node_count, Dims::ZERO);
-            self.static_done.resize(node_count, false);
+            self.packed_at.resize(node_count, 0);
         }
     }
 }
@@ -194,6 +227,8 @@ impl HbTree {
                 _ => false,
             })
             .collect();
+        let first = fresh_stamps(kinds.len());
+        let stamps = (first..).take(kinds.len()).collect();
 
         HbTree {
             kinds,
@@ -205,6 +240,7 @@ impl HbTree {
             mirrored,
             perturb_candidates,
             token_rotatable,
+            stamps,
         }
     }
 
@@ -275,6 +311,7 @@ impl HbTree {
         }
         let pick = self.perturb_candidates[rng.gen_range(0..self.perturb_candidates.len())];
         log.node = Some(pick);
+        log.stamp = std::mem::replace(&mut self.stamps[pick], fresh_stamps(1));
         let token_rotatable = &self.token_rotatable;
         match &mut self.kinds[pick] {
             NodeKind::Tree(tree) => {
@@ -295,6 +332,7 @@ impl HbTree {
     /// the tree exactly. Consumes the log: a second call is a no-op.
     pub fn undo(&mut self, log: &mut HbUndoLog) {
         let Some(node) = log.node.take() else { return };
+        self.stamps[node] = log.stamp;
         match &mut self.kinds[node] {
             NodeKind::Tree(tree) => tree.undo(&mut log.tree),
             NodeKind::SymmetryIsland(asf) => asf.half_tree_mut().undo(&mut log.tree),
@@ -317,7 +355,9 @@ impl HbTree {
 
     /// Packs the hierarchy bottom-up into a reusable placement using reusable
     /// scratch buffers — the allocation-free form of [`HbTree::pack`]
-    /// (identical output).
+    /// (identical output for any scratch). Only nodes whose stamp differs
+    /// from the one `scratch` packed them at, and their ancestors, are
+    /// repacked; every other node reuses its cached sub-placement.
     ///
     /// # Panics
     ///
@@ -338,29 +378,33 @@ impl HbTree {
         }
     }
 
-    fn pack_node_into(&self, node: usize, scratch: &mut HbPackScratch) {
+    /// Packs `node` into its scratch slot unless the slot already holds the
+    /// node's current stamp and no child had to be repacked. Returns whether
+    /// the node was repacked.
+    fn pack_node_into(&self, node: usize, scratch: &mut HbPackScratch) -> bool {
+        let mut stale = scratch.packed_at[node] != self.stamps[node];
+        if let NodeKind::Tree(_) = &self.kinds[node] {
+            for &c in &self.children[node] {
+                stale |= self.pack_node_into(c, scratch);
+            }
+        }
+        if !stale {
+            return false;
+        }
         match &self.kinds[node] {
             NodeKind::Leaf(module) => {
-                if scratch.static_done[node] {
-                    return;
-                }
                 let d = self.module_dims[module.index()];
                 scratch.node_dims[node] = d;
                 let out = &mut scratch.node_rects[node];
                 out.clear();
                 out.push((*module, Rect::from_dims(Point::ORIGIN, d), false));
-                scratch.static_done[node] = true;
             }
             NodeKind::CommonCentroid(group) => {
-                if scratch.static_done[node] {
-                    return;
-                }
                 let pattern = generate_pattern(group, &self.module_dims);
                 scratch.node_dims[node] = pattern.dims();
                 let out = &mut scratch.node_rects[node];
                 out.clear();
                 out.extend(pattern.rects().iter().map(|&(m, r)| (m, r, false)));
-                scratch.static_done[node] = true;
             }
             NodeKind::SymmetryIsland(asf) => {
                 let HbPackScratch { node_rects, node_dims, pack, packed, island, .. } = scratch;
@@ -371,10 +415,6 @@ impl HbTree {
                 out.extend(island.rects().iter().map(|&(m, r)| (m, r, false)));
             }
             NodeKind::Tree(tree) => {
-                // pack children first
-                for &c in &self.children[node] {
-                    self.pack_node_into(c, scratch);
-                }
                 let HbPackScratch { node_rects, node_dims, token_dims, pack, packed, .. } = scratch;
                 for &c in &self.children[node] {
                     token_dims[c] = node_dims[c];
@@ -401,6 +441,8 @@ impl HbTree {
                 node_dims[node] = packed.dims();
             }
         }
+        scratch.packed_at[node] = self.stamps[node];
+        true
     }
 }
 

@@ -7,11 +7,18 @@
 //! per evaluation, re-evaluating `commit` — drive it with the exact RNG
 //! discipline of the old driver, and assert that every engine produces a
 //! placement identical to the reference on every named benchmark circuit.
+//!
+//! The HB*-tree packing cache is pinned twice more: a cached `pack_into`
+//! must equal a fresh `pack()` after every perturb, accept and undo step
+//! (clones and cross-circuit scratch reuse included), and bounded-budget
+//! `HbTreePlacer` restarts must reproduce golden values captured from the
+//! packer that repacked every node on every move.
 
 use analog_layout_synthesis::anneal::rng::SeededRng;
 use analog_layout_synthesis::anneal::Schedule;
 use analog_layout_synthesis::btree::{
-    pack_btree, BStarTree, BTreePlacer, HbTree, HbTreePlacer, HbTreePlacerConfig,
+    pack_btree, BStarTree, BTreePlacer, HbPackScratch, HbTree, HbTreePlacer, HbTreePlacerConfig,
+    HbUndoLog,
 };
 use analog_layout_synthesis::circuit::benchmarks;
 use analog_layout_synthesis::circuit::{ModuleId, Netlist, Placement};
@@ -286,5 +293,120 @@ fn seqpair_hot_path_matches_pre_refactor_evaluator_on_all_benchmarks() {
         assert_eq!(new.sequence_pair, best_sp, "sequence-pair encoding diverged on {name}");
         assert_eq!(new.placement, expected, "sequence-pair placement diverged on {name}");
         assert_eq!(new.metrics, expected.metrics(&circuit.netlist), "{name}");
+    }
+}
+
+// --- HB*-tree packing cache --------------------------------------------------
+
+/// Asserts that `cached` places every module exactly where a fresh
+/// `HbTree::pack()` of `tree` does.
+fn assert_matches_fresh_pack(tree: &HbTree, cached: &Placement, netlist: &Netlist, at: &str) {
+    let fresh = tree.pack();
+    assert_eq!(cached.placed_count(), fresh.placed_count(), "{at}: placed count");
+    for m in netlist.module_ids() {
+        let (got, want) = (cached.get(m), fresh.get(m));
+        assert_eq!(got.map(|p| p.rect), want.map(|p| p.rect), "{at}: rect of {m:?}");
+        assert_eq!(
+            got.map(|p| p.orientation),
+            want.map(|p| p.orientation),
+            "{at}: orientation of {m:?}"
+        );
+    }
+}
+
+#[test]
+fn hbtree_cached_pack_matches_fresh_pack_through_perturb_accept_and_undo() {
+    // One scratch for every circuit: each circuit's first pack reuses slots
+    // last filled from another circuit's tree.
+    let mut scratch = HbPackScratch::new();
+    let mut rng = SeededRng::new(SEED);
+    let mut previous: Option<(HbTree, Netlist)> = None;
+    for name in benchmarks::names() {
+        let circuit = benchmarks::by_name(name).expect("bundled name resolves");
+        let netlist = &circuit.netlist;
+        let mut tree = HbTree::new(netlist, &circuit.hierarchy, &circuit.constraints);
+        let mut placement = Placement::with_capacity(circuit.module_count());
+        tree.pack_into(&mut scratch, &mut placement);
+        assert_matches_fresh_pack(&tree, &placement, netlist, &format!("{name} initial"));
+
+        // the `best` snapshot of the annealer: a clone that stays behind
+        // while the live tree moves on, packed through the same scratch
+        let mut best = tree.clone();
+        let mut log = HbUndoLog::default();
+        for step in 0..150 {
+            tree.perturb_logged(&mut rng, &mut log);
+            tree.pack_into(&mut scratch, &mut placement);
+            assert_matches_fresh_pack(&tree, &placement, netlist, &format!("{name} step {step}"));
+            if rng.gen_bool(0.5) {
+                tree.undo(&mut log);
+                tree.pack_into(&mut scratch, &mut placement);
+                let at = format!("{name} undo {step}");
+                assert_matches_fresh_pack(&tree, &placement, netlist, &at);
+            } else if rng.gen_bool(0.2) {
+                best = tree.clone();
+            }
+            if step % 25 == 0 {
+                best.pack_into(&mut scratch, &mut placement);
+                let at = format!("{name} best {step}");
+                assert_matches_fresh_pack(&best, &placement, netlist, &at);
+            }
+        }
+
+        // and back to the previous circuit's tree with this circuit's slots
+        if let Some((prev_tree, prev_netlist)) = &previous {
+            let mut prev_placement = Placement::with_capacity(prev_tree.module_count());
+            prev_tree.pack_into(&mut scratch, &mut prev_placement);
+            let at = format!("previous circuit after {name}");
+            assert_matches_fresh_pack(prev_tree, &prev_placement, prev_netlist, &at);
+        }
+        previous = Some((tree, circuit.netlist.clone()));
+    }
+}
+
+/// FNV-1a over every placed module's index, rectangle and orientation.
+fn placement_fingerprint(placement: &Placement) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: i64| {
+        for byte in v.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (m, placed) in placement.iter() {
+        let r = placed.rect;
+        eat(m.index() as i64);
+        for v in [r.x_min, r.y_min, r.x_max, r.y_max] {
+            eat(v);
+        }
+        eat(placed.orientation as i64);
+    }
+    hash
+}
+
+/// `HbTreePlacer` restarts under a bounded move budget, pinned as
+/// `(circuit, seed, bounding area, wirelength, placement fingerprint)`. The
+/// values were captured before the packing cache was keyed by node stamps,
+/// so they pin bit-identity with the code that repacked every node per move.
+fn hbtree_golden() -> Vec<(&'static str, u64, i128, f64, u64)> {
+    vec![
+        ("buffer", 1, 1828218, 26363.0, 9578907403543170795),
+        ("buffer", 2, 1305033, 26332.0, 3668916464486105829),
+        ("biasynth", 1, 2514023, 65402.0, 17030933006804330275),
+        ("biasynth", 2, 2386818, 76257.0, 6878571690504086217),
+        ("lnamixbias", 1, 4601628, 158262.0, 16625859463067882699),
+        ("lnamixbias", 2, 3460968, 122253.0, 17004145865972761584),
+    ]
+}
+
+#[test]
+fn hbtree_placer_reproduces_pinned_restarts_bit_identically() {
+    let schedule = Schedule::geometric(1e6, 1.0, 0.9, 40).with_max_moves(600);
+    for (name, seed, area, wirelength, fingerprint) in hbtree_golden() {
+        let circuit = benchmarks::by_name(name).expect("bundled name resolves");
+        let config = HbTreePlacerConfig { seed, schedule, wirelength_weight: WIRELENGTH_WEIGHT };
+        let result = HbTreePlacer::new(&circuit).run(&config);
+        assert_eq!(result.metrics.bounding_area, area, "{name} seed {seed}: bounding area");
+        assert_eq!(result.metrics.wirelength, wirelength, "{name} seed {seed}: wirelength");
+        let got = placement_fingerprint(&result.placement);
+        assert_eq!(got, fingerprint, "{name} seed {seed}: placement fingerprint");
     }
 }
