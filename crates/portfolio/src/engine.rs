@@ -181,7 +181,7 @@ pub fn run_engine_once(
 /// Panics if the circuit's hierarchy or constraints are inconsistent with its
 /// netlist (the same contract as the facade's single-engine path).
 #[must_use]
-pub fn run_engine_once_traced(
+pub(crate) fn run_engine_once_traced(
     circuit: &BenchmarkCircuit,
     engine: PortfolioEngine,
     seed: u64,

@@ -47,11 +47,8 @@ pub mod svg;
 
 pub use config::{EarlyStop, PortfolioConfig, RestartTask};
 pub use earlystop::PlateauDetector;
-pub use engine::{
-    run_engine_once, run_engine_once_traced, PortfolioEngine, RestartOutcome, RestartSettings,
-};
+pub use engine::{run_engine_once, PortfolioEngine, RestartOutcome, RestartSettings};
 pub use report::{EngineSummary, PortfolioReport, RestartRecord};
 pub use runner::{
-    run_portfolio, run_portfolio_cancellable, run_portfolio_observed, run_portfolio_traced,
-    CancelToken, Cancelled, RestartObserver,
+    run_portfolio, run_portfolio_with, CancelToken, Cancelled, RestartObserver, RunContext,
 };

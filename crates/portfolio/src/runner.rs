@@ -19,8 +19,8 @@ use std::time::Instant;
 /// has started always finishes, so cancellation never tears a solver down
 /// mid-move and the records produced before the cut are exactly the records a
 /// completed run would have produced for those generations. An unarmed token
-/// ([`CancelToken::none`], the default) costs one branch per generation and
-/// keeps the runner's flattened single-batch fan-out.
+/// (the default) costs one branch per generation and keeps the runner's
+/// flattened single-batch fan-out.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     /// Wall-clock deadline after which the run is considered cancelled.
@@ -30,12 +30,6 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// A token that never cancels (the default for plain runs).
-    #[must_use]
-    pub fn none() -> CancelToken {
-        CancelToken::default()
-    }
-
     /// A token that cancels once `deadline` has passed.
     #[must_use]
     pub fn with_deadline(deadline: Instant) -> CancelToken {
@@ -98,6 +92,22 @@ impl std::fmt::Display for Cancelled {
     }
 }
 
+/// How a portfolio run is traced, cut short and watched. The default runs
+/// untraced, with an unarmed [`CancelToken`] and no observer — exactly
+/// [`run_portfolio`].
+#[derive(Clone, Default)]
+pub struct RunContext<'a> {
+    /// Telemetry threaded through every restart lane (observe-only; the
+    /// report is bit-identical whatever collector is installed — telemetry
+    /// never touches a seed stream).
+    pub telemetry: Telemetry,
+    /// Cooperative cancellation, checked between restart generations.
+    pub cancel: CancelToken,
+    /// Notified after every completed restart (the service's streaming
+    /// `progress` frames hang off this hook).
+    pub observer: Option<&'a dyn RestartObserver>,
+}
+
 /// Runs the full portfolio on `circuit`.
 ///
 /// The restart plan is generated up front ([`PortfolioConfig::generations`]),
@@ -113,73 +123,34 @@ impl std::fmt::Display for Cancelled {
 /// [`PortfolioConfig::validate`]) or the circuit is inconsistent.
 #[must_use]
 pub fn run_portfolio(circuit: &BenchmarkCircuit, config: &PortfolioConfig) -> PortfolioReport {
-    run_portfolio_traced(circuit, config, &Telemetry::disabled())
-}
-
-/// [`run_portfolio`] with telemetry threaded through every restart lane
-/// (observe-only; the report is bit-identical whatever collector is
-/// installed — telemetry never touches a seed stream).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see
-/// [`PortfolioConfig::validate`]) or the circuit is inconsistent.
-#[must_use]
-pub fn run_portfolio_traced(
-    circuit: &BenchmarkCircuit,
-    config: &PortfolioConfig,
-    telemetry: &Telemetry,
-) -> PortfolioReport {
-    run_portfolio_cancellable(circuit, config, telemetry, &CancelToken::none())
+    run_portfolio_with(circuit, config, &RunContext::default())
         .expect("an unarmed token never cancels")
 }
 
-/// [`run_portfolio_traced`] with a cooperative [`CancelToken`] checked
-/// between restart generations.
+/// [`run_portfolio`] under a [`RunContext`]: traced, cancellable and
+/// observed.
 ///
-/// Cancellation is all-or-nothing: a run that completes returns a report
-/// bit-identical to one executed without a token (armed tokens only change
-/// *batching*, never task seeds or aggregation order), and a run that is cut
-/// returns [`Cancelled`] with no partial report.
+/// Neither telemetry nor an observer nor an armed token changes a completed
+/// report: armed tokens and observers only change *batching* (one batch per
+/// generation, so checkpoints exist), never task seeds or aggregation order.
+/// Cancellation is all-or-nothing: a run that is cut returns [`Cancelled`]
+/// with no partial report.
 ///
 /// # Errors
 ///
-/// Returns [`Cancelled`] when the token fires before the last generation
-/// completes.
+/// Returns [`Cancelled`] when the context's token fires before the last
+/// generation completes.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (see
 /// [`PortfolioConfig::validate`]) or the circuit is inconsistent.
-pub fn run_portfolio_cancellable(
+pub fn run_portfolio_with(
     circuit: &BenchmarkCircuit,
     config: &PortfolioConfig,
-    telemetry: &Telemetry,
-    cancel: &CancelToken,
+    context: &RunContext<'_>,
 ) -> Result<PortfolioReport, Cancelled> {
-    run_portfolio_observed(circuit, config, telemetry, cancel, None)
-}
-
-/// [`run_portfolio_cancellable`] with an optional [`RestartObserver`]
-/// notified after every completed restart (the service's streaming
-/// `progress` frames hang off this hook).
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the last generation
-/// completes.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (see
-/// [`PortfolioConfig::validate`]) or the circuit is inconsistent.
-pub fn run_portfolio_observed(
-    circuit: &BenchmarkCircuit,
-    config: &PortfolioConfig,
-    telemetry: &Telemetry,
-    cancel: &CancelToken,
-    observer: Option<&dyn RestartObserver>,
-) -> Result<PortfolioReport, Cancelled> {
+    let RunContext { telemetry, cancel, observer } = context;
     config.validate();
     let start = Instant::now();
     let mut run_span = apls_telemetry::span!(
@@ -344,13 +315,10 @@ mod tests {
         // a far-future deadline arms the token (per-generation batches)
         // without ever firing
         let deadline = Instant::now() + std::time::Duration::from_secs(3600);
-        let armed = run_portfolio_cancellable(
-            &circuit,
-            &config,
-            &Telemetry::disabled(),
-            &CancelToken::with_deadline(deadline),
-        )
-        .expect("far-future deadline never fires");
+        let context =
+            RunContext { cancel: CancelToken::with_deadline(deadline), ..RunContext::default() };
+        let armed = run_portfolio_with(&circuit, &config, &context)
+            .expect("far-future deadline never fires");
         assert_eq!(costs(&plain), costs(&armed));
         assert_eq!(plain.best().placement, armed.best().placement);
     }
@@ -361,7 +329,8 @@ mod tests {
         let config = PortfolioConfig::new(3).with_restarts(2).with_fast_schedule(true);
         let token =
             CancelToken::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
-        let result = run_portfolio_cancellable(&circuit, &config, &Telemetry::disabled(), &token);
+        let context = RunContext { cancel: token, ..RunContext::default() };
+        let result = run_portfolio_with(&circuit, &config, &context);
         assert_eq!(result.unwrap_err(), Cancelled);
     }
 
@@ -373,10 +342,11 @@ mod tests {
         assert!(token.is_armed() && !token.is_cancelled());
         token.cancel();
         assert!(token.is_cancelled());
-        let result = run_portfolio_cancellable(&circuit, &config, &Telemetry::disabled(), &token);
+        let context = RunContext { cancel: token, ..RunContext::default() };
+        let result = run_portfolio_with(&circuit, &config, &context);
         assert_eq!(result.unwrap_err(), Cancelled);
 
-        let none = CancelToken::none();
+        let none = CancelToken::default();
         assert!(!none.is_armed());
         none.cancel(); // no-op
         assert!(!none.is_cancelled());
@@ -402,14 +372,9 @@ mod tests {
         let config = PortfolioConfig::new(4).with_restarts(2).with_fast_schedule(true);
         let plain = run_portfolio(&circuit, &config);
         let recorder = Recorder(RefCell::new(Vec::new()));
-        let observed = run_portfolio_observed(
-            &circuit,
-            &config,
-            &Telemetry::disabled(),
-            &CancelToken::none(),
-            Some(&recorder),
-        )
-        .expect("an unarmed token never cancels");
+        let context = RunContext { observer: Some(&recorder), ..RunContext::default() };
+        let observed = run_portfolio_with(&circuit, &config, &context)
+            .expect("an unarmed token never cancels");
         // an observer changes batching, never results
         assert_eq!(costs(&plain), costs(&observed));
         assert_eq!(plain.best().placement, observed.best().placement);

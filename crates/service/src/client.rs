@@ -111,20 +111,26 @@ impl ServiceClient {
     /// Propagates I/O errors; a closed connection reads as
     /// [`io::ErrorKind::UnexpectedEof`].
     pub fn request_line(&mut self, line: &str) -> io::Result<String> {
-        let mut request = String::with_capacity(line.len() + 1);
-        request.push_str(line);
-        request.push('\n');
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
+        self.send_line(line)?;
+        self.read_line()
+    }
+
+    /// Reads one raw line off the connection, without its line ending.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors; a closed connection reads as
+    /// [`io::ErrorKind::UnexpectedEof`].
+    pub fn read_line(&mut self) -> io::Result<String> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "service closed the connection",
             ));
         }
-        Ok(response.trim_end().to_string())
+        line.truncate(line.trim_end().len());
+        Ok(line)
     }
 
     /// Submits a placement job and decodes the response envelope.
@@ -165,15 +171,7 @@ impl ServiceClient {
     /// [`io::ErrorKind::UnexpectedEof`]; an undecodable line becomes
     /// [`io::ErrorKind::InvalidData`].
     pub fn read_frame(&mut self) -> io::Result<StreamFrame> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "service closed the connection",
-            ));
-        }
-        StreamFrame::from_json_line(line.trim_end())
+        StreamFrame::from_json_line(&self.read_line()?)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 

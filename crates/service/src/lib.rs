@@ -117,6 +117,7 @@ mod reactor {
         match listening {}
     }
 }
+mod reply;
 mod server;
 pub mod sync;
 

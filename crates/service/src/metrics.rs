@@ -19,6 +19,12 @@ pub(crate) struct ServiceMetrics {
     pub retries_total: Counter,
     /// Requests answered with an error envelope.
     pub errors_total: Counter,
+    /// Jobs answered with a report, whether solved or served from the cache
+    /// (the `stats` reply's `jobs_completed`).
+    pub jobs_completed_total: Counter,
+    /// Jobs served from the result cache, at admission or after dequeue (the
+    /// `stats` reply's `cache_hits`).
+    pub cache_hits_total: Counter,
     /// Jobs currently waiting in the bounded queue.
     pub queue_depth: Gauge,
     /// Jobs currently being solved by a worker.
@@ -87,6 +93,8 @@ impl ServiceMetrics {
             requests_total: registry.counter("requests_total"),
             retries_total: registry.counter("retries_total"),
             errors_total: registry.counter("errors_total"),
+            jobs_completed_total: registry.counter("jobs_completed_total"),
+            cache_hits_total: registry.counter("cache_hits_total"),
             queue_depth: registry.gauge("queue_depth"),
             in_flight: registry.gauge("in_flight_jobs"),
             connections_active: registry.gauge("connections_active"),

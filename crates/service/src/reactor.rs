@@ -25,20 +25,16 @@
 //!
 //! Everything behind the protocol — admission under the enqueue lock,
 //! derived seeds, cache, journal, deadlines, fault injection — lives in
-//! [`crate::server`] ([`admit_place`] and the worker pool); this module only
-//! frames lines, dispatches ops and moves bytes.
+//! [`crate::server`] ([`admit_place`] and the worker pool), and every line
+//! written back comes from [`crate::reply`]; this module only frames lines,
+//! dispatches ops and moves bytes.
 
 use crate::json::Json;
 pub(crate) use crate::poller::WakeSender;
 use crate::poller::{new_poller, Interest, PollEvent, Poller, WakePipe};
 use crate::protocol::JobSpec;
-use crate::server::{
-    accepted_frame, admit_place, count_response_outcome, error_response, initiate_shutdown,
-    ok_envelope, oversized_response, ping_response, progress_frame, queued_frame,
-    report_frame_error, report_frame_ok, report_frame_retry, report_frame_timeout, stats_response,
-    timeout_response, Admission, JobFailure, JobMsg, Shared, OVERLOADED_LINE, PANIC_ERROR,
-    RETRY_LINE,
-};
+use crate::reply::{self, Answer, Dest, OVERLOADED_LINE, PANIC_ERROR};
+use crate::server::{admit_place, initiate_shutdown, Admission, JobFailure, JobMsg, Shared};
 use apls_circuit::benchmarks::BenchmarkCircuit;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
@@ -74,14 +70,12 @@ struct Conn {
     /// Bytes queued for the peer; `wpos` marks how much is already written.
     write_buf: Vec<u8>,
     wpos: usize,
-    /// A plain (non-streaming) `place` in flight: its job index. The
-    /// protocol is strictly request-response for plain jobs, so parsing
-    /// pauses until the response is queued.
-    blocked: Option<u64>,
+    /// A plain (non-streaming) `place` is in flight. The protocol is
+    /// strictly request-response for plain jobs, so parsing pauses until
+    /// the response is queued.
+    blocked: bool,
     /// Client-chosen ids of streamed jobs in flight on this connection.
     streaming_ids: HashSet<u64>,
-    /// Jobs (plain or streamed) in flight on this connection.
-    pending_jobs: usize,
     /// Peer closed its write half (or the socket errored).
     peer_eof: bool,
     /// Close once the write buffer drains (fatal protocol error, shutdown
@@ -127,8 +121,9 @@ impl Conn {
 struct PendingJob {
     slot: usize,
     gen: u64,
-    /// `Some` for streamed jobs: the client's correlation id.
-    client_id: Option<u64>,
+    /// Where the job's messages go: a plain reply, or the frames of the
+    /// stream with the client's correlation id.
+    to: Dest,
     /// The job's circuit (for the name its responses echo).
     circuit: Arc<BenchmarkCircuit>,
     seed: u64,
@@ -343,9 +338,8 @@ impl Reactor {
                 read_buf: Vec::new(),
                 write_buf: Vec::new(),
                 wpos: 0,
-                blocked: None,
+                blocked: false,
                 streaming_ids: HashSet::new(),
-                pending_jobs: 0,
                 peer_eof: false,
                 close_after_flush: false,
                 interest: Interest::READ,
@@ -369,7 +363,7 @@ impl Reactor {
                 // stop pulling bytes while backpressured or blocked;
                 // level-triggered polling re-delivers readability once
                 // interest returns
-                if conn.blocked.is_some() || conn.backpressured() {
+                if conn.blocked || conn.backpressured() {
                     break;
                 }
                 match conn.stream.read(&mut chunk) {
@@ -400,7 +394,7 @@ impl Reactor {
     fn process_lines(&mut self, slot: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
-            if conn.blocked.is_some() || conn.close_after_flush || self.draining {
+            if conn.blocked || conn.close_after_flush || self.draining {
                 return;
             }
             if conn.backpressured() {
@@ -427,12 +421,7 @@ impl Reactor {
                 return;
             }
             let Ok(text) = std::str::from_utf8(&line) else {
-                self.shared.metrics.requests_total.inc();
-                let response = error_response("bad_request", "request is not valid UTF-8");
-                self.respond_plain(slot, response);
-                if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                    conn.close_after_flush = true;
-                }
+                self.refuse(slot, "bad_request", "request is not valid UTF-8");
                 return;
             };
             let request = text.trim().to_string();
@@ -446,9 +435,15 @@ impl Reactor {
 
     /// Answers an over-limit request line and schedules the close.
     fn overlong_request(&mut self, slot: usize, max_request: usize) {
+        let message = format!("request exceeds {max_request} bytes, closing connection");
+        self.refuse(slot, "request_too_large", &message);
+    }
+
+    /// Answers a request line that cannot be read with an error and closes
+    /// the connection once the answer is flushed.
+    fn refuse(&mut self, slot: usize, kind: &str, message: &str) {
         self.shared.metrics.requests_total.inc();
-        let response = oversized_response(max_request);
-        self.respond_plain(slot, response);
+        self.answer(slot, Dest::Plain, &Answer::Error { kind, message });
         if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
             conn.close_after_flush = true;
         }
@@ -459,8 +454,9 @@ impl Reactor {
         let json = match Json::parse(line) {
             Ok(json) => json,
             Err(e) => {
-                let response = error_response("bad_request", &format!("invalid JSON: {e}"));
-                self.respond_plain(slot, response);
+                let message = format!("invalid JSON: {e}");
+                let answer = Answer::Error { kind: "bad_request", message: &message };
+                self.answer(slot, Dest::Plain, &answer);
                 return;
             }
         };
@@ -472,106 +468,107 @@ impl Reactor {
             op = op.unwrap_or("(missing)").to_string()
         );
         match op {
-            Some("ping") => self.respond_plain(slot, ping_response()),
+            Some("ping") => self.send(slot, Dest::Plain, &reply::ping()),
             Some("stats") => {
-                let response = stats_response(&self.shared);
-                self.respond_plain(slot, response);
+                let line = reply::stats(&self.shared);
+                self.send(slot, Dest::Plain, &line);
             }
             Some("shutdown") => {
-                self.respond_plain(slot, "{\"status\":\"shutting_down\"}".to_string());
+                self.send(slot, Dest::Plain, reply::SHUTTING_DOWN);
                 if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
                     conn.close_after_flush = true;
                 }
                 initiate_shutdown(&self.shared);
             }
             Some("place") => self.place(slot, &json),
-            Some("dump") => {
-                let response = crate::server::dump_response(&self.shared);
-                self.respond_plain(slot, response);
-            }
+            Some("dump") => match self.shared.dump_flight("dump_op") {
+                Some(Ok(dump)) => self.send(slot, Dest::Plain, &reply::dump(&dump)),
+                Some(Err(e)) => {
+                    let message = format!("flight recorder dump failed: {e}");
+                    let answer = Answer::Error { kind: "internal", message: &message };
+                    self.answer(slot, Dest::Plain, &answer);
+                }
+                None => {
+                    let message = "flight recorder is disabled (capacity 0)";
+                    self.answer(slot, Dest::Plain, &Answer::Error { kind: "unavailable", message });
+                }
+            },
             Some(other) => {
-                let response = error_response(
-                    "bad_request",
-                    &format!("unknown op '{other}' (place, ping, stats, dump, shutdown)"),
-                );
-                self.respond_plain(slot, response);
+                let message = format!("unknown op '{other}' (place, ping, stats, dump, shutdown)");
+                let answer = Answer::Error { kind: "bad_request", message: &message };
+                self.answer(slot, Dest::Plain, &answer);
             }
             None => {
-                let response = error_response("bad_request", "request needs an 'op' field");
-                self.respond_plain(slot, response);
+                let message = "request needs an 'op' field";
+                self.answer(slot, Dest::Plain, &Answer::Error { kind: "bad_request", message });
             }
         }
     }
 
-    /// Queues one non-frame response line and counts its outcome.
-    fn respond_plain(&mut self, slot: usize, response: String) {
-        count_response_outcome(&self.shared, &response);
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            conn.push_line(&response);
+    /// Queues one line for `slot`'s peer; a line for a stream is a frame,
+    /// counted and traced as sent.
+    fn send(&mut self, slot: usize, to: Dest, line: &str) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
+        if let Dest::Stream(_) = to {
+            self.shared.metrics.frames_sent_total.inc();
+            apls_telemetry::event!(self.shared.telemetry, "service", "frame");
         }
+        conn.push_line(line);
     }
 
-    /// Queues one stream frame line (report frames also count error/retry
-    /// outcomes via their embedded status).
-    fn respond_frame(&mut self, slot: usize, frame: String) {
-        count_response_outcome(&self.shared, &frame);
-        self.shared.metrics.frames_sent_total.inc();
-        apls_telemetry::event!(self.shared.telemetry, "service", "frame");
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            conn.push_line(&frame);
-        }
+    /// Queues the answer to a request for `slot`'s peer and counts its
+    /// outcome. Every caller answers a connection that is still open, so
+    /// the counters match what clients receive.
+    fn answer(&mut self, slot: usize, to: Dest, answer: &Answer<'_>) {
+        let line = reply::render(&self.shared.metrics, to, answer);
+        self.send(slot, to, &line);
     }
 
     fn place(&mut self, slot: usize, json: &Json) {
         let start = Instant::now();
         let spec = match JobSpec::from_json(json) {
             Ok(spec) => spec,
-            Err(e) => {
-                let response = error_response("bad_request", &e);
-                self.respond_plain(slot, response);
+            Err(message) => {
+                let answer = Answer::Error { kind: "bad_request", message: &message };
+                self.answer(slot, Dest::Plain, &answer);
                 return;
             }
         };
-        let stream_id = if spec.stream == Some(true) { spec.stream_id } else { None };
-        if let Some(cid) = stream_id {
+        let to =
+            spec.stream_id.filter(|_| spec.stream == Some(true)).map_or(Dest::Plain, Dest::Stream);
+        if let Dest::Stream(cid) = to {
             let duplicate = self
                 .conns
                 .get(slot)
                 .and_then(Option::as_ref)
                 .is_some_and(|c| c.streaming_ids.contains(&cid));
             if duplicate {
-                let frame = report_frame_error(
-                    cid,
-                    "bad_request",
-                    &format!("stream id {cid} is already in flight on this connection"),
-                );
-                self.respond_frame(slot, frame);
+                let message = format!("stream id {cid} is already in flight on this connection");
+                self.answer(slot, to, &Answer::Error { kind: "bad_request", message: &message });
                 return;
             }
         }
         let canonical = match self.shared.circuits.resolve(&spec.circuit) {
             Ok(canonical) => canonical,
-            Err(e) => {
-                self.fail(slot, stream_id, "bad_request", &e);
+            Err(message) => {
+                self.answer(slot, to, &Answer::Error { kind: "bad_request", message: &message });
                 return;
             }
         };
         let circuit = Arc::clone(&canonical.circuit);
         let circuit_name = circuit.name.as_str();
         let deadline_ms = spec.deadline_ms;
-        // the span handle must not borrow self (respond_* methods take &mut
-        // self), so it hangs off an owned clone of the shared state
+        // the span handle must not borrow self (send/answer take &mut self),
+        // so it hangs off an owned clone of the shared state
         let shared = Arc::clone(&self.shared);
         let mut request_span =
             apls_telemetry::span!(shared.telemetry, "service", "place", circuit = circuit_name);
-        match admit_place(&spec, canonical, &shared, stream_id.is_some(), start) {
+        match admit_place(&spec, canonical, &shared, to, start) {
             Admission::ShuttingDown => {
-                self.fail(slot, stream_id, "unavailable", "service is shutting down");
+                let message = "service is shutting down";
+                self.answer(slot, to, &Answer::Error { kind: "unavailable", message });
             }
-            Admission::QueueFull => match stream_id {
-                Some(cid) => self.respond_frame(slot, report_frame_retry(cid)),
-                None => self.respond_plain(slot, RETRY_LINE.to_string()),
-            },
+            Admission::QueueFull => self.answer(slot, to, &Answer::Retry),
             Admission::Cached { index, seed, quoted_report } => {
                 let total_ms = start.elapsed().as_secs_f64() * 1e3;
                 self.shared.metrics.total_ms.observe(total_ms);
@@ -580,38 +577,22 @@ impl Reactor {
                     request_span.arg("seed", seed);
                     request_span.arg("cache_hit", true);
                 }
-                match stream_id {
-                    Some(cid) => {
-                        self.respond_frame(slot, accepted_frame(cid, index, circuit_name, seed));
-                        // a hit never consumed a queue slot: depth 0
-                        self.respond_frame(slot, queued_frame(cid, 0));
-                        let frame = report_frame_ok(
-                            cid,
-                            index,
-                            circuit_name,
-                            seed,
-                            true,
-                            0.0,
-                            total_ms,
-                            total_ms,
-                            &quoted_report,
-                        );
-                        self.respond_frame(slot, frame);
-                    }
-                    None => {
-                        let response = ok_envelope(
-                            index,
-                            circuit_name,
-                            seed,
-                            true,
-                            0.0,
-                            total_ms,
-                            total_ms,
-                            &quoted_report,
-                        );
-                        self.respond_plain(slot, response);
-                    }
+                if let Dest::Stream(cid) = to {
+                    self.send(slot, to, &reply::accepted_frame(cid, index, circuit_name, seed));
+                    // a hit never consumed a queue slot: depth 0
+                    self.send(slot, to, &reply::queued_frame(cid, 0));
                 }
+                let answer = Answer::Ok {
+                    job: index,
+                    circuit: circuit_name,
+                    seed,
+                    cache_hit: true,
+                    queue_ms: 0.0,
+                    solve_ms: total_ms,
+                    total_ms,
+                    quoted_report: &quoted_report,
+                };
+                self.answer(slot, to, &answer);
             }
             Admission::Enqueued { index, seed } => {
                 if request_span.is_recording() {
@@ -623,7 +604,7 @@ impl Reactor {
                     PendingJob {
                         slot,
                         gen: self.gens[slot],
-                        client_id: stream_id,
+                        to,
                         circuit: Arc::clone(&circuit),
                         seed,
                         deadline_ms,
@@ -633,25 +614,16 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                     return;
                 };
-                conn.pending_jobs += 1;
-                match stream_id {
-                    Some(cid) => {
+                match to {
+                    Dest::Stream(cid) => {
                         conn.streaming_ids.insert(cid);
-                        self.respond_frame(slot, accepted_frame(cid, index, circuit_name, seed));
+                        self.send(slot, to, &reply::accepted_frame(cid, index, circuit_name, seed));
                         let depth = self.shared.metrics.queue_depth.get().max(0) as u64;
-                        self.respond_frame(slot, queued_frame(cid, depth));
+                        self.send(slot, to, &reply::queued_frame(cid, depth));
                     }
-                    None => conn.blocked = Some(index),
+                    Dest::Plain => conn.blocked = true,
                 }
             }
-        }
-    }
-
-    /// Queues the failure response for a (possibly streamed) `place`.
-    fn fail(&mut self, slot: usize, stream_id: Option<u64>, kind: &str, message: &str) {
-        match stream_id {
-            Some(cid) => self.respond_frame(slot, report_frame_error(cid, kind, message)),
-            None => self.respond_plain(slot, error_response(kind, message)),
         }
     }
 
@@ -661,17 +633,18 @@ impl Reactor {
             match msg {
                 JobMsg::Progress { engine, restart, completed, total, cost } => {
                     let Some(p) = self.pending.get(&index) else { continue };
-                    let (slot, gen, client_id) = (p.slot, p.gen, p.client_id);
+                    let (slot, gen, to) = (p.slot, p.gen, p.to);
                     if self.gens.get(slot).copied() != Some(gen) {
                         continue; // connection died; nothing to stream to
                     }
-                    if let Some(cid) = client_id {
-                        let frame = progress_frame(cid, engine, restart, completed, total, cost);
-                        self.respond_frame(slot, frame);
+                    if let Dest::Stream(cid) = to {
+                        let frame =
+                            reply::progress_frame(cid, engine, restart, completed, total, cost);
+                        self.send(slot, to, &frame);
                         self.mark_dirty(slot);
                     }
                 }
-                JobMsg::Done(done) => {
+                JobMsg::Done { outcome, queue_ms, solve_ms } => {
                     let Some(p) = self.pending.remove(&index) else { continue };
                     let total_ms = p.start.elapsed().as_secs_f64() * 1e3;
                     self.shared.metrics.total_ms.observe(total_ms);
@@ -680,65 +653,38 @@ impl Reactor {
                     if !alive {
                         continue; // client hung up; the report is cached/journaled
                     }
-                    let slot = p.slot;
-                    match p.client_id {
-                        Some(cid) => {
-                            let frame = match &done.outcome {
-                                Ok((report, cache_hit)) => report_frame_ok(
-                                    cid,
-                                    index,
-                                    &p.circuit.name,
-                                    p.seed,
-                                    *cache_hit,
-                                    done.queue_ms,
-                                    done.solve_ms,
-                                    total_ms,
-                                    report,
-                                ),
-                                Err(JobFailure::Timeout) => report_frame_timeout(
-                                    cid,
-                                    index,
-                                    &p.circuit.name,
-                                    p.seed,
-                                    p.deadline_ms.unwrap_or(0),
-                                ),
-                                Err(JobFailure::Panic) => {
-                                    report_frame_error(cid, "internal", PANIC_ERROR)
-                                }
-                            };
-                            self.respond_frame(slot, frame);
-                            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                                conn.streaming_ids.remove(&cid);
-                                conn.pending_jobs = conn.pending_jobs.saturating_sub(1);
-                            }
+                    let (slot, to) = (p.slot, p.to);
+                    let answer = match &outcome {
+                        Ok((report, cache_hit)) => Answer::Ok {
+                            job: index,
+                            circuit: &p.circuit.name,
+                            seed: p.seed,
+                            cache_hit: *cache_hit,
+                            queue_ms,
+                            solve_ms,
+                            total_ms,
+                            quoted_report: report,
+                        },
+                        Err(JobFailure::Timeout) => Answer::Timeout {
+                            job: index,
+                            circuit: &p.circuit.name,
+                            seed: p.seed,
+                            deadline_ms: p.deadline_ms.unwrap_or(0),
+                        },
+                        Err(JobFailure::Panic) => {
+                            Answer::Error { kind: "internal", message: PANIC_ERROR }
                         }
-                        None => {
-                            let response = match &done.outcome {
-                                Ok((report, cache_hit)) => ok_envelope(
-                                    index,
-                                    &p.circuit.name,
-                                    p.seed,
-                                    *cache_hit,
-                                    done.queue_ms,
-                                    done.solve_ms,
-                                    total_ms,
-                                    report,
-                                ),
-                                Err(JobFailure::Timeout) => timeout_response(
-                                    index,
-                                    &p.circuit.name,
-                                    p.seed,
-                                    p.deadline_ms.unwrap_or(0),
-                                ),
-                                Err(JobFailure::Panic) => error_response("internal", PANIC_ERROR),
-                            };
-                            self.respond_plain(slot, response);
-                            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                                conn.pending_jobs = conn.pending_jobs.saturating_sub(1);
-                                if conn.blocked == Some(index) {
-                                    conn.blocked = None;
-                                }
-                            }
+                    };
+                    self.answer(slot, to, &answer);
+                    let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+                        continue;
+                    };
+                    match to {
+                        Dest::Stream(cid) => {
+                            conn.streaming_ids.remove(&cid);
+                        }
+                        Dest::Plain => {
+                            conn.blocked = false;
                             // unblocked: serve any requests the peer pipelined
                             self.process_lines(slot);
                         }
@@ -788,7 +734,8 @@ impl Reactor {
                 conn.write_buf.clear();
                 conn.wpos = 0;
             }
-            let idle = conn.pending_jobs == 0 && conn.flushed();
+            // idle: no job in flight, plain or streamed, and nothing to write
+            let idle = !conn.blocked && conn.streaming_ids.is_empty() && conn.flushed();
             let close = broken
                 || (conn.close_after_flush && conn.flushed())
                 || (conn.peer_eof && idle)
@@ -800,7 +747,7 @@ impl Reactor {
             let desired = Interest {
                 read: !conn.close_after_flush
                     && !conn.peer_eof
-                    && conn.blocked.is_none()
+                    && !conn.blocked
                     && !self.draining
                     && !conn.backpressured(),
                 write: !conn.flushed(),

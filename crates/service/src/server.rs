@@ -34,7 +34,7 @@
 //! panics, forced-slow solves, journal write failures and connection drops
 //! at pinned points for testing.
 
-use crate::cache::LruCache;
+use crate::cache::{CacheStats, LruCache};
 use crate::canonical::{Canonical, Interner};
 use crate::fault::FaultPlan;
 use crate::journal::{Journal, JournalConfig, JournalRecord, Recovery};
@@ -42,19 +42,19 @@ use crate::json::quote;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::JobSpec;
 use crate::reactor::{Listening, WakeSender};
-use crate::sync::{lock_or_recover, poison_recoveries};
+use crate::reply::Dest;
+use crate::sync::lock_or_recover;
 use apls_anneal::rng::SeedStream;
 use apls_io::canonical_hash;
 use apls_portfolio::{
-    run_portfolio_observed, CancelToken, PortfolioConfig, RestartObserver, RestartRecord,
+    run_portfolio_with, CancelToken, PortfolioConfig, RestartObserver, RestartRecord, RunContext,
 };
 use apls_telemetry::{FlightRecorder, Telemetry};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -206,12 +206,10 @@ struct Job {
     /// Cooperative deadline; an expired job answers `timeout`.
     deadline: Option<Instant>,
     enqueued: Instant,
-    /// Whether a client awaits this job's messages; recovery replays answer
-    /// nobody.
-    reply: bool,
-    /// Streamed jobs get per-restart `progress` messages; plain jobs only
+    /// Where the job's messages go; recovery replays answer nobody. A
+    /// streamed job gets per-restart `progress` messages, a plain job only
     /// the final [`JobMsg::Done`].
-    streaming: bool,
+    reply: Option<Dest>,
 }
 
 /// Why a job produced no report.
@@ -221,15 +219,6 @@ pub(crate) enum JobFailure {
     Panic,
     /// The job expired its deadline before completing.
     Timeout,
-}
-
-/// What a worker hands back to the reactor.
-pub(crate) struct JobDone {
-    /// The deterministic report, escaped as a JSON string literal (with its
-    /// cache-hit flag), or why there is none.
-    pub(crate) outcome: Result<(Arc<str>, bool), JobFailure>,
-    pub(crate) queue_ms: f64,
-    pub(crate) solve_ms: f64,
 }
 
 /// A worker-to-reactor message for one job.
@@ -248,7 +237,13 @@ pub(crate) enum JobMsg {
         cost: f64,
     },
     /// The job finished (report, timeout or panic).
-    Done(JobDone),
+    Done {
+        /// The deterministic report, escaped as a JSON string literal (with
+        /// its cache-hit flag), or why there is none.
+        outcome: Result<(Arc<str>, bool), JobFailure>,
+        queue_ms: f64,
+        solve_ms: f64,
+    },
 }
 
 /// The reactor's inbound queue of job messages, shared with every worker:
@@ -285,15 +280,13 @@ struct EnqueueSlot {
 pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     seeds: SeedStream,
-    started: Instant,
+    pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,
-    jobs_completed: AtomicU64,
-    cache_hits: AtomicU64,
     cache: Mutex<LruCache<CacheKey, CachedReport>>,
     /// Resolves request circuits to their memoised canonical form.
     pub(crate) circuits: Interner,
     enqueue: Mutex<Option<EnqueueSlot>>,
-    journal: Option<Journal>,
+    pub(crate) journal: Option<Journal>,
     pub(crate) fault: Option<Arc<FaultPlan>>,
     pub(crate) telemetry: Telemetry,
     pub(crate) metrics: ServiceMetrics,
@@ -330,21 +323,17 @@ impl Shared {
         }
     }
 
-    /// Where flight-recorder dumps land: the configured path, or a
-    /// per-process file under the system temp directory.
-    pub(crate) fn flight_dump_path(&self) -> PathBuf {
-        self.config.flight_recorder_path.clone().unwrap_or_else(|| {
+    /// Writes the flight-recorder ring to the configured path, or to a
+    /// per-process file under the system temp directory, counting and
+    /// tracing a successful dump. `None` when the recorder is disabled.
+    /// Worker panics and fault-injection trips ignore the result (a crash
+    /// path must not crash harder); the `dump` op answers with it.
+    pub(crate) fn dump_flight(&self, reason: &str) -> Option<std::io::Result<FlightDump>> {
+        let recorder = self.recorder.as_ref()?;
+        let path = self.config.flight_recorder_path.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!("apls-flight-{}.jsonl", std::process::id()))
-        })
-    }
-
-    /// Best-effort postmortem capture: writes the flight-recorder ring to
-    /// disk. Called on worker panics and fault-injection trips; failures are
-    /// swallowed (a crash path must not crash harder).
-    pub(crate) fn dump_flight(&self, reason: &str) {
-        let Some(recorder) = &self.recorder else { return };
-        let path = self.flight_dump_path();
-        if let Ok(events) = recorder.dump_to(&path) {
+        });
+        Some(recorder.dump_to(&path).map(|events| {
             self.metrics.flight_dumps_total.inc();
             apls_telemetry::event!(
                 self.telemetry,
@@ -353,7 +342,13 @@ impl Shared {
                 reason = reason.to_string(),
                 events = events as u64
             );
-        }
+            FlightDump {
+                path,
+                events,
+                overwritten: recorder.overwritten(),
+                capacity: recorder.capacity(),
+            }
+        }))
     }
 
     /// Readiness for `/readyz`: the journal-recovery replay has finished
@@ -371,6 +366,12 @@ impl Shared {
         (true, "ready")
     }
 
+    /// The result cache's counters and its entry count, read together.
+    pub(crate) fn cache_stats(&self) -> (CacheStats, usize) {
+        let cache = lock_or_recover(&self.cache);
+        (cache.stats(), cache.len())
+    }
+
     /// Uptime in whole seconds, refreshing the gauge as a side effect so
     /// both `stats` snapshots and `/metrics` scrapes see a current value.
     pub(crate) fn refresh_uptime(&self) -> u64 {
@@ -378,6 +379,18 @@ impl Shared {
         self.metrics.uptime_seconds.set(uptime as i64);
         uptime
     }
+}
+
+/// One flight-recorder dump written to disk.
+pub(crate) struct FlightDump {
+    /// Where the dump landed.
+    pub(crate) path: PathBuf,
+    /// Events written.
+    pub(crate) events: usize,
+    /// Events the ring had overwritten before the dump.
+    pub(crate) overwritten: u64,
+    /// The ring's capacity in events.
+    pub(crate) capacity: usize,
 }
 
 /// A running placement service.
@@ -492,8 +505,6 @@ impl PlacementService {
             seeds: SeedStream::new(config.seed),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
-            jobs_completed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             circuits: Interner::new(config.cache_capacity),
             enqueue: Mutex::new(Some(EnqueueSlot { next_index, tx })),
@@ -665,8 +676,7 @@ fn replay_recovered_jobs(
                     cache_key,
                     deadline: None,
                     enqueued: Instant::now(),
-                    reply: false,
-                    streaming: false,
+                    reply: None,
                 });
                 shared.metrics.jobs_replayed_total.inc();
             }
@@ -702,11 +712,6 @@ pub(crate) fn initiate_shutdown(shared: &Shared) {
     shared.wake.wake();
 }
 
-/// The refusal line written when [`ServiceConfig::max_connections`] live
-/// connections already exist.
-pub(crate) const OVERLOADED_LINE: &[u8] =
-    b"{\"status\":\"error\",\"kind\":\"overloaded\",\"error\":\"connection limit reached, retry later\"}\n";
-
 fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
     loop {
         // Holding the lock while waiting is fine: the holder takes the next
@@ -730,7 +735,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
                     report_fp: entry.report_fp,
                     quoted_report: &entry.quoted,
                 });
-                shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.jobs_completed_total.inc();
             }
             Err(JobFailure::Timeout) => shared.metrics.timeouts_total.inc(),
             Err(JobFailure::Panic) => {
@@ -743,11 +748,10 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         shared.metrics.in_flight.sub(1);
         let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
         shared.metrics.solve_ms.observe(solve_ms);
-        if job.reply {
+        if job.reply.is_some() {
             // The client may have hung up; the reactor drops the message then.
             let outcome = outcome.map(|(entry, cache_hit)| (entry.quoted, cache_hit));
-            let done = JobDone { outcome, queue_ms, solve_ms };
-            shared.completions.push(job.index, JobMsg::Done(done));
+            shared.completions.push(job.index, JobMsg::Done { outcome, queue_ms, solve_ms });
         }
     }
 }
@@ -784,7 +788,7 @@ fn execute_job(
 ) -> Result<(CachedReport, bool), JobFailure> {
     // Re-check the cache after dequeue: back-to-back identical misses dedupe.
     if let Some(entry) = probe(&shared.cache, &job.cache_key, &job.canonical.text) {
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.cache_hits_total.inc();
         return Ok((entry, true));
     }
     // A job that expired while queued is not worth starting.
@@ -808,16 +812,12 @@ fn execute_job(
             circuit = job.canonical.circuit.name.as_str(),
             seed = job.config.root_seed
         );
-        let cancel = job.deadline.map_or_else(CancelToken::none, CancelToken::with_deadline);
+        let cancel = job.deadline.map(CancelToken::with_deadline).unwrap_or_default();
         let relay = ProgressRelay { completions: &shared.completions, index: job.index };
-        let observer = job.streaming.then_some(&relay as &dyn RestartObserver);
-        let result = run_portfolio_observed(
-            &job.canonical.circuit,
-            &job.config,
-            &shared.telemetry,
-            &cancel,
-            observer,
-        );
+        let streaming = matches!(job.reply, Some(Dest::Stream(_)));
+        let observer = streaming.then_some(&relay as &dyn RestartObserver);
+        let context = RunContext { telemetry: shared.telemetry.clone(), cancel, observer };
+        let result = run_portfolio_with(&job.canonical.circuit, &job.config, &context);
         if span.is_recording() {
             span.arg("queue_ms", queue_ms);
             span.arg("timed_out", result.is_err());
@@ -834,194 +834,6 @@ fn execute_job(
             Ok((entry, false))
         }
     }
-}
-
-pub(crate) fn oversized_response(max_request: usize) -> String {
-    format!(
-        "{{\"status\":\"error\",\"kind\":\"request_too_large\",\"error\":\"request exceeds {max_request} bytes, closing connection\"}}"
-    )
-}
-
-pub(crate) fn error_response(kind: &str, message: &str) -> String {
-    format!("{{\"status\":\"error\",\"kind\":{},\"error\":{}}}", quote(kind), quote(message))
-}
-
-pub(crate) fn timeout_response(id: u64, circuit: &str, seed: u64, deadline_ms: u64) -> String {
-    format!(
-        "{{\"status\":\"timeout\",\"kind\":\"deadline\",\"id\":{id},\"circuit\":{},\"seed\":{seed},\"error\":\"deadline of {deadline_ms} ms exceeded\"}}",
-        quote(circuit),
-    )
-}
-
-pub(crate) fn ping_response() -> String {
-    format!("{{\"status\":\"ok\",\"service\":\"apls\",\"protocol\":{PROTOCOL_VERSION}}}")
-}
-
-// --- streaming frame builders -------------------------------------------
-//
-// Every frame is one JSON line tagged `"frame"` plus the client-chosen
-// correlation `"id"`; the server job index travels as `"job"` (plain
-// envelopes call it `"id"`). Report-frame field order past the tags matches
-// the plain envelope exactly, so the report body (and its quoting) is
-// byte-identical between the two paths.
-
-pub(crate) fn accepted_frame(cid: u64, job: u64, circuit: &str, seed: u64) -> String {
-    format!(
-        "{{\"frame\":\"accepted\",\"id\":{cid},\"job\":{job},\"circuit\":{},\"seed\":{seed}}}",
-        quote(circuit),
-    )
-}
-
-pub(crate) fn queued_frame(cid: u64, depth: u64) -> String {
-    format!("{{\"frame\":\"queued\",\"id\":{cid},\"depth\":{depth}}}")
-}
-
-pub(crate) fn progress_frame(
-    cid: u64,
-    engine: &str,
-    restart: usize,
-    completed: usize,
-    total: usize,
-    cost: f64,
-) -> String {
-    format!(
-        "{{\"frame\":\"progress\",\"id\":{cid},\"engine\":{},\"restart\":{restart},\"completed\":{completed},\"total\":{total},\"cost\":{cost}}}",
-        quote(engine),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn report_frame_ok(
-    cid: u64,
-    job: u64,
-    circuit: &str,
-    seed: u64,
-    cache_hit: bool,
-    queue_ms: f64,
-    solve_ms: f64,
-    total_ms: f64,
-    quoted_report: &str,
-) -> String {
-    ok_line(
-        format_args!("\"frame\":\"report\",\"id\":{cid},\"job\":{job},"),
-        circuit,
-        seed,
-        cache_hit,
-        [queue_ms, solve_ms, total_ms],
-        quoted_report,
-    )
-}
-
-pub(crate) fn report_frame_timeout(
-    cid: u64,
-    job: u64,
-    circuit: &str,
-    seed: u64,
-    deadline_ms: u64,
-) -> String {
-    format!(
-        "{{\"frame\":\"report\",\"id\":{cid},\"job\":{job},\"status\":\"timeout\",\"kind\":\"deadline\",\"circuit\":{},\"seed\":{seed},\"error\":\"deadline of {deadline_ms} ms exceeded\"}}",
-        quote(circuit),
-    )
-}
-
-pub(crate) fn report_frame_error(cid: u64, kind: &str, message: &str) -> String {
-    format!(
-        "{{\"frame\":\"report\",\"id\":{cid},\"status\":\"error\",\"kind\":{},\"error\":{}}}",
-        quote(kind),
-        quote(message),
-    )
-}
-
-pub(crate) fn report_frame_retry(cid: u64) -> String {
-    format!(
-        "{{\"frame\":\"report\",\"id\":{cid},\"status\":\"retry\",\"error\":\"job queue full, retry later\"}}"
-    )
-}
-
-/// Counts an error/retry outcome off the response line itself, so the
-/// counters cannot drift from the protocol. Handles both plain envelopes and
-/// report frames (whose status sits behind the frame tags). Timeouts are
-/// counted at the worker, where expiry is detected.
-pub(crate) fn count_response_outcome(shared: &Shared, response: &str) {
-    let status_at = if response.starts_with("{\"status\":") {
-        Some(1)
-    } else if response.starts_with("{\"frame\":\"report\",") {
-        // the status tags precede the report body, and inside the quoted
-        // report every `"` is escaped, so the first match is the frame's own
-        response.find("\"status\":")
-    } else {
-        None
-    };
-    let Some(at) = status_at else { return };
-    let status = &response[at..];
-    if status.starts_with("\"status\":\"error\"") {
-        shared.metrics.errors_total.inc();
-    } else if status.starts_with("\"status\":\"retry\"") {
-        shared.metrics.retries_total.inc();
-    }
-}
-
-/// Handles the `dump` op: writes the flight-recorder ring to disk and
-/// answers with where it landed and how much it held.
-pub(crate) fn dump_response(shared: &Shared) -> String {
-    let Some(recorder) = &shared.recorder else {
-        return error_response("unavailable", "flight recorder is disabled (capacity 0)");
-    };
-    let path = shared.flight_dump_path();
-    match recorder.dump_to(&path) {
-        Ok(events) => {
-            shared.metrics.flight_dumps_total.inc();
-            apls_telemetry::event!(
-                shared.telemetry,
-                "service",
-                "flight_dump",
-                reason = "dump_op".to_string(),
-                events = events as u64
-            );
-            format!(
-                "{{\"status\":\"ok\",\"events\":{events},\"overwritten\":{},\"capacity\":{},\"path\":{}}}",
-                recorder.overwritten(),
-                recorder.capacity(),
-                quote(&path.display().to_string()),
-            )
-        }
-        Err(e) => error_response("internal", &format!("flight recorder dump failed: {e}")),
-    }
-}
-
-pub(crate) fn stats_response(shared: &Shared) -> String {
-    let (cache_stats, cache_entries) = {
-        let cache = lock_or_recover(&shared.cache);
-        (cache.stats(), cache.len())
-    };
-    let uptime_seconds = shared.refresh_uptime();
-    let (ready, _) = shared.is_ready();
-    format!(
-        "{{\"status\":\"ok\",\"workers\":{},\"queue_capacity\":{},\"cache_capacity\":{},\"jobs_completed\":{},\"cache_hits\":{},\"cache_entries\":{},\"uptime_ms\":{:.0},\"uptime_seconds\":{},\"ready\":{},\"queue_depth\":{},\"in_flight\":{},\"connections\":{},\"telemetry_enabled\":{},\"journal_enabled\":{},\"poison_recoveries\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}},\"metrics\":{}}}",
-        shared.config.workers,
-        shared.config.queue_capacity,
-        shared.config.cache_capacity,
-        shared.jobs_completed.load(Ordering::Relaxed),
-        shared.cache_hits.load(Ordering::Relaxed),
-        cache_entries,
-        shared.started.elapsed().as_secs_f64() * 1e3,
-        uptime_seconds,
-        ready,
-        shared.metrics.queue_depth.get(),
-        shared.metrics.in_flight.get(),
-        shared.metrics.connections_active.get(),
-        shared.telemetry.is_enabled(),
-        shared.journal.is_some(),
-        poison_recoveries(),
-        cache_stats.hits,
-        cache_stats.misses,
-        cache_stats.insertions,
-        cache_stats.evictions,
-        cache_entries,
-        shared.config.cache_capacity,
-        shared.metrics.registry.snapshot_json(),
-    )
 }
 
 /// The outcome of admitting a `place` request under the enqueue lock.
@@ -1058,7 +870,7 @@ pub(crate) fn admit_place(
     spec: &JobSpec,
     canonical: Canonical,
     shared: &Shared,
-    streaming: bool,
+    to: Dest,
     accepted: Instant,
 ) -> Admission {
     let circuit_hash = canonical.hash;
@@ -1109,8 +921,8 @@ pub(crate) fn admit_place(
         }
         drop(guard);
         shared.metrics.admit_ms.observe(accepted.elapsed().as_secs_f64() * 1e3);
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.cache_hits_total.inc();
+        shared.metrics.jobs_completed_total.inc();
         return Admission::Cached { index, seed, quoted_report: entry.quoted };
     }
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -1121,8 +933,7 @@ pub(crate) fn admit_place(
         cache_key,
         deadline,
         enqueued: Instant::now(),
-        reply: true,
-        streaming,
+        reply: Some(to),
     };
     match slot.tx.try_send(job) {
         Ok(()) => {
@@ -1140,58 +951,9 @@ pub(crate) fn admit_place(
     }
 }
 
-pub(crate) const RETRY_LINE: &str =
-    "{\"status\":\"retry\",\"error\":\"job queue full, retry later\"}";
-pub(crate) const PANIC_ERROR: &str =
-    "placement worker panicked while solving this job; the service is still up";
-
-/// The `ok` answer to a job: `head` (the plain envelope's or the report
-/// frame's leading fields), then the fields both share in one order, so the
-/// report body is byte-identical between the two paths. The report arrives
-/// already escaped as a JSON string literal and is copied, not re-quoted;
-/// the line is built with one `String` write.
-fn ok_line(
-    head: std::fmt::Arguments<'_>,
-    circuit: &str,
-    seed: u64,
-    cache_hit: bool,
-    [queue_ms, solve_ms, total_ms]: [f64; 3],
-    quoted_report: &str,
-) -> String {
-    let mut line = String::with_capacity(quoted_report.len() + 256);
-    let _ = write!(
-        line,
-        "{{{head}\"status\":\"ok\",\"circuit\":{},\"seed\":{seed},\"cache_hit\":{cache_hit},\"queue_ms\":{queue_ms:.3},\"solve_ms\":{solve_ms:.3},\"total_ms\":{total_ms:.3},\"report\":{quoted_report}}}",
-        quote(circuit),
-    );
-    line
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ok_envelope(
-    id: u64,
-    circuit: &str,
-    seed: u64,
-    cache_hit: bool,
-    queue_ms: f64,
-    solve_ms: f64,
-    total_ms: f64,
-    quoted_report: &str,
-) -> String {
-    ok_line(
-        format_args!("\"id\":{id},"),
-        circuit,
-        seed,
-        cache_hit,
-        [queue_ms, solve_ms, total_ms],
-        quoted_report,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
 
     /// Two different canonical circuit texts forced onto one circuit hash
     /// must never be served each other's reports, and every probe must count
@@ -1223,22 +985,5 @@ mod tests {
         let stats = lock_or_recover(&cache).stats();
         assert_eq!(stats, CacheStats { hits: 3, misses: 2, insertions: 2, evictions: 0 });
         assert_eq!(lock_or_recover(&cache).len(), 1);
-    }
-
-    #[test]
-    fn ok_lines_copy_the_escaped_report() {
-        let quoted = quote("{\"x\":\"a\\nb\"}");
-        assert_eq!(
-            ok_envelope(3, "c\"1", 9, true, 0.0, 1.5, 2.25, &quoted),
-            format!(
-                "{{\"id\":3,\"status\":\"ok\",\"circuit\":\"c\\\"1\",\"seed\":9,\"cache_hit\":true,\"queue_ms\":0.000,\"solve_ms\":1.500,\"total_ms\":2.250,\"report\":{quoted}}}"
-            )
-        );
-        assert_eq!(
-            report_frame_ok(5, 3, "c", 9, false, 0.5, 1.0, 2.0, &quoted),
-            format!(
-                "{{\"frame\":\"report\",\"id\":5,\"job\":3,\"status\":\"ok\",\"circuit\":\"c\",\"seed\":9,\"cache_hit\":false,\"queue_ms\":0.500,\"solve_ms\":1.000,\"total_ms\":2.000,\"report\":{quoted}}}"
-            )
-        );
     }
 }

@@ -24,7 +24,7 @@
 use analog_layout_synthesis::circuit::benchmarks::{self, GeneratorConfig};
 use analog_layout_synthesis::io::{parse_circuit, serialize_circuit};
 use analog_layout_synthesis::portfolio::{
-    run_portfolio_traced, EarlyStop, PortfolioConfig, PortfolioEngine,
+    run_portfolio_with, EarlyStop, PortfolioConfig, PortfolioEngine, RunContext,
 };
 use analog_layout_synthesis::service::json::Json;
 use analog_layout_synthesis::service::{
@@ -884,7 +884,9 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
         None => Telemetry::disabled(),
     };
 
-    let report = run_portfolio_traced(&circuit, &config, &telemetry);
+    let context = RunContext { telemetry, ..RunContext::default() };
+    let report =
+        run_portfolio_with(&circuit, &config, &context).expect("an unarmed token never cancels");
     println!("{}", report.summary());
     for engine in &report.engines {
         println!(

@@ -4,6 +4,7 @@
 //! serving, answer the affected jobs with typed envelopes, count every
 //! fault, and preserve the determinism contract for everything else.
 
+use analog_layout_synthesis::service::json::Json;
 use analog_layout_synthesis::service::{
     FaultPlan, JobSpec, PlacementService, RetryPolicy, ServiceClient, ServiceConfig,
 };
@@ -116,9 +117,9 @@ fn dropped_connections_are_counted_and_the_next_one_serves() {
 #[test]
 fn a_saturated_queue_answers_retry_and_place_with_retry_rides_it_out() {
     // One worker pinned down by a 400ms injected solve, a queue of depth 1:
-    // the first job occupies the worker, the second fills the queue, the
-    // third must be refused with `retry` — and a retrying client must
-    // eventually land it.
+    // the first job occupies the worker, a streamed second job fills the
+    // queue, the third must be refused with `retry` — on the stream and on
+    // a plain line alike — and a retrying client must eventually land it.
     let service = PlacementService::start(ServiceConfig {
         workers: 1,
         queue_capacity: 1,
@@ -127,32 +128,20 @@ fn a_saturated_queue_answers_retry_and_place_with_retry_rides_it_out() {
     })
     .expect("service starts");
     let addr = service.local_addr();
+    let connect = || ServiceClient::connect(addr).expect("connects");
+    let (mut client, mut slow, mut stream) = (connect(), connect(), connect());
 
-    let slow = fast_spec("miller_opamp_fig6", 1);
-    let queued = fast_spec("miller_v2", 2);
-    let refused_spec = fast_spec("comparator_v2", 3);
-
-    let slow_handle = {
-        let slow = slow.clone();
-        std::thread::spawn(move || {
-            let mut client = ServiceClient::connect(addr).expect("connects");
-            client.place(&slow).expect("round-trips")
-        })
-    };
+    slow.send_line(&fast_spec("miller_opamp_fig6", 1).to_json_line()).expect("sends");
     // let the slow job reach the worker before filling the queue behind it
     std::thread::sleep(Duration::from_millis(100));
-    let queued_handle = {
-        let queued = queued.clone();
-        std::thread::spawn(move || {
-            let mut client = ServiceClient::connect(addr).expect("connects");
-            client.place(&queued).expect("round-trips")
-        })
-    };
-    std::thread::sleep(Duration::from_millis(100));
-
-    let mut client = ServiceClient::connect(addr).expect("connects");
-    let refused = client.place(&refused_spec).expect("the envelope round-trips");
-    assert!(refused.is_retry(), "a full queue must answer retry: {refused:?}");
+    let refused_spec = fast_spec("comparator_v2", 3);
+    stream.send_line(&fast_spec("miller_v2", 2).with_stream(1).to_json_line()).expect("sends");
+    stream.send_line(&refused_spec.clone().with_stream(2).to_json_line()).expect("sends");
+    let mut lines = frames_until_report(&mut stream, 2);
+    let retry = r#""status":"retry","error":"job queue full, retry later"}"#;
+    assert_eq!(lines[lines.len() - 1], format!("{{\"frame\":\"report\",\"id\":2,{retry}"));
+    lines.push(client.request_line(&refused_spec.to_json_line()).expect("answers"));
+    assert_eq!(lines[lines.len() - 1], format!("{{{retry}"), "a full queue must answer retry");
 
     // bounded backoff with deterministic jitter outlasts the 400ms clog
     let policy = RetryPolicy {
@@ -166,10 +155,17 @@ fn a_saturated_queue_answers_retry_and_place_with_retry_rides_it_out() {
     assert!(landed.is_ok(), "{landed:?}");
     assert!(landed.attempts >= 1);
 
-    assert!(slow_handle.join().expect("no panic").is_ok());
-    assert!(queued_handle.join().expect("no panic").is_ok());
-    let stats = client.stats().expect("stats");
-    assert!(stats.contains("\"retries_total\":"), "{stats}");
+    // the clogging job and the streamed job behind it both complete
+    lines.push(slow.read_line().expect("reads"));
+    assert!(lines[lines.len() - 1].starts_with(r#"{"id":0,"status":"ok","#));
+    lines.extend(frames_until_report(&mut stream, 1));
+    assert!(
+        lines[lines.len() - 1].starts_with(r#"{"frame":"report","id":1,"job":1,"status":"ok","#)
+    );
+    // every refused attempt of the retrying client was one more retry
+    let mut expected = tally(&lines);
+    expected[1] += u64::from(landed.attempts - 1);
+    assert_eq!(counters(&mut client), expected, "{lines:?}");
 
     service.shutdown();
     service.join();
@@ -269,4 +265,78 @@ fn fault_runs_preserve_determinism_for_unaffected_jobs() {
 
     service.shutdown();
     service.join();
+}
+
+/// Reads raw frames up to and including the report frame of stream `cid`.
+fn frames_until_report(client: &mut ServiceClient, cid: u64) -> Vec<String> {
+    let report = format!("{{\"frame\":\"report\",\"id\":{cid},");
+    let mut frames = vec![client.read_line().expect("reads")];
+    while !frames[frames.len() - 1].starts_with(&report) {
+        frames.push(client.read_line().expect("reads"));
+    }
+    frames
+}
+
+/// The counters [`tally`] reconciles, from a `stats` reply. A fresh
+/// service starts them at zero, and `stats` requests never move them.
+fn counters(client: &mut ServiceClient) -> [u64; 4] {
+    let stats = Json::parse(&client.stats().expect("stats")).expect("stats is JSON");
+    let counters = stats.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+    ["errors_total", "retries_total", "timeouts_total", "frames_sent_total"]
+        .map(|name| counters.get(name).and_then(Json::as_u64).expect(name))
+}
+
+/// Error, retry and timeout answers, and frames, among the lines a client
+/// received.
+fn tally(lines: &[String]) -> [u64; 4] {
+    let json: Vec<Json> =
+        lines.iter().map(|l| Json::parse(l).expect("every line is JSON")).collect();
+    let count = |pred: &dyn Fn(&Json) -> bool| json.iter().filter(|j| pred(j)).count() as u64;
+    let status = |s: &str| count(&|j| j.get("status").and_then(Json::as_str) == Some(s));
+    [status("error"), status("retry"), status("timeout"), count(&|j| j.get("frame").is_some())]
+}
+
+/// A timeout and a worker panic, each sent plain (job 0) and then streamed
+/// as `cid` 9 (job 1): both lines share one body behind their heads, and
+/// the counters count exactly what the client received.
+#[test]
+fn plain_and_streamed_failures_share_one_body_and_are_counted_once() {
+    let timeout = r#""status":"timeout","kind":"deadline","circuit":"folded_cascode","seed":5,"error":"deadline of 50 ms exceeded"}"#;
+    let panic = r#""status":"error","kind":"internal","error":"placement worker panicked while solving this job; the service is still up"}"#;
+    let cases = [
+        (
+            FaultPlan::new().with_slow_solve(0, 300).with_slow_solve(1, 300),
+            fast_spec("folded_cascode", 5).with_deadline_ms(50),
+            [r#""id":0,"#, r#""job":1,"#, timeout],
+            [0, 0, 2, 3],
+        ),
+        // an error carries no job: each head is its tags alone
+        (
+            FaultPlan::new().with_panic_job(0).with_panic_job(1),
+            fast_spec("miller_v2", 8),
+            ["", "", panic],
+            [2, 0, 0, 3],
+        ),
+    ];
+    for (plan, spec, [plain_head, job, body], expected) in cases {
+        let service = PlacementService::start(ServiceConfig {
+            workers: 1,
+            fault_plan: Some(plan),
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
+        let mut lines = vec![client.request_line(&spec.to_json_line()).expect("answers")];
+        client.send_line(&spec.clone().with_stream(9).to_json_line()).expect("sends");
+        lines.extend(frames_until_report(&mut client, 9));
+        assert_eq!(lines.len(), 4, "plain answer, accepted, queued, report: {lines:?}");
+        assert_eq!(lines[0], format!("{{{plain_head}{body}"));
+        assert!(lines[1].starts_with(r#"{"frame":"accepted","id":9,"job":1,"#), "{}", lines[1]);
+        assert!(lines[2].starts_with(r#"{"frame":"queued","id":9,"#), "{}", lines[2]);
+        assert_eq!(lines[3], format!("{{\"frame\":\"report\",\"id\":9,{job}{body}"));
+        assert_eq!(tally(&lines), expected);
+        assert_eq!(counters(&mut client), expected, "{lines:?}");
+        service.shutdown();
+        service.join();
+    }
 }

@@ -7,7 +7,9 @@
 use std::sync::Arc;
 
 use analog_layout_synthesis::circuit::benchmarks;
-use analog_layout_synthesis::portfolio::{run_portfolio, run_portfolio_traced, PortfolioConfig};
+use analog_layout_synthesis::portfolio::{
+    run_portfolio, run_portfolio_with, PortfolioConfig, RunContext,
+};
 use analog_layout_synthesis::service::{JobSpec, PlacementService, ServiceClient, ServiceConfig};
 use analog_layout_synthesis::telemetry::{RecordingCollector, Telemetry};
 
@@ -23,7 +25,10 @@ fn portfolio_reports_are_byte_identical_with_and_without_telemetry() {
 
         let recorder = Arc::new(RecordingCollector::new());
         let telemetry = Telemetry::with_collector(Arc::clone(&recorder) as _);
-        let traced = run_portfolio_traced(&circuit, &config, &telemetry).to_json_deterministic();
+        let context = RunContext { telemetry, ..RunContext::default() };
+        let traced = run_portfolio_with(&circuit, &config, &context)
+            .expect("an unarmed token never cancels")
+            .to_json_deterministic();
 
         assert!(!recorder.is_empty(), "{name}: traced run must actually record events");
         assert_eq!(quiet, traced, "{name}: report body changed under telemetry");
