@@ -1,5 +1,6 @@
 //! Hot-path micro- and macro-benchmarks: contour placement, B*-tree packing,
-//! and end-to-end annealing throughput (moves/sec) per engine.
+//! end-to-end annealing throughput (moves/sec) per engine, and the service's
+//! JSON string codec on its largest inputs.
 //!
 //! The recorded trajectory lives in `BENCH_hotpath.json` at the repository
 //! root: every PR that touches the evaluation pipeline re-runs this bench and
@@ -14,7 +15,9 @@ use apls_btree::{
 use apls_circuit::benchmarks::{self, GeneratorConfig};
 use apls_circuit::{DeltaCost, ModuleId, Placement};
 use apls_geometry::{Contour, Orientation, Rect};
+use apls_portfolio::{run_portfolio, PortfolioEngine};
 use apls_seqpair::{SeqPairPlacer, SeqPairPlacerConfig};
+use apls_service::{json, JobSpec};
 use apls_telemetry::{RecordingCollector, Telemetry};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
@@ -191,11 +194,35 @@ fn bench_engine_moves(c: &mut Criterion) {
     group.finish();
 }
 
+/// The string codec on the cache-hit path's largest strings: decoding an
+/// inline `lnamixbias` place request (its `.apls` text is one escaped JSON
+/// string), escaping that text back, and escaping an `lnamixbias` report as
+/// it enters the cache.
+fn bench_json_codec(c: &mut Criterion) {
+    let text = include_str!("../../../examples/circuits/lnamixbias.apls");
+    let spec = JobSpec::inline(text)
+        .with_seed(7)
+        .with_restarts(1)
+        .with_engines([PortfolioEngine::SequencePair])
+        .with_fast(true);
+    let line = spec.to_json_line();
+    let circuit = benchmarks::by_name("lnamixbias").expect("bundled");
+    let report = run_portfolio(&circuit, &spec.resolved_config(7)).to_json_deterministic();
+    let mut group = c.benchmark_group("json_codec");
+    group.bench_function("decode_request/lnamixbias", |b| {
+        b.iter(|| JobSpec::from_json(&json::Json::parse(&line).expect("parses")).expect("decodes"));
+    });
+    group.bench_function("quote_apls/lnamixbias", |b| b.iter(|| json::quote(text)));
+    group.bench_function("quote_report/lnamixbias", |b| b.iter(|| json::quote(&report)));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_contour_place,
     bench_pack_btree,
     bench_delta_eval,
-    bench_engine_moves
+    bench_engine_moves,
+    bench_json_codec
 );
 criterion_main!(benches);

@@ -6,6 +6,7 @@
 //! the envelope writers use. Numbers keep their raw source text so 64-bit
 //! seeds round-trip without `f64` precision loss.
 
+use apls_telemetry::event::find_quote_or_backslash;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -237,49 +238,54 @@ impl Parser<'_> {
         Ok(Json::Num(raw.to_string()))
     }
 
+    /// Decodes a string literal. Bytes between escapes are copied as whole
+    /// runs: the scan (eight bytes a step) stops only at `"` or `\`, both
+    /// ASCII, so every run ends on a char boundary, and the escape is
+    /// dispatched on its byte.
     fn string(&mut self) -> Result<String, String> {
         self.expect('"')?;
+        let bytes = self.s.as_bytes();
         let mut out = String::new();
         loop {
-            let c = self.peek().ok_or("unterminated string")?;
-            self.bump(c);
-            match c {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.bump(esc);
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => {
-                            let first = self.hex4()?;
-                            let code = if (0xd800..0xdc00).contains(&first) {
-                                // high surrogate: require a low surrogate next
-                                self.expect('\\')?;
-                                self.expect('u')?;
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err("invalid surrogate pair".to_string());
-                                }
-                                0x10000 + ((first - 0xd800) << 10) + (low - 0xdc00)
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u escape".to_string())?,
-                            );
+            let end = find_quote_or_backslash(bytes, self.pos);
+            out.push_str(&self.s[self.pos..end]);
+            let stop = *bytes.get(end).ok_or("unterminated string")?;
+            self.pos = end + 1;
+            if stop == b'"' {
+                return Ok(out);
+            }
+            let esc = *bytes.get(self.pos).ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let first = self.hex4()?;
+                    let code = if (0xd800..0xdc00).contains(&first) {
+                        // high surrogate: require a low surrogate next
+                        self.expect('\\')?;
+                        self.expect('u')?;
+                        let low = self.hex4()?;
+                        if !(0xdc00..0xe000).contains(&low) {
+                            return Err("invalid surrogate pair".to_string());
                         }
-                        other => return Err(format!("unknown escape '\\{other}'")),
-                    }
+                        0x10000 + ((first - 0xd800) << 10) + (low - 0xdc00)
+                    } else {
+                        first
+                    };
+                    out.push(char::from_u32(code).ok_or_else(|| "invalid \\u escape".to_string())?);
                 }
-                c => out.push(c),
+                _ => {
+                    // the escaped char may be multibyte: name all of it
+                    let other = self.s[self.pos - 1..].chars().next().unwrap_or_default();
+                    return Err(format!("unknown escape '\\{other}'"));
+                }
             }
         }
     }
@@ -412,5 +418,299 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\\ud800x\"").is_err());
+    }
+
+    #[test]
+    fn string_errors_name_the_offending_input() {
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(err("\"abc"), "unterminated string");
+        assert_eq!(err("\"abc\\"), "unterminated escape");
+        assert_eq!(err("\"a\\é\""), "unknown escape '\\é'");
+        assert_eq!(err("\"\\u12"), "truncated \\u escape");
+        assert_eq!(err("\"\\u12G4\""), "invalid hex digit 'G'");
+        assert_eq!(err("\"\\ud800x\""), "expected '\\' at offset 7");
+        assert_eq!(err("\"\\ud800\\n\""), "expected 'u' at offset 8");
+        assert_eq!(err("\"\\ud800\\u0041\""), "invalid surrogate pair");
+        assert_eq!(err("\"\\udc00\""), "invalid \\u escape");
+    }
+}
+
+/// The run-copying string codec checked against the per-character decoder
+/// and escaper it replaced, which are kept here verbatim as oracles.
+#[cfg(test)]
+mod codec_differential {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// The per-character string decoder: one `chars().next()` and one
+    /// `push` per input character.
+    struct Oracle<'a> {
+        s: &'a str,
+        pos: usize,
+    }
+
+    impl Oracle<'_> {
+        fn peek(&self) -> Option<char> {
+            self.s[self.pos..].chars().next()
+        }
+
+        fn bump(&mut self, c: char) {
+            self.pos += c.len_utf8();
+        }
+
+        fn expect(&mut self, c: char) -> Result<(), String> {
+            if self.peek() == Some(c) {
+                self.bump(c);
+                Ok(())
+            } else {
+                Err(format!("expected '{c}' at offset {}", self.pos))
+            }
+        }
+
+        fn hex4(&mut self) -> Result<u32, String> {
+            let mut code = 0u32;
+            for _ in 0..4 {
+                let c = self.peek().ok_or("truncated \\u escape")?;
+                self.bump(c);
+                code = code * 16 + c.to_digit(16).ok_or(format!("invalid hex digit '{c}'"))?;
+            }
+            Ok(code)
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            self.expect('"')?;
+            let mut out = String::new();
+            loop {
+                let c = self.peek().ok_or("unterminated string")?;
+                self.bump(c);
+                match c {
+                    '"' => return Ok(out),
+                    '\\' => {
+                        let esc = self.peek().ok_or("unterminated escape")?;
+                        self.bump(esc);
+                        match esc {
+                            '"' => out.push('"'),
+                            '\\' => out.push('\\'),
+                            '/' => out.push('/'),
+                            'b' => out.push('\u{8}'),
+                            'f' => out.push('\u{c}'),
+                            'n' => out.push('\n'),
+                            'r' => out.push('\r'),
+                            't' => out.push('\t'),
+                            'u' => {
+                                let first = self.hex4()?;
+                                let code = if (0xd800..0xdc00).contains(&first) {
+                                    self.expect('\\')?;
+                                    self.expect('u')?;
+                                    let low = self.hex4()?;
+                                    if !(0xdc00..0xe000).contains(&low) {
+                                        return Err("invalid surrogate pair".to_string());
+                                    }
+                                    0x10000 + ((first - 0xd800) << 10) + (low - 0xdc00)
+                                } else {
+                                    first
+                                };
+                                out.push(
+                                    char::from_u32(code)
+                                        .ok_or_else(|| "invalid \\u escape".to_string())?,
+                                );
+                            }
+                            other => return Err(format!("unknown escape '\\{other}'")),
+                        }
+                    }
+                    c => out.push(c),
+                }
+            }
+        }
+    }
+
+    /// The per-character escaper.
+    fn oracle_quote(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Decodes `text` with both decoders; the results (and, on success, the
+    /// offset each stopped at) must agree.
+    fn assert_same_decode(text: &str) {
+        let mut new = Parser { s: text, pos: 0 };
+        let mut old = Oracle { s: text, pos: 0 };
+        let (got, want) = (new.string(), old.string());
+        assert_eq!(got, want, "decoding {text:?}");
+        if got.is_ok() {
+            assert_eq!(new.pos, old.pos, "end offset decoding {text:?}");
+        }
+    }
+
+    /// One generated character: ASCII, control, the three escapable
+    /// punctuation marks, or any scalar value (multibyte included).
+    fn piece(kind: usize, code: u32) -> char {
+        match kind {
+            0 | 1 => char::from(b' ' + (code % 95) as u8),
+            2 => char::from((code % 0x20) as u8),
+            3 => ['"', '\\', '/', '\u{7f}'][code as usize % 4],
+            4 => char::from_u32(0x80 + code % 0x780).unwrap_or('é'),
+            5 => char::from_u32(0x10000 + code % 0x10_0000).unwrap_or('😀'),
+            _ => char::from_u32(code).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    fn text_of(pieces: &[(usize, u32, usize)]) -> String {
+        pieces.iter().map(|&(kind, code, _)| piece(kind, code)).collect()
+    }
+
+    /// Writes `c` into a literal in one of several legal spellings: raw,
+    /// short escape, `\u` in either hex case, or a surrogate pair.
+    fn encode(c: char, form: usize, out: &mut String) {
+        let short = match c {
+            '"' => Some('"'),
+            '\\' => Some('\\'),
+            '/' => Some('/'),
+            '\u{8}' => Some('b'),
+            '\u{c}' => Some('f'),
+            '\n' => Some('n'),
+            '\r' => Some('r'),
+            '\t' => Some('t'),
+            _ => None,
+        };
+        let mut units = [0u16; 2];
+        let hex = |out: &mut String, unit: u16| {
+            let _ = if form.is_multiple_of(2) {
+                write!(out, "\\u{unit:04x}")
+            } else {
+                write!(out, "\\u{unit:04X}")
+            };
+        };
+        match (form, short) {
+            (0, Some(letter)) => {
+                out.push('\\');
+                out.push(letter);
+            }
+            (0 | 1, None) if c != '"' && c != '\\' => out.push(c),
+            _ => {
+                for &unit in c.encode_utf16(&mut units).iter() {
+                    hex(out, unit);
+                }
+            }
+        }
+    }
+
+    fn literal_of(pieces: &[(usize, u32, usize)]) -> String {
+        let mut lit = String::from('"');
+        for &(kind, code, form) in pieces {
+            encode(piece(kind, code), form, &mut lit);
+        }
+        lit.push('"');
+        lit
+    }
+
+    /// Fragments that make a literal malformed wherever they are spliced in.
+    const DEFECTS: &[&str] = &[
+        "\\x",
+        "\\é",
+        "\\😀",
+        "\\u",
+        "\\u1",
+        "\\u12G4",
+        "\\uZ000",
+        "\\u00é0",
+        "\\ud800",
+        "\\ud800x",
+        "\\ud800\\n",
+        "\\ud800\\u0041",
+        "\\udbff\\ud800",
+        "\\udc00",
+        "\\udfff",
+        "\\uD83D\\uDE0",
+    ];
+
+    const PIECES: std::ops::Range<usize> = 0..48;
+
+    #[test]
+    fn every_lane_of_the_eight_byte_scan_agrees_with_the_oracles() {
+        // one special char at every offset of a filler run, the fillers
+        // chosen next to the scan's thresholds (0x1f/0x20, '"' ± 1,
+        // '\' ± 1, 0x7f, multibyte)
+        let fillers = [' ', '!', '#', '[', ']', '\u{7f}', '\u{80}', 'é', '€', '😀'];
+        let specials = ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '/', 'x'];
+        for filler in fillers {
+            for special in specials {
+                for len in 0..20 {
+                    for at in 0..=len {
+                        let text: String =
+                            (0..=len).map(|i| if i == at { special } else { filler }).collect();
+                        let quoted = quote(&text);
+                        assert_eq!(quoted, oracle_quote(&text), "quoting {text:?}");
+                        assert_same_decode(&quoted);
+                        for cut in 0..quoted.len() {
+                            if quoted.is_char_boundary(cut) {
+                                assert_same_decode(&quoted[..cut]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn decoder_matches_the_oracle_on_valid_literals(
+            pieces in vec((0usize..7, 0u32..0x11_0000, 0usize..4), PIECES),
+        ) {
+            let lit = literal_of(&pieces);
+            assert_same_decode(&lit);
+            prop_assert_eq!(Parser { s: &lit, pos: 0 }.string(), Ok(text_of(&pieces)));
+            // followed by more input, the literal still ends at its quote
+            assert_same_decode(&format!("{lit},\"next\""));
+        }
+
+        #[test]
+        fn decoder_matches_the_oracle_on_malformed_literals(
+            pieces in vec((0usize..7, 0u32..0x11_0000, 0usize..4), PIECES),
+            defect in 0usize..DEFECTS.len(),
+            at in 0usize..64,
+        ) {
+            let lit = literal_of(&pieces);
+            // every prefix: unterminated strings, escapes, \u and pairs
+            for (cut, _) in lit.char_indices() {
+                assert_same_decode(&lit[..cut]);
+            }
+            // a defect right before the closing quote is always an error
+            let body = &lit[1..lit.len() - 1];
+            let bad = format!("\"{body}{}\"", DEFECTS[defect]);
+            prop_assert!(Oracle { s: &bad, pos: 0 }.string().is_err(), "{bad:?}");
+            assert_same_decode(&bad);
+            // spliced in elsewhere, what follows may complete it: only the
+            // agreement is checked
+            let cut = body.char_indices().map(|(i, _)| i).nth(at).unwrap_or(body.len());
+            assert_same_decode(&format!("\"{}{}{}\"", &body[..cut], DEFECTS[defect], &body[cut..]));
+        }
+
+        #[test]
+        fn escaper_matches_the_oracle_and_round_trips(
+            pieces in vec((0usize..7, 0u32..0x11_0000, 0usize..4), PIECES),
+        ) {
+            let text = text_of(&pieces);
+            let quoted = quote(&text);
+            prop_assert_eq!(&quoted, &oracle_quote(&text));
+            prop_assert_eq!(Json::parse(&quoted), Ok(Json::Str(text)));
+        }
     }
 }

@@ -62,11 +62,31 @@ const READ_CHUNK: usize = 16 * 1024;
 /// means every connection the reactor owns sat unserviced that long.
 const STALL_WARN_MS: f64 = 250.0;
 
+/// Finds the next newline in `buf` at or after `*scanned` and moves
+/// `*scanned` past it, or to the end of `buf` when there is none: the bytes
+/// before `*scanned` are never searched again.
+fn next_line_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
+    match buf[*scanned..].iter().position(|&b| b == b'\n') {
+        Some(offset) => {
+            let end = *scanned + offset;
+            *scanned = end + 1;
+            Some(end)
+        }
+        None => {
+            *scanned = buf.len();
+            None
+        }
+    }
+}
+
 /// One reactor-owned connection.
 struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet framed into lines.
     read_buf: Vec<u8>,
+    /// Length of the prefix of `read_buf` already searched for a newline
+    /// (none found), so a line arriving in many pieces is scanned once.
+    scanned: usize,
     /// Bytes queued for the peer; `wpos` marks how much is already written.
     write_buf: Vec<u8>,
     wpos: usize,
@@ -149,6 +169,8 @@ struct Reactor {
     dirty: Vec<usize>,
     /// In-flight jobs by job index.
     pending: HashMap<u64, PendingJob>,
+    /// Every connection's reads land here first (allocated once).
+    read_chunk: Box<[u8]>,
     live: usize,
     accepted: u64,
     draining: bool,
@@ -208,6 +230,7 @@ pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
         freed_this_round: Vec::new(),
         dirty: Vec::new(),
         pending: HashMap::new(),
+        read_chunk: vec![0; READ_CHUNK].into_boxed_slice(),
         live: 0,
         accepted: 0,
         draining: false,
@@ -336,6 +359,7 @@ impl Reactor {
             self.conns[slot] = Some(Conn {
                 stream,
                 read_buf: Vec::new(),
+                scanned: 0,
                 write_buf: Vec::new(),
                 wpos: 0,
                 blocked: false,
@@ -358,7 +382,7 @@ impl Reactor {
             return; // stale event for a slot freed earlier in this batch
         };
         if readable && !conn.peer_eof && !conn.close_after_flush {
-            let mut chunk = [0u8; READ_CHUNK];
+            let chunk = &mut self.read_chunk;
             loop {
                 // stop pulling bytes while backpressured or blocked;
                 // level-triggered polling re-delivers readability once
@@ -366,7 +390,7 @@ impl Reactor {
                 if conn.blocked || conn.backpressured() {
                     break;
                 }
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(chunk) {
                     Ok(0) => {
                         conn.peer_eof = true;
                         break;
@@ -391,45 +415,53 @@ impl Reactor {
     }
 
     /// Frames and dispatches every complete line buffered on `slot`.
+    ///
+    /// Each line is dispatched as a trimmed slice of the connection's read
+    /// buffer, which is taken out of the connection meanwhile (dispatching
+    /// needs `&mut self`) and put back with the consumed bytes dropped once
+    /// per call. Bytes already searched are never searched again.
     fn process_lines(&mut self, slot: usize) {
-        loop {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
+        let mut buf = std::mem::take(&mut conn.read_buf);
+        let mut scanned = conn.scanned;
+        let mut consumed = 0;
+        let max_request = self.shared.config.max_request_bytes;
+        while let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) {
             if conn.blocked || conn.close_after_flush || self.draining {
-                return;
+                break;
             }
             if conn.backpressured() {
-                return; // finish writing before parsing more requests
+                break; // finish writing before parsing more requests
             }
-            let max_request = self.shared.config.max_request_bytes;
-            let line = match conn.read_buf.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    let mut line: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                    line.pop(); // the newline
-                    line
+            let Some(end) = next_line_end(&buf, &mut scanned) else {
+                if buf.len() - consumed > max_request {
+                    // a peer streaming bytes without newlines can never
+                    // make the daemon buffer more than the request cap
+                    self.overlong_request(slot, max_request);
                 }
-                None => {
-                    if conn.read_buf.len() > max_request {
-                        // a peer streaming bytes without newlines can never
-                        // make the daemon buffer more than the request cap
-                        self.overlong_request(slot, max_request);
-                    }
-                    return;
-                }
+                break;
             };
+            let line = &buf[consumed..end];
+            consumed = end + 1;
             if line.len() > max_request {
                 self.overlong_request(slot, max_request);
-                return;
+                break;
             }
-            let Ok(text) = std::str::from_utf8(&line) else {
+            let Ok(text) = std::str::from_utf8(line) else {
                 self.refuse(slot, "bad_request", "request is not valid UTF-8");
-                return;
+                break;
             };
-            let request = text.trim().to_string();
+            let request = text.trim();
             if request.is_empty() {
                 continue;
             }
-            self.dispatch_line(slot, &request);
+            self.dispatch_line(slot, request);
             self.mark_dirty(slot);
+        }
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+            buf.drain(..consumed);
+            conn.read_buf = buf;
+            conn.scanned = scanned - consumed;
         }
     }
 
@@ -779,5 +811,31 @@ impl Reactor {
             self.shared.metrics.connections_active.sub(1);
             self.freed_this_round.push(slot);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::next_line_end;
+
+    #[test]
+    fn a_line_dribbled_one_byte_at_a_time_is_searched_once() {
+        const LEN: usize = 200_000;
+        let mut buf = Vec::with_capacity(LEN + 8);
+        let mut scanned = 0;
+        let mut searched = 0;
+        for _ in 0..LEN {
+            buf.push(b'x');
+            searched += buf.len() - scanned;
+            assert_eq!(next_line_end(&buf, &mut scanned), None);
+            assert_eq!(scanned, buf.len());
+        }
+        buf.extend_from_slice(b"\n{}\n");
+        searched += buf.len() - scanned;
+        assert_eq!(next_line_end(&buf, &mut scanned), Some(LEN));
+        assert_eq!(next_line_end(&buf, &mut scanned), Some(LEN + 3));
+        assert_eq!(next_line_end(&buf, &mut scanned), None);
+        // each byte once (a rescan from the start would be LEN^2 / 2)
+        assert_eq!(searched, LEN + 4);
     }
 }

@@ -147,23 +147,73 @@ impl TraceEvent {
     }
 }
 
-/// Appends `s` as a JSON string literal (quotes, escapes).
+/// Appends `s` as a JSON string literal (quotes, escapes). Runs of bytes
+/// that need no escape are copied whole; only ASCII bytes are escaped, so
+/// every run is whole UTF-8.
 pub fn quote_into(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    loop {
+        let at =
+            scan(bytes, run, |word| below(word, 0x20) | equal(word, b'"') | equal(word, b'\\'));
+        out.push_str(&s[run..at]);
+        let Some(&b) = bytes.get(at) else { break };
+        run = at + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// The offset of the first `"` or `\` in `bytes` at or after `from`, or
+/// `bytes.len()` when there is none: where a JSON string literal's body
+/// stops being a plain copy.
+#[must_use]
+pub fn find_quote_or_backslash(bytes: &[u8], from: usize) -> usize {
+    scan(bytes, from, |word| equal(word, b'"') | equal(word, b'\\'))
+}
+
+/// `0x01` in every byte lane of a word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+
+/// High bit set in the lanes of `word` that hold `byte`.
+fn equal(word: u64, byte: u8) -> u64 {
+    let x = word ^ (LANES * u64::from(byte));
+    x.wrapping_sub(LANES) & !x & (LANES << 7)
+}
+
+/// High bit set in the lanes of `word` below `limit` (at most `0x80`).
+fn below(word: u64, limit: u8) -> u64 {
+    word.wrapping_sub(LANES * u64::from(limit)) & !word & (LANES << 7)
+}
+
+/// The offset of the first byte at or after `from` that `flags` marks, or
+/// `bytes.len()`, eight bytes per step. `flags` maps eight little-endian
+/// bytes to a word with the high bit of each marked lane set (built from
+/// [`equal`] and [`below`]); a borrow may also mark lanes *above* a marked
+/// one, never below, so the lowest mark is exact.
+#[inline]
+fn scan(bytes: &[u8], from: usize, flags: impl Fn(u64) -> u64) -> usize {
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let marks = flags(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+        if marks != 0 {
+            return i + (marks.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    // the last few bytes one at a time, each in the lowest lane
+    bytes[i..].iter().position(|&b| flags(u64::from(b)) & 0x80 != 0).map_or(bytes.len(), |p| i + p)
 }
 
 #[cfg(test)]
