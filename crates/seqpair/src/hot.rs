@@ -887,4 +887,172 @@ mod proptests {
             }
         }
     }
+
+    /// One scripted move of the symmetric-legalisation oracle.
+    #[derive(Debug, Clone)]
+    enum SymStep {
+        /// Swap two α positions (may break symmetric feasibility).
+        SwapAlpha(usize, usize),
+        /// Swap two β positions (may break symmetric feasibility).
+        SwapBeta(usize, usize),
+        /// One S-F-preserving move drawn from an RNG with this seed (a no-op
+        /// once the encoding is no longer symmetric-feasible).
+        Symmetric(u64),
+    }
+
+    /// Dims, groups as `(pairs, self-symmetric)` member lists, whether the
+    /// encoding stays symmetric-feasible, the script, and the index of the
+    /// one step evaluated with `touched = None`.
+    type SymCase = (
+        Vec<Dims>,
+        Vec<(Vec<(ModuleId, ModuleId)>, Vec<ModuleId>)>,
+        bool,
+        Vec<(SymStep, bool)>,
+        usize,
+    );
+
+    /// Circuits with 1–3 symmetry groups (matched pairs plus self-symmetric
+    /// cells; group 0 holds two self-symmetric cells of different width
+    /// parity when `mixed`), sized on both sides of `SweepMax::LINEAR_MAX`.
+    fn arb_sym_case() -> impl Strategy<Value = SymCase> {
+        (0u8..2, 4usize..=16, 17usize..=40)
+            .prop_map(|(large, small, big)| if large == 1 { big } else { small })
+            .prop_flat_map(|n| {
+                let groups = proptest::collection::vec((0usize..4, 0usize..3), 1..4);
+                let step = (0u8..4, 0usize..n, 0usize..n, 0u64..u64::MAX, 0u8..2).prop_map(
+                    |(kind, i, j, seed, acc)| {
+                        let step = match kind {
+                            0 => SymStep::SwapAlpha(i, j),
+                            1 => SymStep::SwapBeta(i, j),
+                            _ => SymStep::Symmetric(seed),
+                        };
+                        (step, acc == 1)
+                    },
+                );
+                (
+                    proptest::collection::vec((2i64..40, 2i64..40), n),
+                    Just((0..n).collect::<Vec<usize>>()).prop_shuffle(),
+                    groups,
+                    0u8..4,
+                    proptest::collection::vec(step, 1..30),
+                    0usize..30,
+                )
+                    .prop_map(|(wh, order, specs, flags, script, full_at)| {
+                        let (mixed, sf_only) = (flags & 1 == 1, flags & 2 == 2);
+                        let mut dims: Vec<Dims> =
+                            wh.into_iter().map(|(w, h)| Dims::new(w, h)).collect();
+                        let mut free = order.into_iter().map(id);
+                        let mut groups = Vec::new();
+                        for (gi, (pair_count, self_count)) in specs.into_iter().enumerate() {
+                            let mixed = gi == 0 && mixed;
+                            let self_count = if mixed { 2 } else { self_count.max(1) };
+                            let mut pairs = Vec::new();
+                            for _ in 0..pair_count {
+                                let (Some(l), Some(r)) = (free.next(), free.next()) else { break };
+                                dims[r.index()] = dims[l.index()];
+                                pairs.push((l, r));
+                            }
+                            let selfs: Vec<ModuleId> = free.by_ref().take(self_count).collect();
+                            if mixed && selfs.len() == 2 {
+                                let (a, b) = (selfs[0].index(), selfs[1].index());
+                                if (dims[a].w - dims[b].w).rem_euclid(2) == 0 {
+                                    dims[b] = Dims::new(dims[b].w + 1, dims[b].h);
+                                }
+                            }
+                            if pairs.is_empty() && selfs.is_empty() {
+                                break;
+                            }
+                            groups.push((pairs, selfs));
+                        }
+                        (dims, groups, sf_only, script, full_at)
+                    })
+            })
+    }
+
+    proptest! {
+        /// Move by move, the evaluator's symmetric legalisation — tightening,
+        /// bounded repacks, the island construction and the decision between
+        /// them — reproduces `SymmetricPlacer::place` plus
+        /// `Placement::hot_cost`: identical cost and identical coordinates
+        /// after every accepted or rejected proposal, including one
+        /// full-resweep (`touched = None`) evaluation.
+        #[test]
+        fn legalise_matches_symmetric_placer_move_by_move(
+            (dims, groups, sf_only, script, full_at) in arb_sym_case()
+        ) {
+            use crate::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
+            use crate::SpUndoLog;
+            use apls_anneal::rng::SeededRng;
+            use apls_circuit::SymmetryGroup;
+
+            let n = dims.len();
+            let netlist = chain_netlist(&dims);
+            let adjacency = NetAdjacency::new(&netlist);
+            let mut constraints = ConstraintSet::new();
+            for (gi, (pairs, selfs)) in groups.iter().enumerate() {
+                let mut group = SymmetryGroup::new(format!("g{gi}"));
+                for &(l, r) in pairs {
+                    group = group.with_pair(l, r);
+                }
+                for &s in selfs {
+                    group = group.with_self_symmetric(s);
+                }
+                constraints.add_symmetry_group(group);
+            }
+            let placer = crate::place::SymmetricPlacer::new(&netlist, &constraints);
+            let moves = SymmetricMoveSet::new(constraints.clone());
+            let ids: Vec<ModuleId> = (0..n).map(id).collect();
+            let mut sp = canonical_symmetric_feasible(&ids, &constraints);
+            let mut eval =
+                HotSpEval::new(&constraints, dims.clone(), adjacency.clone(), &sp, HotMode::Exact, 0.5);
+
+            let check = |eval: &HotSpEval<'_>, sp: &SequencePair, cost: f64| {
+                let placement = placer.place(sp);
+                prop_assert_eq!(cost, placement.hot_cost(&adjacency, 0.5), "cost of {}", sp);
+                for i in 0..n {
+                    let r = placement.get(id(i)).expect("placed").rect;
+                    prop_assert_eq!((eval.fx[i], eval.fy[i]), (r.x_min, r.y_min), "module {} of {}", i, sp);
+                }
+            };
+
+            let cost = eval.evaluate(&sp, None);
+            check(&eval, &sp, cost);
+
+            let mut log = SpUndoLog::default();
+            let mut touched = Vec::new();
+            for (k, (step, accept)) in script.into_iter().enumerate() {
+                let step = match step {
+                    SymStep::SwapAlpha(i, j) | SymStep::SwapBeta(i, j) if sf_only => {
+                        SymStep::Symmetric((i * n + j) as u64)
+                    }
+                    step => step,
+                };
+                log.clear();
+                match step {
+                    SymStep::SwapAlpha(i, j) => sp.swap_in_alpha_logged(i, j, &mut log),
+                    SymStep::SwapBeta(i, j) => sp.swap_in_beta_logged(i, j, &mut log),
+                    SymStep::Symmetric(seed) => {
+                        let mut rng = SeededRng::new(seed);
+                        for _ in 0..8 {
+                            if moves.perturb_logged(&mut sp, &mut rng, &mut log) {
+                                break;
+                            }
+                        }
+                    }
+                }
+                touched.clear();
+                log.touched_modules(&sp, &mut touched);
+
+                let cost = eval.evaluate(&sp, if k == full_at { None } else { Some(&touched) });
+                check(&eval, &sp, cost);
+
+                if accept {
+                    eval.commit();
+                } else {
+                    eval.rollback();
+                    sp.undo(&mut log);
+                }
+            }
+        }
+    }
 }

@@ -495,3 +495,56 @@ mod tests {
         assert_eq!(f.prefix_max(7), 10);
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    type BoundedCase = (Vec<Dims>, Vec<ModuleId>, Vec<ModuleId>, Vec<(Coord, Coord)>);
+
+    fn arb_bounded_case() -> impl Strategy<Value = BoundedCase> {
+        (1usize..40).prop_flat_map(|n| {
+            let perm = || {
+                Just((0..n).collect::<Vec<usize>>())
+                    .prop_shuffle()
+                    .prop_map(|v| v.into_iter().map(ModuleId::from_index).collect::<Vec<_>>())
+            };
+            (
+                proptest::collection::vec((1i64..50, 1i64..50), n)
+                    .prop_map(|v| v.into_iter().map(|(w, h)| Dims::new(w, h)).collect()),
+                perm(),
+                perm(),
+                proptest::collection::vec((0i64..4, 0i64..120, 0i64..120), n).prop_map(|v| {
+                    // most modules keep a zero bound, as in the symmetric
+                    // legalisation, where only group members are raised
+                    v.into_iter()
+                        .map(|(raise, x, y)| if raise == 0 { (x, y) } else { (0, 0) })
+                        .collect()
+                }),
+            )
+        })
+    }
+
+    proptest! {
+        /// Lower bounds only push modules right and up while every left-of
+        /// and below constraint of the encoding is still enforced, so a
+        /// bounded pack is never narrower nor shorter than the plain pack.
+        /// The hot evaluator's islands-first shortcut rests on this.
+        #[test]
+        fn bounded_pack_is_never_narrower_or_shorter_than_the_plain_pack(
+            (dims, alpha, beta, raised) in arb_bounded_case()
+        ) {
+            let sp = SequencePair::from_sequences(alpha, beta).expect("same module set");
+            let mut bounds = LowerBounds::empty(dims.len());
+            for (i, &(x, y)) in raised.iter().enumerate() {
+                bounds.min_x[i] = x;
+                bounds.min_y[i] = y;
+            }
+            let plain = pack_lcs(&sp, &dims);
+            let bounded = pack_with_bounds_lcs(&sp, &dims, &bounds);
+            prop_assert!(bounded.width() >= plain.width(), "{} vs {} for {}", bounded.width(), plain.width(), sp);
+            prop_assert!(bounded.height() >= plain.height(), "{} vs {} for {}", bounded.height(), plain.height(), sp);
+        }
+    }
+}
