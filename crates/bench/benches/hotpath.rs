@@ -1,6 +1,7 @@
 //! Hot-path micro- and macro-benchmarks: contour placement, B*-tree packing,
-//! end-to-end annealing throughput (moves/sec) per engine, and the service's
-//! JSON string codec on its largest inputs.
+//! end-to-end annealing throughput (moves/sec) per engine, the sequence-pair
+//! evaluator across circuit sizes, and the service's JSON string codec on its
+//! largest inputs.
 //!
 //! The recorded trajectory lives in `BENCH_hotpath.json` at the repository
 //! root: every PR that touches the evaluation pipeline re-runs this bench and
@@ -194,6 +195,35 @@ fn bench_engine_moves(c: &mut Criterion) {
     group.finish();
 }
 
+/// The symmetric-feasible sequence-pair evaluator across circuit sizes: a
+/// 2000-move seqpair run on bundled circuits of 22, 46 and 110 modules and
+/// on a generated 250-module circuit, spanning both prefix-max structures
+/// and the island-shortcut rates of the legalisation.
+fn bench_seqpair_eval(c: &mut Criterion) {
+    let mut group = c.benchmark_group("seqpair_eval");
+    group.sample_size(10);
+    let schedule = Schedule::geometric(1e6, 1.0, 0.95, 200).with_max_moves(MOVES);
+    let circuits = [
+        benchmarks::folded_cascode(),
+        benchmarks::buffer(),
+        benchmarks::lnamixbias(),
+        benchmarks::generate(
+            "gen250",
+            GeneratorConfig { module_count: 250, seed: 5, ..GeneratorConfig::default() },
+        ),
+    ];
+    for circuit in &circuits {
+        let config = SeqPairPlacerConfig { seed: 3, schedule, ..SeqPairPlacerConfig::default() };
+        let placer = SeqPairPlacer::new(&circuit.netlist, &circuit.constraints);
+        group.bench_with_input(
+            BenchmarkId::new(circuit.name.as_str(), circuit.module_count()),
+            &0,
+            |b, _| b.iter(|| placer.run(&config)),
+        );
+    }
+    group.finish();
+}
+
 /// The string codec on the cache-hit path's largest strings: decoding an
 /// inline `lnamixbias` place request (its `.apls` text is one escaped JSON
 /// string), escaping that text back, and escaping an `lnamixbias` report as
@@ -223,6 +253,7 @@ criterion_group!(
     bench_pack_btree,
     bench_delta_eval,
     bench_engine_moves,
+    bench_seqpair_eval,
     bench_json_codec
 );
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 //!   with the symmetry error added to the cost function, the classical
 //!   alternative the paper argues against.
 
-use crate::hot::{HotMode, HotSpEval};
+use crate::hot::{HotMode, HotSpEval, LegaliseCounters};
 use crate::place::SymmetricPlacer;
 use crate::seq::SpUndoLog;
 use crate::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
@@ -159,12 +159,15 @@ impl<'a> SeqPairPlacer<'a> {
     }
 
     /// [`SeqPairPlacer::run`] with telemetry (observe-only; results are
-    /// bit-identical whatever collector is installed).
+    /// bit-identical whatever collector is installed). Besides the annealer's
+    /// events, an enabled handle receives one `seqpair/legalise` event with
+    /// the evaluator's legalisation counters.
     #[must_use]
     pub fn run_traced(&self, config: &SeqPairPlacerConfig, telemetry: &Telemetry) -> SeqPairResult {
         let mut state = self.make_state(config);
         let stats =
             Annealer::with_seed(config.seed).run_traced(&mut state, &config.schedule, telemetry);
+        state.legalise_counters().emit(telemetry);
 
         // Prefer the best snapshot over the final accepted state.
         let (best_sp, _) = state.best.clone().unwrap_or((state.sp.clone(), f64::MAX));
@@ -204,6 +207,11 @@ pub(crate) struct SpState<'a> {
 }
 
 impl SpState<'_> {
+    /// The hot evaluator's legalisation counters.
+    pub(crate) fn legalise_counters(&self) -> &LegaliseCounters {
+        self.hot.counters()
+    }
+
     pub(crate) fn build_placement(&self, sp: &SequencePair) -> Placement {
         match self.config.symmetry_mode {
             SymmetryMode::Exact => self.placer.place(sp),
@@ -345,6 +353,32 @@ mod tests {
         let b = placer.run(&SeqPairPlacerConfig::fast(9));
         assert_eq!(a.metrics.bounding_area, b.metrics.bounding_area);
         assert_eq!(a.sequence_pair, b.sequence_pair);
+    }
+
+    #[test]
+    fn legalise_counters_are_observe_only_and_count_every_evaluation() {
+        use apls_telemetry::RecordingCollector;
+        use std::sync::Arc;
+
+        let circuit = benchmarks::folded_cascode();
+        let placer = SeqPairPlacer::new(&circuit.netlist, &circuit.constraints);
+        let config = SeqPairPlacerConfig::fast(12);
+        let plain = placer.run(&config);
+        let collector = Arc::new(RecordingCollector::new());
+        let traced = placer.run_traced(&config, &Telemetry::with_collector(collector.clone()));
+        assert_eq!(plain.placement, traced.placement);
+        assert_eq!(plain.sequence_pair, traced.sequence_pair);
+        assert_eq!(plain.stats.best_cost.to_bits(), traced.stats.best_cost.to_bits());
+        assert_eq!(plain.stats.moves.accepted, traced.stats.moves.accepted);
+
+        let counters = LegaliseCounters::from_trace(&collector.events());
+        // the initial state plus one evaluation per proposal
+        assert_eq!(counters.evaluations, traced.stats.moves.attempted + 1);
+        assert!(counters.island_shortcuts > 0);
+        assert!(counters.island_shortcuts < counters.evaluations);
+        assert!(counters.bounded_repacks > 0);
+        assert!(counters.replayed_steps < counters.full_steps);
+        assert_eq!(counters.full_steps, 2 * 22 * counters.bounded_repacks);
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::place::{island_geometry, tighten_group_with, IslandGeometry};
 use crate::SequencePair;
 use apls_circuit::{ConstraintSet, DeltaCost, ModuleId, NetAdjacency};
 use apls_geometry::{Coord, Dims, Rect};
+use apls_telemetry::{event, Telemetry};
 
 /// Per-step state of the committed (or proposed) weighted-LCS sweeps, cached
 /// so the next move can replay only the affected window.
@@ -79,9 +80,10 @@ impl SweepCache {
 ///
 /// Coordinates are defined by the recurrence alone, so the structure is free
 /// to pick whichever implementation is fastest: a flat array with linear
-/// prefix scans for small sequences (the scans auto-vectorize and beat the
-/// Fenwick constant by a wide margin up to well past typical analog sizes),
-/// and a [`MaxFenwick`] above that for the O(n log n) asymptotics.
+/// prefix scans for small sequences, and a [`MaxFenwick`] above
+/// [`SweepMax::LINEAR_MAX`] for the O(n log n) asymptotics. With a Fenwick
+/// tree behind the sweep, `vals` only stages the seeded prefix for the O(n)
+/// rebuild; updates go to the tree alone.
 #[derive(Debug, Clone)]
 struct SweepMax {
     vals: Vec<Coord>,
@@ -90,7 +92,13 @@ struct SweepMax {
 
 impl SweepMax {
     /// Largest sequence length packed with linear prefix scans.
-    const LINEAR_MAX: usize = 64;
+    ///
+    /// Measured on full-schedule seqpair restarts (x86-64, 2 vCPUs): the
+    /// linear `i64` max scan does not vectorise at the baseline x86-64 target
+    /// (SSE2 has no 64-bit compare), so the Fenwick tree already wins at
+    /// 22 modules (folded_cascode 14% faster) and widely at 46 (buffer 33%),
+    /// while the linear scan stays 7–10% faster at 9–10 modules.
+    const LINEAR_MAX: usize = 16;
 
     fn new(n: usize) -> Self {
         SweepMax { vals: vec![0; n], fenwick: (n > Self::LINEAR_MAX).then(|| MaxFenwick::new(n)) }
@@ -124,13 +132,77 @@ impl SweepMax {
     }
 
     fn update(&mut self, p: usize, v: Coord) {
-        if let Some(f) = &mut self.fenwick {
-            f.update(p, v);
+        match &mut self.fenwick {
+            Some(f) => f.update(p, v),
+            None => {
+                let slot = &mut self.vals[p];
+                if v > *slot {
+                    *slot = v;
+                }
+            }
         }
-        let slot = &mut self.vals[p];
-        if v > *slot {
-            *slot = v;
+    }
+}
+
+/// Observe-only tallies of the symmetric legalisation, reported as one
+/// `seqpair/legalise` telemetry event per run. They never feed back into an
+/// evaluation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LegaliseCounters {
+    /// `evaluate` calls (the initial state plus one per proposal).
+    pub(crate) evaluations: u64,
+    /// Evaluations settled by the island area alone, before any tightening.
+    pub(crate) island_shortcuts: u64,
+    /// Bounded repacks run by the iterative tightening.
+    pub(crate) bounded_repacks: u64,
+    /// α steps those repacks replayed (both axes).
+    pub(crate) replayed_steps: u64,
+    /// α steps whole-sequence repacks would have swept (`2n` per repack).
+    pub(crate) full_steps: u64,
+}
+
+impl LegaliseCounters {
+    /// Reads the counters back from the one `seqpair/legalise` event of a
+    /// recorded run.
+    #[cfg(test)]
+    pub(crate) fn from_trace(events: &[apls_telemetry::TraceEvent]) -> Self {
+        let found: Vec<_> =
+            events.iter().filter(|e| e.cat == "seqpair" && e.name == "legalise").collect();
+        assert_eq!(found.len(), 1, "exactly one seqpair/legalise event per run");
+        let arg = |key: &str| match found[0].args.iter().find(|(k, _)| k == key) {
+            Some((_, apls_telemetry::Value::U64(v))) => *v,
+            other => panic!("legalise event argument {key}: {other:?}"),
+        };
+        LegaliseCounters {
+            evaluations: arg("evaluations"),
+            island_shortcuts: arg("island_shortcuts"),
+            bounded_repacks: arg("bounded_repacks"),
+            replayed_steps: arg("replayed_steps"),
+            full_steps: arg("full_steps"),
         }
+    }
+
+    /// Adds another evaluator's tallies (the replicas of a tempering run).
+    pub(crate) fn add(&mut self, other: &LegaliseCounters) {
+        self.evaluations += other.evaluations;
+        self.island_shortcuts += other.island_shortcuts;
+        self.bounded_repacks += other.bounded_repacks;
+        self.replayed_steps += other.replayed_steps;
+        self.full_steps += other.full_steps;
+    }
+
+    /// Emits the `seqpair/legalise` instant event (nothing when disabled).
+    pub(crate) fn emit(&self, telemetry: &Telemetry) {
+        event!(
+            telemetry,
+            "seqpair",
+            "legalise",
+            evaluations = self.evaluations,
+            island_shortcuts = self.island_shortcuts,
+            bounded_repacks = self.bounded_repacks,
+            replayed_steps = self.replayed_steps,
+            full_steps = self.full_steps,
+        );
     }
 }
 
@@ -165,10 +237,15 @@ pub(crate) struct HotSpEval<'a> {
 
     sweep: SweepMax,
 
-    // iterative-legalisation scratch
+    // iterative-legalisation scratch: coordinates by module, and the value
+    // each α step of the latest bounded repack inserted into the prefix
+    // structure (`x + w`, and `y + h` for the reverse sweep)
     bounds: LowerBounds,
     xi: Vec<Coord>,
     yi: Vec<Coord>,
+    rx: Vec<Coord>,
+    ry: Vec<Coord>,
+    counters: LegaliseCounters,
 
     // symmetry islands: geometry cached per run (it only depends on the
     // groups, the dims and the member set, never on the encoding order)
@@ -184,8 +261,6 @@ pub(crate) struct HotSpEval<'a> {
     seen: Vec<bool>,
     ox: Vec<Coord>,
     oy: Vec<Coord>,
-    isl_x: Vec<Coord>,
-    isl_y: Vec<Coord>,
     // final (post-decision) coordinates of the open proposal
     fx: Vec<Coord>,
     fy: Vec<Coord>,
@@ -235,6 +310,9 @@ impl<'a> HotSpEval<'a> {
             bounds: LowerBounds::empty(n),
             xi: vec![0; n],
             yi: vec![0; n],
+            rx: vec![0; n],
+            ry: vec![0; n],
+            counters: LegaliseCounters::default(),
             islands,
             island_bbox,
             module_to_island,
@@ -246,8 +324,6 @@ impl<'a> HotSpEval<'a> {
             seen: vec![false; island_count],
             ox: vec![0; n],
             oy: vec![0; n],
-            isl_x: vec![0; n],
-            isl_y: vec![0; n],
             fx: vec![0; n],
             fy: vec![0; n],
             dims,
@@ -260,6 +336,7 @@ impl<'a> HotSpEval<'a> {
     pub(crate) fn evaluate(&mut self, sp: &SequencePair, touched: Option<&[ModuleId]>) -> f64 {
         let n = self.n;
         debug_assert_eq!(sp.len(), n);
+        self.counters.evaluations += 1;
         if n == 0 {
             self.delta.begin();
             let wl = self.delta.total();
@@ -324,9 +401,11 @@ impl<'a> HotSpEval<'a> {
         }
 
         let mut plain_width: Coord = 0;
+        let mut plain_height: Coord = 0;
         for &m in sp.alpha() {
             let i = m.index();
             plain_width = plain_width.max(self.prop.x0[i] + self.dims[i].w);
+            plain_height = plain_height.max(self.prop.y0[i] + self.dims[i].h);
         }
 
         // --- 2. symmetry handling -------------------------------------------
@@ -346,7 +425,7 @@ impl<'a> HotSpEval<'a> {
                     self.fx.copy_from_slice(&self.prop.x0);
                     self.fy.copy_from_slice(&self.prop.y0);
                 } else {
-                    self.legalise(sp, plain_width);
+                    self.legalise(sp, plain_width, plain_height);
                 }
                 self.hot_cost(sp)
             }
@@ -368,6 +447,11 @@ impl<'a> HotSpEval<'a> {
         self.delta.undo();
     }
 
+    /// The legalisation tallies accumulated so far.
+    pub(crate) fn counters(&self) -> &LegaliseCounters {
+        &self.counters
+    }
+
     /// The very first evaluation scores the *current* state, not a proposal:
     /// promote it to committed immediately (the annealing driver only calls
     /// `commit`/`rollback` for proposals).
@@ -382,15 +466,36 @@ impl<'a> HotSpEval<'a> {
     /// Replays `SymmetricPlacer::place` exactly: iterative tightening with
     /// bounded repacks, divergence guard, island fallback, compactness
     /// decision. Leaves the chosen coordinates in `fx`/`fy`.
-    fn legalise(&mut self, sp: &SequencePair, plain_width: Coord) {
+    ///
+    /// The island construction runs first, because its area alone often
+    /// settles the decision: the base pack spans `[0, plain_width] ×
+    /// [0, plain_height]` (its first α module sits at x = 0, its last at
+    /// y = 0), and every bounded repack still enforces each left-of and below
+    /// relation, so along the base pack's longest chains any iterative result
+    /// spans at least that width and height. When the islands are strictly
+    /// smaller than the base pack, the iterative construction cannot win and
+    /// is skipped.
+    fn legalise(&mut self, sp: &SequencePair, plain_width: Coord, plain_height: Coord) {
         let n = self.n;
-        // iterative legalisation from the base pack
+        self.build_outer(sp);
+        let islands_area = self.islands_bbox_area();
+        let base_area = i128::from(plain_width) * i128::from(plain_height);
+        if islands_area < base_area {
+            self.counters.island_shortcuts += 1;
+            self.assemble_islands();
+            return;
+        }
+
+        // iterative legalisation from the base pack, whose per-step
+        // insertions seed the first bounded repack
         self.bounds.min_x.clear();
         self.bounds.min_x.resize(self.dims.len(), 0);
         self.bounds.min_y.clear();
         self.bounds.min_y.resize(self.dims.len(), 0);
         self.xi.copy_from_slice(&self.prop.x0[..n]);
         self.yi.copy_from_slice(&self.prop.y0[..n]);
+        self.rx.copy_from_slice(&self.prop.vx[..n]);
+        self.ry.copy_from_slice(&self.prop.vy[..n]);
         let mut converged = false;
         for it in 0..self.max_iterations {
             let mut changed = false;
@@ -416,7 +521,7 @@ impl<'a> HotSpEval<'a> {
                 converged = true;
                 break;
             }
-            let (width, moved) = self.repack_with_bounds(sp);
+            let (width, moved) = self.repack(sp);
             // Divergence guard: crossed-pair encodings can keep pushing each
             // other's mirror targets (see `SymmetricPlacer::place`).
             if width > 3 * plain_width.max(1) {
@@ -434,57 +539,89 @@ impl<'a> HotSpEval<'a> {
             }
         }
 
-        // island construction (the outer pack is always computed, exactly
-        // like the cold path; the per-member assembly is deferred until the
-        // decision actually selects the islands)
-        self.build_outer(sp);
-
-        let use_iterative = converged
-            && self.symmetry_error_of(sp, SymmetrySource::Iterative) == 0
-            && self.bbox_area(sp, &self.xi, &self.yi) <= self.islands_bbox_area();
+        let use_iterative =
+            converged && self.symmetry_error_of(sp, SymmetrySource::Iterative) == 0 && {
+                let iterative_area = self.bbox_area(sp, &self.xi, &self.yi);
+                debug_assert!(iterative_area >= base_area, "a bounded repack shrank the base pack");
+                iterative_area <= islands_area
+            };
         if use_iterative {
             self.fx.copy_from_slice(&self.xi);
             self.fy.copy_from_slice(&self.yi);
         } else {
             self.assemble_islands();
-            self.fx.copy_from_slice(&self.isl_x);
-            self.fy.copy_from_slice(&self.isl_y);
         }
     }
 
-    /// Full bounded weighted-LCS repack into `xi`/`yi`; returns the packed
-    /// width and whether any coordinate differs from the previous `xi`/`yi`.
-    /// Identical coordinates to `pack_with_bounds_constraint_graph` (same
-    /// recurrence — see `pack_with_bounds_lcs`).
-    fn repack_with_bounds(&mut self, sp: &SequencePair) -> (Coord, bool) {
+    /// Bounded weighted-LCS repack of `xi`/`yi` after a tightening pass;
+    /// returns the packed width and whether any coordinate moved. Identical
+    /// coordinates to `pack_with_bounds_lcs` (same recurrence).
+    ///
+    /// Only symmetry-group members can carry a raised bound, and a member was
+    /// raised exactly when its bound now exceeds its coordinate. Every α step
+    /// before the first member with a raised `min_x` inserts what it inserted
+    /// in the previous repack, so the x sweep replays from that step with the
+    /// prefix seeded from `rx`; the reverse y sweep likewise replays down
+    /// from the last member with a raised `min_y`, seeded from `ry`. An axis
+    /// without a raised bound is skipped. The whole-sequence repack is the
+    /// window that starts at step 0.
+    fn repack(&mut self, sp: &SequencePair) -> (Coord, bool) {
         let n = self.n;
-        self.sweep.begin(n);
-        self.sweep.finish_seeding();
-        let mut width: Coord = 0;
-        let mut moved = false;
+        // x replays steps x_from..n, y replays steps y_end-1 down to 0
+        let mut x_from = n;
+        let mut y_end = 0usize;
+        for geometry in &self.islands {
+            for &m in &geometry.members {
+                let i = m.index();
+                if self.bounds.min_x[i] > self.xi[i] {
+                    x_from = x_from.min(sp.alpha_position(m));
+                }
+                if self.bounds.min_y[i] > self.yi[i] {
+                    y_end = y_end.max(sp.alpha_position(m) + 1);
+                }
+            }
+        }
         // `prop.bp` already holds every module's β-position for this proposal
         // (written by the base-pack resweep, prefix copied from the committed
         // buffer), so the per-module β lookups can be plain array reads.
-        for (k, &m) in sp.alpha().iter().enumerate() {
-            let i = m.index();
-            let bp = self.prop.bp[k];
-            let start = self.bounds.min_x[i].max(self.sweep.prefix_max(bp));
-            moved |= self.xi[i] != start;
-            self.xi[i] = start;
-            let top = start + self.dims[i].w;
-            width = width.max(top);
-            self.sweep.update(bp, top);
+        let alpha = sp.alpha();
+        let mut moved = false;
+        if x_from < n {
+            self.sweep.begin(n);
+            for k in 0..x_from {
+                self.sweep.seed(self.prop.bp[k], self.rx[k]);
+            }
+            self.sweep.finish_seeding();
+            for (k, &m) in alpha.iter().enumerate().skip(x_from) {
+                let i = m.index();
+                let bp = self.prop.bp[k];
+                let start = self.bounds.min_x[i].max(self.sweep.prefix_max(bp));
+                moved |= self.xi[i] != start;
+                self.xi[i] = start;
+                self.rx[k] = start + self.dims[i].w;
+                self.sweep.update(bp, self.rx[k]);
+            }
         }
-        self.sweep.begin(n);
-        self.sweep.finish_seeding();
-        for (k, &m) in sp.alpha().iter().enumerate().rev() {
-            let i = m.index();
-            let bp = self.prop.bp[k];
-            let start = self.bounds.min_y[i].max(self.sweep.prefix_max(bp));
-            moved |= self.yi[i] != start;
-            self.yi[i] = start;
-            self.sweep.update(bp, start + self.dims[i].h);
+        if y_end > 0 {
+            self.sweep.begin(n);
+            for k in y_end..n {
+                self.sweep.seed(self.prop.bp[k], self.ry[k]);
+            }
+            self.sweep.finish_seeding();
+            for (k, &m) in alpha.iter().enumerate().take(y_end).rev() {
+                let i = m.index();
+                let bp = self.prop.bp[k];
+                let start = self.bounds.min_y[i].max(self.sweep.prefix_max(bp));
+                moved |= self.yi[i] != start;
+                self.yi[i] = start;
+                self.ry[k] = start + self.dims[i].h;
+                self.sweep.update(bp, self.ry[k]);
+            }
         }
+        self.counters.bounded_repacks += 1;
+        self.counters.replayed_steps += (n - x_from + y_end) as u64;
+        self.counters.full_steps += 2 * n as u64;
+        let width = self.rx.iter().copied().max().unwrap_or(0);
         (width, moved)
     }
 
@@ -559,7 +696,8 @@ impl<'a> HotSpEval<'a> {
         }
     }
 
-    /// Translates the cached island-local rectangles to their island origins;
+    /// Writes the island construction into the final coordinates `fx`/`fy`:
+    /// the cached island-local rectangles translate to their island origins,
     /// free modules take their outer coordinates directly. Requires
     /// [`HotSpEval::build_outer`] for the current proposal.
     fn assemble_islands(&mut self) {
@@ -569,13 +707,13 @@ impl<'a> HotSpEval<'a> {
                     let geometry = &self.islands[gi as usize];
                     let (gx, gy) = (self.ox[m.index()], self.oy[m.index()]);
                     for &(member, local) in &geometry.rects {
-                        self.isl_x[member.index()] = gx + local.x_min;
-                        self.isl_y[member.index()] = gy + local.y_min;
+                        self.fx[member.index()] = gx + local.x_min;
+                        self.fy[member.index()] = gy + local.y_min;
                     }
                 }
                 None => {
-                    self.isl_x[m.index()] = self.ox[m.index()];
-                    self.isl_y[m.index()] = self.oy[m.index()];
+                    self.fx[m.index()] = self.ox[m.index()];
+                    self.fy[m.index()] = self.oy[m.index()];
                 }
             }
         }

@@ -12,6 +12,7 @@
 //! function of its configuration — bit-identical at any worker thread count.
 
 use crate::anneal::{SeqPairPlacer, SeqPairPlacerConfig, SymmetryMode};
+use crate::hot::LegaliseCounters;
 use crate::SequencePair;
 use apls_anneal::tempering::{run_tempering_traced, TemperingConfig, TemperingStats};
 use apls_anneal::Schedule;
@@ -127,7 +128,9 @@ impl<'a> TemperingSeqPairPlacer<'a> {
     }
 
     /// [`TemperingSeqPairPlacer::run`] with telemetry (observe-only; results
-    /// are bit-identical whatever collector is installed).
+    /// are bit-identical whatever collector is installed). Besides the
+    /// tempering events, an enabled handle receives one `seqpair/legalise`
+    /// event with the legalisation counters summed over all replicas.
     ///
     /// # Panics
     ///
@@ -157,6 +160,13 @@ impl<'a> TemperingSeqPairPlacer<'a> {
             schedule: config.schedule,
         };
         let (states, stats) = run_tempering_traced(states, &tempering, telemetry);
+        if telemetry.is_enabled() {
+            let mut counters = LegaliseCounters::default();
+            for state in &states {
+                counters.add(state.legalise_counters());
+            }
+            counters.emit(telemetry);
+        }
 
         let winner = &states[stats.best_replica];
         let best_sp = winner.best.clone().map(|(sp, _)| sp).unwrap_or_else(|| winner.sp.clone());
@@ -202,6 +212,28 @@ mod tests {
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.stats.moves.accepted, b.stats.moves.accepted);
         assert_eq!(a.stats.swaps_accepted, b.stats.swaps_accepted);
+    }
+
+    #[test]
+    fn legalise_counters_sum_over_replicas_and_are_observe_only() {
+        use apls_telemetry::RecordingCollector;
+        use std::sync::Arc;
+
+        let circuit = benchmarks::miller_v2();
+        let placer = TemperingSeqPairPlacer::new(&circuit.netlist, &circuit.constraints);
+        let config = TemperingPlacerConfig::fast(13);
+        let plain = placer.run(&config);
+        let collector = Arc::new(RecordingCollector::new());
+        let traced = placer.run_traced(&config, &Telemetry::with_collector(collector.clone()));
+        assert_eq!(plain.placement, traced.placement);
+        assert_eq!(plain.sequence_pair, traced.sequence_pair);
+        assert_eq!(plain.stats.best_cost.to_bits(), traced.stats.best_cost.to_bits());
+        assert_eq!(plain.stats.swaps_accepted, traced.stats.swaps_accepted);
+
+        let counters = LegaliseCounters::from_trace(&collector.events());
+        // each replica scores its initial state once, then one per proposal
+        assert_eq!(counters.evaluations, traced.stats.moves.attempted + config.replicas as u64);
+        assert!(counters.island_shortcuts > 0);
     }
 
     #[test]

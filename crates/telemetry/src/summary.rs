@@ -46,6 +46,9 @@ pub fn phase_note(cat: &str, name: &str) -> Option<&'static str> {
         ("anneal", "move_mix") => "accepted-move histogram for one descent",
         ("tempering", "tempering") => "one parallel-tempering lane",
         ("tempering", "swap_round") => "replica-swap round between temperatures",
+        ("seqpair", "legalise") => {
+            "sequence-pair legalisation counters of one run (island shortcuts, repack steps)"
+        }
         // Service phases (legacy thread-per-connection and reactor).
         ("service", "accept") => "TCP connection accepted",
         ("service", "request") => "request line parsed and dispatched",
