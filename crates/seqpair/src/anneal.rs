@@ -12,7 +12,7 @@
 //!   with the symmetry error added to the cost function, the classical
 //!   alternative the paper argues against.
 
-use crate::hot::{HotMode, HotSpEval, LegaliseCounters};
+use crate::hot::{HotMode, HotSpEval};
 use crate::place::SymmetricPlacer;
 use crate::seq::SpUndoLog;
 use crate::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
@@ -167,7 +167,7 @@ impl<'a> SeqPairPlacer<'a> {
         let mut state = self.make_state(config);
         let stats =
             Annealer::with_seed(config.seed).run_traced(&mut state, &config.schedule, telemetry);
-        state.legalise_counters().emit(telemetry);
+        state.hot.counters.emit(telemetry);
 
         // Prefer the best snapshot over the final accepted state.
         let (best_sp, _) = state.best.clone().unwrap_or((state.sp.clone(), f64::MAX));
@@ -197,7 +197,7 @@ pub(crate) struct SpState<'a> {
     /// Best (sequence-pair, cost) seen so far.
     pub(crate) best: Option<(SequencePair, f64)>,
     placer: SymmetricPlacer<'a>,
-    hot: HotSpEval<'a>,
+    pub(crate) hot: HotSpEval<'a>,
     /// Modules whose α/β positions the open proposal may have changed.
     touched: Vec<ModuleId>,
     moves: SymmetricMoveSet,
@@ -207,11 +207,6 @@ pub(crate) struct SpState<'a> {
 }
 
 impl SpState<'_> {
-    /// The hot evaluator's legalisation counters.
-    pub(crate) fn legalise_counters(&self) -> &LegaliseCounters {
-        self.hot.counters()
-    }
-
     pub(crate) fn build_placement(&self, sp: &SequencePair) -> Placement {
         match self.config.symmetry_mode {
             SymmetryMode::Exact => self.placer.place(sp),
@@ -357,6 +352,7 @@ mod tests {
 
     #[test]
     fn legalise_counters_are_observe_only_and_count_every_evaluation() {
+        use crate::hot::LegaliseCounters;
         use apls_telemetry::RecordingCollector;
         use std::sync::Arc;
 

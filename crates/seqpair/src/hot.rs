@@ -21,8 +21,11 @@
 //!   kernels ([`crate::place::tighten_group_with`],
 //!   [`crate::place::island_geometry`]) so the two code paths cannot drift;
 //!   island internal geometry (and its local bounding box) is computed once
-//!   per run and cached, and the per-member island assembly is deferred until
-//!   a move actually selects the island construction;
+//!   per run and cached, the island area is computed first and skips the
+//!   iterative tightening whenever that construction cannot win, bounded
+//!   repacks replay only the α window a tightening pass can change, and the
+//!   per-member island assembly is deferred until a move actually selects
+//!   the island construction;
 //! * wirelength is evaluated through [`DeltaCost`], which recomputes only
 //!   the nets incident to modules whose final coordinates actually changed.
 //!
@@ -93,11 +96,13 @@ struct SweepMax {
 impl SweepMax {
     /// Largest sequence length packed with linear prefix scans.
     ///
-    /// Measured on full-schedule seqpair restarts (x86-64, 2 vCPUs): the
-    /// linear `i64` max scan does not vectorise at the baseline x86-64 target
-    /// (SSE2 has no 64-bit compare), so the Fenwick tree already wins at
-    /// 22 modules (folded_cascode 14% faster) and widely at 46 (buffer 33%),
-    /// while the linear scan stays 7–10% faster at 9–10 modules.
+    /// The linear `i64` max scan does not vectorise at the baseline x86-64
+    /// target (SSE2 has no 64-bit compare), so the Fenwick tree wins early.
+    /// Full-schedule seqpair restarts (seed 7, medians of interleaved runs on
+    /// a 2-vCPU x86-64 host), this crossover against 64: buffer (46 modules)
+    /// 25% faster, folded_cascode (22) 6% faster; against a Fenwick-only
+    /// sweep the linear scan was as fast or faster at 9–13 modules
+    /// (miller_v2 7% faster).
     const LINEAR_MAX: usize = 16;
 
     fn new(n: usize) -> Self {
@@ -245,7 +250,8 @@ pub(crate) struct HotSpEval<'a> {
     yi: Vec<Coord>,
     rx: Vec<Coord>,
     ry: Vec<Coord>,
-    counters: LegaliseCounters,
+    /// Legalisation tallies accumulated so far.
+    pub(crate) counters: LegaliseCounters,
 
     // symmetry islands: geometry cached per run (it only depends on the
     // groups, the dims and the member set, never on the encoding order)
@@ -445,11 +451,6 @@ impl<'a> HotSpEval<'a> {
     /// journal; the proposal sweep buffer is simply abandoned.
     pub(crate) fn rollback(&mut self) {
         self.delta.undo();
-    }
-
-    /// The legalisation tallies accumulated so far.
-    pub(crate) fn counters(&self) -> &LegaliseCounters {
-        &self.counters
     }
 
     /// The very first evaluation scores the *current* state, not a proposal:

@@ -163,7 +163,7 @@ impl<'a> TemperingSeqPairPlacer<'a> {
         if telemetry.is_enabled() {
             let mut counters = LegaliseCounters::default();
             for state in &states {
-                counters.add(state.legalise_counters());
+                counters.add(&state.hot.counters);
             }
             counters.emit(telemetry);
         }
