@@ -152,7 +152,7 @@ impl SweepMax {
 /// Observe-only tallies of the symmetric legalisation, reported as one
 /// `seqpair/legalise` telemetry event per run. They never feed back into an
 /// evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LegaliseCounters {
     /// `evaluate` calls (the initial state plus one per proposal).
     pub(crate) evaluations: u64,
