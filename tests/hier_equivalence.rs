@@ -8,7 +8,10 @@
 //!    exactly, down to the placement;
 //! 3. hybrid results are independent of the worker thread count;
 //! 4. the hier engine never loses to the deterministic engine on bounding
-//!    area (the driver's enumeration fallback makes this structural).
+//!    area (the driver's enumeration fallback makes this structural);
+//! 5. the hybrid configuration reproduces pinned results bit-identically:
+//!    bounding area, wirelength and fallback outcome of the `hier` lane plus
+//!    the root staircase, on every bundled circuit.
 
 use analog_layout_synthesis::circuit::benchmarks;
 use analog_layout_synthesis::portfolio::{
@@ -254,6 +257,258 @@ fn deterministic_placer_reproduces_pre_refactor_results_bit_identically() {
         let regular = placer.run(ShapeModel::Regular);
         assert_eq!((regular.dims.w, regular.dims.h), r_dims, "{name}: regular dims");
         assert_eq!(regular.root_shapes, r_shapes, "{name}: regular root shapes");
+    }
+}
+
+/// Golden results of the hybrid configuration (the `hier` portfolio lane),
+/// one row per run: circuit, fast schedule, and then for
+/// `run_engine_once(Hier, seed 7)` the bounding area, the wirelength and
+/// `enumeration_won`, followed by the root staircase of the `HierPlacer` run
+/// with the same options. Every bundled circuit runs the fast schedule;
+/// `miller_opamp_fig6` also runs the full one.
+#[allow(clippy::type_complexity)]
+fn hybrid_golden() -> Vec<(&'static str, bool, i128, f64, bool, Vec<(i64, i64)>)> {
+    vec![
+        (
+            "miller_opamp_fig6",
+            true,
+            21420,
+            726.0,
+            false,
+            vec![
+                (90, 270),
+                (96, 238),
+                (108, 218),
+                (116, 214),
+                (120, 212),
+                (130, 172),
+                (150, 164),
+                (156, 142),
+                (170, 140),
+                (186, 130),
+                (190, 118),
+                (226, 108),
+                (238, 90),
+            ],
+        ),
+        (
+            "miller_v2",
+            true,
+            290130,
+            5186.0,
+            false,
+            vec![
+                (350, 994),
+                (395, 971),
+                (429, 901),
+                (453, 707),
+                (492, 638),
+                (595, 629),
+                (660, 607),
+                (663, 534),
+                (675, 456),
+                (686, 423),
+                (720, 419),
+                (835, 356),
+                (891, 333),
+                (1018, 285),
+                (1070, 284),
+                (1315, 275),
+                (1380, 264),
+            ],
+        ),
+        (
+            "comparator_v2",
+            true,
+            497951,
+            7018.0,
+            false,
+            vec![
+                (199, 2582),
+                (308, 2560),
+                (358, 2026),
+                (378, 1338),
+                (383, 1316),
+                (542, 1192),
+                (577, 863),
+                (756, 710),
+                (880, 680),
+                (900, 596),
+                (1278, 534),
+                (1512, 443),
+                (1636, 351),
+                (1696, 329),
+            ],
+        ),
+        (
+            "folded_cascode",
+            true,
+            368745,
+            8508.0,
+            false,
+            vec![
+                (305, 1209),
+                (330, 1176),
+                (396, 1162),
+                (401, 1056),
+                (463, 997),
+                (523, 936),
+                (529, 781),
+                (568, 772),
+                (570, 684),
+                (594, 637),
+                (611, 628),
+                (680, 550),
+                (788, 484),
+                (938, 419),
+                (1067, 401),
+                (1111, 386),
+                (1172, 357),
+                (1213, 348),
+                (1236, 338),
+            ],
+        ),
+        (
+            "buffer",
+            true,
+            811206,
+            36639.0,
+            false,
+            vec![
+                (271, 3195),
+                (300, 2847),
+                (306, 2651),
+                (317, 2584),
+                (340, 2524),
+                (359, 2332),
+                (433, 2064),
+                (528, 1617),
+                (597, 1494),
+                (681, 1288),
+                (802, 1193),
+                (812, 1188),
+                (908, 1029),
+                (966, 949),
+                (1089, 895),
+                (1131, 774),
+                (1378, 653),
+                (1677, 594),
+                (1678, 563),
+                (1826, 507),
+                (1838, 466),
+                (2131, 416),
+                (2153, 403),
+                (2256, 396),
+                (2641, 344),
+            ],
+        ),
+        (
+            "biasynth",
+            true,
+            1395980,
+            34250.0,
+            false,
+            vec![
+                (348, 4245),
+                (377, 4104),
+                (412, 3883),
+                (452, 3675),
+                (483, 3505),
+                (584, 3149),
+                (617, 2867),
+                (667, 2167),
+                (878, 1958),
+                (921, 1768),
+                (1014, 1452),
+                (1115, 1252),
+                (1232, 1224),
+                (1389, 1119),
+                (1543, 1024),
+                (1653, 961),
+                (1859, 844),
+                (2103, 739),
+                (2504, 608),
+                (3042, 554),
+                (3408, 456),
+                (3649, 403),
+                (4272, 374),
+                (4399, 342),
+                (4713, 309),
+            ],
+        ),
+        (
+            "lnamixbias",
+            true,
+            1959675,
+            117660.0,
+            false,
+            vec![
+                (359, 5682),
+                (399, 5255),
+                (472, 4661),
+                (515, 4016),
+                (556, 3570),
+                (699, 3029),
+                (845, 2420),
+                (976, 2132),
+                (1217, 1878),
+                (1302, 1756),
+                (1526, 1540),
+                (1590, 1449),
+                (1870, 1183),
+                (2063, 1044),
+                (2289, 905),
+                (2558, 829),
+                (2708, 746),
+                (3126, 662),
+                (3478, 597),
+                (4060, 540),
+                (4450, 463),
+                (4611, 425),
+                (4740, 424),
+                (5542, 378),
+                (6314, 347),
+            ],
+        ),
+        (
+            "miller_opamp_fig6",
+            false,
+            21160,
+            1227.5,
+            false,
+            vec![
+                (90, 270),
+                (96, 230),
+                (108, 218),
+                (116, 214),
+                (120, 212),
+                (130, 172),
+                (150, 164),
+                (160, 148),
+                (166, 128),
+                (190, 114),
+                (226, 108),
+                (230, 92),
+                (238, 90),
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn hybrid_hier_engine_reproduces_pinned_results_bit_identically() {
+    for (name, fast, area, wirelength, enumeration_won, staircase) in hybrid_golden() {
+        let circuit = benchmarks::by_name(name).expect("bundled name resolves");
+        let settings = RestartSettings { fast_schedule: fast, ..RestartSettings::default() };
+        let outcome = run_engine_once(&circuit, PortfolioEngine::Hier, 7, &settings);
+        assert_eq!(outcome.metrics.bounding_area, area, "{name} fast={fast}: bounding area");
+        assert_eq!(outcome.metrics.wirelength, wirelength, "{name} fast={fast}: wirelength");
+        assert_eq!(outcome.enumeration_won, Some(enumeration_won), "{name} fast={fast}");
+        let hier = HierPlacer::hybrid(&circuit, 7)
+            .with_options(HierOptions::default().with_seed(7).with_fast_schedule(fast))
+            .run();
+        assert_eq!(hier.staircase, staircase, "{name} fast={fast}: staircase");
+        assert_eq!(hier.dims.area(), area, "{name} fast={fast}: lane and placer agree");
     }
 }
 
