@@ -1,6 +1,6 @@
 //! Hierarchical pipeline benchmarks: the pure-enumeration configuration
-//! (the deterministic placer's engine) against the hybrid configuration with
-//! the B*-tree annealing sub-solver.
+//! (the deterministic placer's engine) against the hybrid configuration, which
+//! refines larger hierarchy nodes by B*-tree annealing.
 //!
 //! The recorded area/runtime comparison lives in `BENCH_hier.json` at the
 //! repository root: every PR that touches the hierarchical pipeline re-runs
@@ -8,7 +8,7 @@
 //! review.
 
 use apls_circuit::benchmarks;
-use apls_shapefn::hier::{BTreeAnnealSolver, HierOptions, HierPlacer};
+use apls_shapefn::hier::{HierOptions, HierPlacer};
 use apls_shapefn::{DeterministicPlacer, ShapeModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -25,12 +25,7 @@ fn bench_hier_configurations(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hybrid_fast", name), &0, |b, _| {
             let options = HierOptions::default().with_seed(7).with_fast_schedule(true);
-            b.iter(|| {
-                HierPlacer::new(&circuit)
-                    .with_options(options.clone())
-                    .with_sub_solver(Box::new(BTreeAnnealSolver))
-                    .run()
-            });
+            b.iter(|| HierPlacer::hybrid(&circuit, 7).with_options(options.clone()).run());
         });
     }
     group.finish();

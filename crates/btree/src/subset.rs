@@ -2,8 +2,8 @@
 //!
 //! The hierarchical placement pipeline ([`apls-shapefn`'s hier driver])
 //! abstracts every hierarchy node as a shape function. Nodes too large to
-//! enumerate exhaustively are solved by pinned-seed annealing instead; this
-//! module provides the B*-tree flavour of that sub-solver: it anneals a flat
+//! enumerate exhaustively are refined by pinned-seed annealing instead; this
+//! module is that refiner: it anneals a flat
 //! B*-tree over *just* the subset modules, using the parent design's global
 //! module ids and dimension table directly, so the best tree can be grafted
 //! into enclosing shape functions without any id translation.

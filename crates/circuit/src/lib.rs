@@ -42,7 +42,6 @@ mod module;
 mod net;
 mod netlist;
 mod placement;
-mod subcircuit;
 
 pub use adjacency::NetAdjacency;
 pub use constraint::{
@@ -54,4 +53,3 @@ pub use module::{Module, ModuleId, ShapeVariant};
 pub use net::{Net, NetId};
 pub use netlist::Netlist;
 pub use placement::{PlacedModule, Placement, PlacementMetrics};
-pub use subcircuit::SubCircuit;

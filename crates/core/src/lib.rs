@@ -14,7 +14,7 @@
 //!   enhanced shape functions (Section IV);
 //! * [`Engine::Hier`] — the hierarchical cross-engine pipeline
 //!   ([`shapefn::hier`]): enumeration for small basic sets, pinned-seed
-//!   annealing sub-solvers for larger hierarchy nodes, rayon-parallel
+//!   B*-tree annealing for larger hierarchy nodes, rayon-parallel
 //!   shape-function composition;
 //! * [`Engine::Tempering`] — parallel-tempering sequence-pair annealing
 //!   ([`seqpair::tempering`]): temperature replicas exchanging

@@ -49,7 +49,7 @@ pub struct PortfolioConfig {
     /// and the portfolio's uniform comparison cost.
     pub wirelength_weight: f64,
     /// Hierarchy nodes with more than this many modules are refined by the
-    /// hier engine's annealing sub-solver (hier engine only).
+    /// hier engine's B*-tree annealing (hier engine only).
     pub hier_anneal_threshold: usize,
     /// Optional plateau-based early stop.
     pub early_stop: Option<EarlyStop>,

@@ -125,7 +125,7 @@ pub struct RestartSettings {
     /// Weight of the wirelength term in the annealing cost functions.
     pub wirelength_weight: f64,
     /// Hierarchy nodes with more than this many modules are refined by the
-    /// hier engine's annealing sub-solver (hier engine only).
+    /// hier engine's B*-tree annealing (hier engine only).
     pub hier_anneal_threshold: usize,
 }
 
@@ -173,7 +173,7 @@ pub fn run_engine_once(
 }
 
 /// [`run_engine_once`] with telemetry threaded into the engine's annealing
-/// loop / sub-solver dispatch (observe-only; the outcome is bit-identical
+/// loop / hier node refinement (observe-only; the outcome is bit-identical
 /// whatever collector is installed).
 ///
 /// # Panics
@@ -272,9 +272,8 @@ pub(crate) fn run_engine_once_traced(
                 .with_seed(seed)
                 .with_fast_schedule(settings.fast_schedule)
                 .with_anneal_threshold(settings.hier_anneal_threshold);
-            let result = HierPlacer::new(circuit)
+            let result = HierPlacer::hybrid(circuit, seed)
                 .with_options(options)
-                .with_sub_solver(Box::new(apls_shapefn::BTreeAnnealSolver))
                 .with_telemetry(telemetry.clone())
                 .run();
             let metrics = result.placement.metrics(&circuit.netlist);

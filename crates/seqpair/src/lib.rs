@@ -53,12 +53,10 @@ mod hot;
 pub mod pack;
 pub mod place;
 mod seq;
-pub mod subset;
 pub mod symmetry;
 pub mod tempering;
 
 pub use anneal::{SeqPairPlacer, SeqPairPlacerConfig, SymmetryMode};
 pub use pack::{PackAlgorithm, PackedFloorplan};
 pub use seq::{SequencePair, SpUndoLog};
-pub use subset::{place_subcircuit, SubsetSeqPairResult};
 pub use tempering::{TemperingPlacerConfig, TemperingResult, TemperingSeqPairPlacer};

@@ -195,7 +195,7 @@ impl EnhancedShapeFunction {
 
     /// Consuming union: moves `other`'s shapes into `self` instead of cloning
     /// them (the composition hot path of the hierarchical driver unions whole
-    /// sub-solver results, whose realising trees can be large).
+    /// node-refinement results, whose realising trees can be large).
     pub fn merge_from(&mut self, other: EnhancedShapeFunction) {
         self.shapes.reserve(other.shapes.len());
         for s in other.shapes {

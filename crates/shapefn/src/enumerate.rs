@@ -73,7 +73,7 @@ pub struct DeterministicResult {
 ///
 /// Since the hierarchical pipeline landed, this placer is a thin adapter: the
 /// enhanced model runs [`HierPlacer`](crate::hier::HierPlacer) in its
-/// pure-enumeration configuration (no annealing sub-solver), whose results
+/// pure-enumeration configuration (no annealing), whose results
 /// are bit-identical to the original recursive implementation (pinned by the
 /// `hier_equivalence` integration tests). The regular bounding-box model
 /// stays local because regular shape functions carry no realising trees.
@@ -112,7 +112,7 @@ impl<'a> DeterministicPlacer<'a> {
         let (dims, root_shapes, staircase, placement) = match model {
             ShapeModel::Enhanced => {
                 // the pure-enumeration configuration of the hierarchical
-                // pipeline (no annealing sub-solver)
+                // pipeline (no annealing)
                 let result = HierPlacer::new(self.circuit)
                     .with_options(HierOptions::pure(self.options))
                     .run();

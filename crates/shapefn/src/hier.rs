@@ -2,41 +2,49 @@
 //!
 //! Section IV of the paper bounds B*-tree enumeration with the layout design
 //! hierarchy; this module promotes that idea from a single-engine detail into
-//! a shared execution substrate. [`HierPlacer`] walks the hierarchy bottom-up
-//! and solves **every node with a pluggable [`SubSolver`]**:
+//! a shared execution substrate. [`HierPlacer`] walks the hierarchy bottom-up:
 //!
 //! * *basic module sets* small enough to enumerate exhaustively are solved
 //!   exactly (every B*-tree and rotation assignment, as in the deterministic
 //!   placer);
-//! * larger sets are handed to an annealing sub-solver — a flat B*-tree
-//!   annealer over the subset ([`BTreeAnnealSolver`]) or the full
-//!   symmetric-feasible sequence-pair engine on the extracted sub-netlist
-//!   ([`SeqPairAnnealSolver`]) — with seeds derived per node from one root
-//!   seed, so runs are reproducible and independent of the worker thread
-//!   count;
+//! * in the hybrid configuration, larger nodes are additionally refined by a
+//!   flat B*-tree annealer over the node's modules
+//!   ([`apls_btree::anneal_subset`]), with seeds derived per node from one
+//!   root seed, so runs are reproducible and independent of the worker
+//!   thread count;
 //! * every sub-result is abstracted as an [`EnhancedShapeFunction`] and
 //!   siblings are composed bottom-up with rayon-parallel candidate packing
 //!   and dominance pruning.
 //!
-//! The pure-enumeration configuration of this driver (no sub-solver) **is**
-//! the deterministic placer of Section IV: [`crate::DeterministicPlacer`]
-//! delegates to it, and the equivalence is pinned bit-for-bit by the
-//! `hier_equivalence` integration tests. The hybrid configuration can only
-//! improve on it: the driver keeps the pure enumeration result as a fallback
-//! and returns whichever root shape has the smaller area, mirroring the
-//! portfolio's restart-0 guarantee.
+//! The pure-enumeration configuration of this driver ([`HierPlacer::new`])
+//! **is** the deterministic placer of Section IV:
+//! [`crate::DeterministicPlacer`] delegates to it, and the equivalence is
+//! pinned bit-for-bit by the `hier_equivalence` integration tests. The hybrid
+//! configuration ([`HierPlacer::hybrid`]) can only improve on it: the driver
+//! keeps the pure enumeration result as a fallback and returns whichever
+//! root shape has the smaller area, mirroring the portfolio's restart-0
+//! guarantee.
 
 use crate::{EnhancedShape, EnhancedShapeFunction};
 use apls_anneal::rng::SeedStream;
 use apls_anneal::Schedule;
 use apls_btree::{anneal_subset, pack_btree, BStarTree, SubsetAnnealConfig};
 use apls_circuit::benchmarks::BenchmarkCircuit;
-use apls_circuit::{HierarchyNode, HierarchyNodeId, ModuleId, Placement, SubCircuit};
-use apls_geometry::{Dims, Orientation, Rect};
-use apls_seqpair::{place_subcircuit, SeqPairPlacerConfig};
+use apls_circuit::{HierarchyNode, HierarchyNodeId, ModuleId, Placement};
+use apls_geometry::{Dims, Orientation};
 use apls_telemetry::Telemetry;
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// Nodes with more than this many modules are composed from their children
+/// only; annealing a flat sub-problem that large would dominate the runtime
+/// without improving on composition.
+const ANNEAL_CAP: usize = 24;
+
+/// Aspect-ratio targets (`w / h`) the node refiner sweeps, one run each; one
+/// extra pure-area run is always added. More targets widen the staircase a
+/// node contributes upward.
+const ASPECT_TARGETS: [f64; 3] = [0.5, 1.0, 2.0];
 
 /// Tuning options of the hierarchical pipeline.
 #[derive(Debug, Clone)]
@@ -45,21 +53,13 @@ pub struct HierOptions {
     pub max_shapes: usize,
     /// Basic module sets larger than this are not exhaustively enumerated.
     pub max_enumerated_set: usize,
-    /// Hierarchy nodes with more than this many modules qualify for the
-    /// annealing sub-solver (when one is installed). Exhaustively enumerated
-    /// nodes are never annealed — enumeration is already exact.
+    /// Hierarchy nodes with more than this many modules (and at most 24) are
+    /// refined by annealing in the hybrid configuration. Exhaustively
+    /// enumerated nodes are never annealed — enumeration is already exact.
     pub anneal_threshold: usize,
-    /// Nodes with more than this many modules are composed from their
-    /// children only; annealing a flat sub-problem that large would dominate
-    /// the runtime without improving on composition.
-    pub anneal_cap: usize,
-    /// Aspect-ratio targets (`w / h`) the annealing sub-solver sweeps; one
-    /// extra pure-area run is always added. More targets widen the staircase
-    /// a node contributes upward.
-    pub aspect_targets: Vec<f64>,
-    /// Root seed of the per-node sub-solver seed derivation.
+    /// Root seed of the per-node annealing seed derivation.
     pub seed: u64,
-    /// Use the short smoke-test schedule in the annealing sub-solvers.
+    /// Use the short smoke-test schedule when annealing nodes.
     pub fast_schedule: bool,
 }
 
@@ -69,8 +69,6 @@ impl Default for HierOptions {
             max_shapes: 24,
             max_enumerated_set: 5,
             anneal_threshold: 5,
-            anneal_cap: 24,
-            aspect_targets: vec![0.5, 1.0, 2.0],
             seed: 1,
             fast_schedule: false,
         }
@@ -111,175 +109,6 @@ impl HierOptions {
     }
 }
 
-/// One sub-problem of the hierarchical pipeline: a hierarchy node, its
-/// modules, and everything a solver needs to produce candidate shapes.
-#[derive(Debug)]
-pub struct SubProblem<'a> {
-    /// The full circuit (sub-netlist extraction needs nets and constraints).
-    pub circuit: &'a BenchmarkCircuit,
-    /// The hierarchy node being solved.
-    pub node: HierarchyNodeId,
-    /// The modules under the node, in schematic order.
-    pub modules: &'a [ModuleId],
-    /// Global module dimension table (hoisted once per run).
-    pub module_dims: &'a [Dims],
-    /// Global rotation permissions (false for constrained modules).
-    pub rotatable: &'a [bool],
-    /// The run's root seed, identical for every node. Solvers must derive
-    /// their per-run seeds through [`SubProblem::run_seed`], which mixes in
-    /// the node id and run index — seeding an RNG from this value directly
-    /// would give every node the same stream.
-    pub seed: u64,
-    /// Whether to use the short smoke-test schedule.
-    pub fast_schedule: bool,
-    /// Aspect-ratio targets to sweep.
-    pub aspect_targets: &'a [f64],
-}
-
-impl SubProblem<'_> {
-    /// The seed of run `index` of this node's solver (pure in the index).
-    #[must_use]
-    pub fn run_seed(&self, index: u64) -> u64 {
-        SeedStream::new(self.seed).seed_for(self.node.index() as u64, index)
-    }
-
-    /// The annealing schedule for this sub-problem's size.
-    #[must_use]
-    pub fn schedule(&self) -> Schedule {
-        if self.fast_schedule {
-            Schedule::fast()
-        } else {
-            Schedule::for_problem_size(self.modules.len())
-        }
-    }
-}
-
-/// A pluggable per-node solver of the hierarchical pipeline.
-///
-/// Implementations must be pure functions of the [`SubProblem`] (no hidden
-/// state, no wall-clock or thread-identity dependence): the driver fans nodes
-/// out over rayon workers and pins the guarantee that results do not depend
-/// on the thread count.
-pub trait SubSolver: Send + Sync {
-    /// Stable name, used in reports and debugging.
-    fn name(&self) -> &'static str;
-
-    /// Produces candidate shapes for the node. The returned function may be
-    /// empty (the driver then keeps the composed candidates only).
-    fn solve(&self, problem: &SubProblem<'_>) -> EnhancedShapeFunction;
-}
-
-/// Flat B*-tree annealing over the node's modules (global ids, so the best
-/// trees feed straight into the enhanced shape functions). One pinned-seed
-/// run per aspect-ratio target plus one pure-area run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BTreeAnnealSolver;
-
-impl SubSolver for BTreeAnnealSolver {
-    fn name(&self) -> &'static str {
-        "btree-anneal"
-    }
-
-    fn solve(&self, problem: &SubProblem<'_>) -> EnhancedShapeFunction {
-        let mut esf = EnhancedShapeFunction::new();
-        let runs = problem.aspect_targets.len() + 1;
-        for run in 0..runs {
-            let mut config = SubsetAnnealConfig {
-                seed: problem.run_seed(run as u64),
-                schedule: problem.schedule(),
-                aspect_target: None,
-                aspect_weight: 0.3,
-            };
-            if run < problem.aspect_targets.len() {
-                config.aspect_target = Some(problem.aspect_targets[run]);
-            }
-            let result =
-                anneal_subset(problem.modules, problem.module_dims, problem.rotatable, &config);
-            esf.insert(EnhancedShape::from_tree(result.tree, problem.module_dims));
-        }
-        esf
-    }
-}
-
-/// Symmetric-feasible sequence-pair annealing on the extracted sub-netlist
-/// (inherited symmetry / common-centroid / proximity constraints), with the
-/// resulting placement re-encoded as a B*-tree for shape-function
-/// composition.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeqPairAnnealSolver;
-
-impl SubSolver for SeqPairAnnealSolver {
-    fn name(&self) -> &'static str {
-        "seqpair-anneal"
-    }
-
-    fn solve(&self, problem: &SubProblem<'_>) -> EnhancedShapeFunction {
-        let sub = SubCircuit::restrict(
-            &problem.circuit.netlist,
-            &problem.circuit.constraints,
-            problem.modules,
-        );
-        let config = SeqPairPlacerConfig {
-            seed: problem.run_seed(0),
-            schedule: problem.schedule(),
-            ..SeqPairPlacerConfig::default()
-        };
-        let result = place_subcircuit(&sub, &config);
-        let mut esf = EnhancedShapeFunction::new();
-        let tree = tree_from_rects(&result.rects);
-        esf.insert(EnhancedShape::from_tree(tree, problem.module_dims));
-        esf
-    }
-}
-
-/// Re-encodes a placed rectangle set as a B*-tree.
-///
-/// The reconstruction is a deterministic greedy sweep in `(x_min, y_min)`
-/// order: each module prefers to become the *left child* of its left-abutting
-/// neighbour (same packing position), falling back to the *right child* of
-/// the module directly below it, and finally to any free slot. Packing the
-/// resulting tree left/bottom-compacts the placement, so the encoded shape is
-/// never larger than the bounding box of an already-compacted input; for
-/// non-admissible inputs (e.g. symmetry-legalised placements with slack) the
-/// tree is a compacted *candidate* whose exact footprint the caller re-packs.
-#[must_use]
-pub fn tree_from_rects(rects: &[(ModuleId, Rect)]) -> BStarTree {
-    assert!(!rects.is_empty(), "cannot encode an empty placement");
-    let mut order: Vec<(ModuleId, Rect)> = rects.to_vec();
-    order.sort_by_key(|&(m, r)| (r.x_min, r.y_min, m));
-    let mut tree = BStarTree::left_chain(&[order[0].0]);
-    let mut placed: Vec<(ModuleId, Rect)> = vec![order[0]];
-    for &(m, r) in &order[1..] {
-        let single = BStarTree::left_chain(&[m]);
-        // 1. left-abutting neighbour with the largest vertical overlap
-        let left_anchor = placed
-            .iter()
-            .filter(|(_, p)| p.x_max == r.x_min && p.y_min < r.y_max && r.y_min < p.y_max)
-            .max_by_key(|(_, p)| {
-                (p.y_max.min(r.y_max) - p.y_min.max(r.y_min), std::cmp::Reverse(p.y_min))
-            })
-            .map(|&(pm, _)| pm);
-        // 2. module directly below, sharing the left edge if possible
-        let below_anchor = placed
-            .iter()
-            .filter(|(_, p)| p.y_max <= r.y_min && p.x_min < r.x_max && r.x_min < p.x_max)
-            .max_by_key(|(_, p)| (p.y_max, p.x_min == r.x_min))
-            .map(|&(pm, _)| pm);
-        let grafted = left_anchor.is_some_and(|anchor| tree.graft(&single, anchor, true))
-            || below_anchor.is_some_and(|anchor| tree.graft(&single, anchor, false));
-        if !grafted {
-            // 3. any free slot, scanning in insertion order (always succeeds:
-            //    a binary tree over n nodes has n + 1 free slots)
-            let attached = placed
-                .iter()
-                .any(|&(pm, _)| tree.graft(&single, pm, true) || tree.graft(&single, pm, false));
-            assert!(attached, "a binary tree always has a free slot");
-        }
-        placed.push((m, r));
-    }
-    tree
-}
-
 /// Result of one hierarchical pipeline run.
 #[derive(Debug, Clone)]
 pub struct HierResult {
@@ -296,8 +125,7 @@ pub struct HierResult {
     /// The final placement, extracted from the minimum-area root shape's
     /// realising B*-tree.
     pub placement: Placement,
-    /// Hierarchy nodes the annealing sub-solver was *applied* to during the
-    /// hybrid walk. When [`HierResult::enumeration_won`] is `true` the
+    /// Hierarchy nodes annealing was *applied* to during the hybrid walk. When [`HierResult::enumeration_won`] is `true` the
     /// refinements were attempted but discarded — the returned shapes owe
     /// them nothing.
     pub annealed_nodes: usize,
@@ -323,44 +151,39 @@ pub struct HierResult {
 pub struct HierPlacer<'a> {
     circuit: &'a BenchmarkCircuit,
     options: HierOptions,
-    solver: Option<Box<dyn SubSolver>>,
+    /// `true` for the hybrid configuration: nodes past the annealing
+    /// threshold are refined by a flat B*-tree anneal.
+    anneal: bool,
     telemetry: Telemetry,
 }
 
 impl<'a> HierPlacer<'a> {
-    /// Creates a pure-enumeration placer (no sub-solver): the configuration
+    /// Creates a pure-enumeration placer (no annealing): the configuration
     /// behind [`crate::DeterministicPlacer`].
     #[must_use]
     pub fn new(circuit: &'a BenchmarkCircuit) -> Self {
         HierPlacer {
             circuit,
             options: HierOptions::default(),
-            solver: None,
+            anneal: false,
             telemetry: Telemetry::disabled(),
         }
     }
 
-    /// Creates the default hybrid placer: B*-tree annealing sub-solver with
-    /// the given root seed.
+    /// Creates the hybrid placer: nodes past the annealing threshold are
+    /// refined by B*-tree annealing seeded from the given root seed.
     #[must_use]
     pub fn hybrid(circuit: &'a BenchmarkCircuit, seed: u64) -> Self {
-        HierPlacer::new(circuit)
-            .with_options(HierOptions::default().with_seed(seed))
-            .with_sub_solver(Box::new(BTreeAnnealSolver))
+        HierPlacer {
+            anneal: true,
+            ..HierPlacer::new(circuit).with_options(HierOptions::default().with_seed(seed))
+        }
     }
 
     /// Overrides the tuning options (builder style).
     #[must_use]
     pub fn with_options(mut self, options: HierOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Installs an annealing sub-solver (builder style). Without one the
-    /// placer is the pure enumeration pipeline.
-    #[must_use]
-    pub fn with_sub_solver(mut self, solver: Box<dyn SubSolver>) -> Self {
-        self.solver = Some(solver);
         self
     }
 
@@ -397,15 +220,15 @@ impl<'a> HierPlacer<'a> {
             dims: &dims,
             rotatable: &rotatable,
             options: &self.options,
-            solver: self.solver.as_deref(),
+            anneal: self.anneal,
             telemetry: &self.telemetry,
         };
         let solution = solve_node(&ctx, root);
         let annealed_nodes = solution.annealed;
 
         // The never-lose anchor: the walk carries the pure-enumeration shape
-        // function alongside the hybrid one (sharing every subtree the
-        // sub-solver never touched), and the better root shape wins. This
+        // function alongside the hybrid one (sharing every subtree annealing
+        // never touched), and the better root shape wins. This
         // mirrors the portfolio's restart-0 guarantee — the hybrid engine can
         // match the deterministic engine in the worst case, never trail it.
         let (esf, enumeration_won) = match solution.pure {
@@ -444,14 +267,14 @@ impl<'a> HierPlacer<'a> {
 }
 
 /// Shared per-run context of the recursive solve: the hoisted dimension and
-/// rotation tables plus the installed solver.
+/// rotation tables plus the pure/hybrid choice.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     circuit: &'a BenchmarkCircuit,
     dims: &'a [Dims],
     rotatable: &'a [bool],
     options: &'a HierOptions,
-    solver: Option<&'a dyn SubSolver>,
+    anneal: bool,
     telemetry: &'a Telemetry,
 }
 
@@ -460,13 +283,13 @@ struct NodeSolution {
     /// Shape function of the hybrid walk (annealing refinements included).
     hybrid: EnhancedShapeFunction,
     /// The pure-enumeration shape function of the same subtree, materialised
-    /// only once a sub-solver has touched the subtree — `None` means "equal
+    /// only once annealing has touched the subtree — `None` means "equal
     /// to `hybrid`", which lets untouched subtrees (leaves, enumerated basic
     /// sets, and everything below the first annealed node) be computed and
     /// stored exactly once instead of re-running the whole pure pipeline for
     /// the never-lose anchor.
     pure: Option<EnhancedShapeFunction>,
-    /// Sub-solver refinements in the subtree.
+    /// Annealing refinements in the subtree.
     annealed: usize,
 }
 
@@ -514,9 +337,9 @@ fn solve_node(ctx: &Ctx<'_>, node: HierarchyNodeId) -> NodeSolution {
             let solved: Vec<NodeSolution> =
                 children.into_par_iter().map(|child| solve_node(ctx, child)).collect();
             let mut annealed: usize = solved.iter().map(|s| s.annealed).sum();
-            let anneals_here = ctx.solver.is_some()
+            let anneals_here = ctx.anneal
                 && modules.len() > ctx.options.anneal_threshold
-                && modules.len() <= ctx.options.anneal_cap;
+                && modules.len() <= ANNEAL_CAP;
 
             // the pure side diverges from the hybrid side only above annealed
             // nodes; below them it is the same object and costs nothing
@@ -556,26 +379,15 @@ fn solve_node(ctx: &Ctx<'_>, node: HierarchyNodeId) -> NodeSolution {
             };
 
             if anneals_here {
-                let problem = SubProblem {
-                    circuit: ctx.circuit,
-                    node,
-                    modules: &modules,
-                    module_dims: ctx.dims,
-                    rotatable: ctx.rotatable,
-                    seed: ctx.options.seed,
-                    fast_schedule: ctx.options.fast_schedule,
-                    aspect_targets: &ctx.options.aspect_targets,
-                };
-                let solver = ctx.solver.expect("anneals_here");
                 let _span = apls_telemetry::span!(
                     ctx.telemetry,
                     "hier",
                     "sub_solve",
                     node = node.index() as u64,
                     modules = modules.len(),
-                    solver = solver.name()
+                    solver = "btree-anneal"
                 );
-                hybrid.merge_from(solver.solve(&problem));
+                hybrid.merge_from(anneal_node(ctx, node, &modules));
                 annealed += 1;
             }
             hybrid.truncate(ctx.options.max_shapes);
@@ -585,6 +397,37 @@ fn solve_node(ctx: &Ctx<'_>, node: HierarchyNodeId) -> NodeSolution {
             NodeSolution { hybrid, pure, annealed }
         }
     }
+}
+
+/// Flat B*-tree annealing over a node's modules (global ids, so the best
+/// trees feed straight into the enhanced shape functions): one run per
+/// aspect-ratio target plus one pure-area run, each seeded by the node id
+/// and run index from the root seed, so the result is a pure function of the
+/// node whatever the thread count.
+fn anneal_node(
+    ctx: &Ctx<'_>,
+    node: HierarchyNodeId,
+    modules: &[ModuleId],
+) -> EnhancedShapeFunction {
+    let seeds = SeedStream::new(ctx.options.seed);
+    let schedule = if ctx.options.fast_schedule {
+        Schedule::fast()
+    } else {
+        Schedule::for_problem_size(modules.len())
+    };
+    let mut esf = EnhancedShapeFunction::new();
+    let targets = ASPECT_TARGETS.iter().copied().map(Some).chain([None]);
+    for (run, aspect_target) in targets.enumerate() {
+        let config = SubsetAnnealConfig {
+            seed: seeds.seed_for(node.index() as u64, run as u64),
+            schedule,
+            aspect_target,
+            aspect_weight: 0.3,
+        };
+        let result = anneal_subset(modules, ctx.dims, ctx.rotatable, &config);
+        esf.insert(EnhancedShape::from_tree(result.tree, ctx.dims));
+    }
+    esf
 }
 
 /// Exhaustive enumeration of every B*-tree (and rotation assignment) of a
@@ -637,10 +480,7 @@ mod tests {
         let circuit = miller_opamp_fig6();
         let mut options = HierOptions::default().with_seed(7).with_fast_schedule(true);
         options.anneal_threshold = 4;
-        let result = HierPlacer::new(&circuit)
-            .with_options(options)
-            .with_sub_solver(Box::new(BTreeAnnealSolver))
-            .run();
+        let result = HierPlacer::hybrid(&circuit, 7).with_options(options).run();
         assert!(result.placement.is_complete());
         let metrics = result.placement.metrics(&circuit.netlist);
         assert_eq!(metrics.overlap_area, 0);
@@ -652,9 +492,8 @@ mod tests {
     fn hybrid_never_loses_to_pure_enumeration() {
         for circuit in [miller_opamp_fig6(), benchmarks::comparator_v2()] {
             let pure = HierPlacer::new(&circuit).run();
-            let hybrid = HierPlacer::new(&circuit)
+            let hybrid = HierPlacer::hybrid(&circuit, 3)
                 .with_options(HierOptions::default().with_seed(3).with_fast_schedule(true))
-                .with_sub_solver(Box::new(BTreeAnnealSolver))
                 .run();
             assert!(
                 hybrid.dims.area() <= pure.dims.area(),
@@ -670,9 +509,8 @@ mod tests {
     fn hybrid_runs_are_seed_reproducible() {
         let circuit = benchmarks::miller_v2();
         let run = || {
-            HierPlacer::new(&circuit)
+            HierPlacer::hybrid(&circuit, 11)
                 .with_options(HierOptions::default().with_seed(11).with_fast_schedule(true))
-                .with_sub_solver(Box::new(BTreeAnnealSolver))
                 .run()
         };
         let a = run();
@@ -680,33 +518,5 @@ mod tests {
         assert_eq!(a.dims, b.dims);
         assert_eq!(a.staircase, b.staircase);
         assert_eq!(a.placement, b.placement);
-    }
-
-    #[test]
-    fn seqpair_sub_solver_produces_legal_shapes() {
-        let circuit = miller_opamp_fig6();
-        let mut options = HierOptions::default().with_seed(5).with_fast_schedule(true);
-        options.anneal_threshold = 4;
-        let result = HierPlacer::new(&circuit)
-            .with_options(options)
-            .with_sub_solver(Box::new(SeqPairAnnealSolver))
-            .run();
-        assert!(result.placement.is_complete());
-        assert_eq!(result.placement.metrics(&circuit.netlist).overlap_area, 0);
-    }
-
-    #[test]
-    fn tree_reconstruction_round_trips_an_admissible_placement() {
-        // a 2x2 grid packing: reconstruction + repack must reproduce it
-        let rects = vec![
-            (ModuleId::from_index(0), Rect::new(0, 0, 20, 10)),
-            (ModuleId::from_index(1), Rect::new(20, 0, 30, 10)),
-            (ModuleId::from_index(2), Rect::new(0, 10, 20, 25)),
-            (ModuleId::from_index(3), Rect::new(20, 10, 30, 20)),
-        ];
-        let dims = vec![Dims::new(20, 10), Dims::new(10, 10), Dims::new(20, 15), Dims::new(10, 10)];
-        let tree = tree_from_rects(&rects);
-        let packed = pack_btree(&tree, &dims);
-        assert_eq!(packed.dims(), Dims::new(30, 25));
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! This crate implements Section IV of the DATE 2009 survey:
 //!
-//! * [`ShapeFunction`] — the classic shape function of Otten (reference [23]):
+//! * [`ShapeFunction`] — the classic shape function of Otten (reference \[23\]):
 //!   a dominance-pruned staircase of `(width, height)` bounding boxes, with
 //!   horizontal and vertical additions;
 //! * [`EnhancedShapeFunction`] — the *enhanced* shape function of reference
-//!   [25]: every shape additionally carries the B*-tree of its placement, so
+//!   \[25\]: every shape additionally carries the B*-tree of its placement, so
 //!   additions can merge the trees and repack, letting the two operands
 //!   interleave (Fig. 7's `w_imp` improvement) instead of just abutting
 //!   bounding boxes;
@@ -17,12 +17,12 @@
 //!   combined bottom-up along the hierarchy tree; the minimum-area root shape
 //!   is the final placement;
 //! * [`hier`] — the hierarchical **cross-engine** pipeline generalising that
-//!   flow: every hierarchy node is solved by a pluggable [`SubSolver`]
-//!   (exhaustive enumeration for small basic sets, pinned-seed B*-tree or
-//!   sequence-pair annealing for larger sets), abstracted as an enhanced
-//!   shape function, and composed bottom-up with rayon-parallel candidate
-//!   packing. [`DeterministicPlacer`] is its pure-enumeration configuration;
-//!   the hybrid configuration is the portfolio's fourth engine (`hier`).
+//!   flow: small basic sets are enumerated exhaustively, larger hierarchy
+//!   nodes are refined by pinned-seed B*-tree annealing over the node's
+//!   modules, and every result is abstracted as an enhanced shape function
+//!   and composed bottom-up with rayon-parallel candidate packing.
+//!   [`DeterministicPlacer`] is its pure-enumeration configuration; the
+//!   hybrid configuration is the portfolio's fourth engine (`hier`).
 //!
 //! The deterministic placer is the engine behind Table I and Fig. 8 of the
 //! paper (experiments E1 and E6).
@@ -52,8 +52,5 @@ mod shape;
 
 pub use enhanced::{EnhancedShape, EnhancedShapeFunction};
 pub use enumerate::{DeterministicPlacer, DeterministicResult, PlacerOptions, ShapeModel};
-pub use hier::{
-    BTreeAnnealSolver, HierOptions, HierPlacer, HierResult, SeqPairAnnealSolver, SubProblem,
-    SubSolver,
-};
+pub use hier::{HierOptions, HierPlacer, HierResult};
 pub use shape::{Shape, ShapeFunction};

@@ -5,7 +5,7 @@
 use apls_circuit::benchmarks::{generate, GeneratorConfig};
 use apls_circuit::ModuleId;
 use apls_geometry::{total_overlap_area, Dims, Rect};
-use apls_shapefn::hier::{BTreeAnnealSolver, HierOptions, HierPlacer};
+use apls_shapefn::hier::{HierOptions, HierPlacer};
 use apls_shapefn::{EnhancedShapeFunction, ShapeFunction};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -104,10 +104,7 @@ proptest! {
             .with_seed(seed)
             .with_fast_schedule(true)
             .with_anneal_threshold(4);
-        let result = HierPlacer::new(&circuit)
-            .with_options(options)
-            .with_sub_solver(Box::new(BTreeAnnealSolver))
-            .run();
+        let result = HierPlacer::hybrid(&circuit, seed).with_options(options).run();
         prop_assert!(result.placement.is_complete());
         let rects: Vec<Rect> = result.placement.rects().collect();
         prop_assert_eq!(total_overlap_area(&rects), 0);

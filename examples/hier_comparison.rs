@@ -7,7 +7,7 @@
 //! ```
 
 use analog_layout_synthesis::circuit::benchmarks;
-use analog_layout_synthesis::shapefn::hier::{BTreeAnnealSolver, HierOptions, HierPlacer};
+use analog_layout_synthesis::shapefn::hier::HierPlacer;
 use analog_layout_synthesis::shapefn::{DeterministicPlacer, ShapeModel};
 
 fn main() {
@@ -16,10 +16,7 @@ fn main() {
     for (i, name) in names.iter().enumerate() {
         let circuit = benchmarks::by_name(name).expect("bundled name resolves");
         let det = DeterministicPlacer::new(&circuit).run(ShapeModel::Enhanced);
-        let hier = HierPlacer::new(&circuit)
-            .with_options(HierOptions::default().with_seed(7))
-            .with_sub_solver(Box::new(BTreeAnnealSolver))
-            .run();
+        let hier = HierPlacer::hybrid(&circuit, 7).run();
         let det_area = det.dims.area();
         let hier_area = hier.dims.area();
         println!(

@@ -4,8 +4,8 @@
 //!    configuration of `HierPlacer`) reproduces the pre-refactor results
 //!    **bit-identically** on every bundled circuit — the golden values below
 //!    were captured from the recursive implementation before the refactor;
-//! 2. `HierPlacer` without a sub-solver and `DeterministicPlacer` agree
-//!    exactly, down to the placement;
+//! 2. the pure configuration `HierPlacer::new` (no annealing) and
+//!    `DeterministicPlacer` agree exactly, down to the placement;
 //! 3. hybrid results are independent of the worker thread count;
 //! 4. the hier engine never loses to the deterministic engine on bounding
 //!    area (the driver's enumeration fallback makes this structural);
@@ -17,7 +17,7 @@ use analog_layout_synthesis::circuit::benchmarks;
 use analog_layout_synthesis::portfolio::{
     run_engine_once, run_portfolio, PortfolioConfig, PortfolioEngine, RestartSettings,
 };
-use analog_layout_synthesis::shapefn::hier::{BTreeAnnealSolver, HierOptions, HierPlacer};
+use analog_layout_synthesis::shapefn::hier::{HierOptions, HierPlacer};
 use analog_layout_synthesis::shapefn::{DeterministicPlacer, ShapeModel};
 
 /// Golden results of the pre-refactor `DeterministicPlacer`, one row per
@@ -544,9 +544,8 @@ fn hybrid_results_are_independent_of_the_thread_count() {
 
     // and directly, outside the portfolio: two hybrid runs are bit-identical
     let run = || {
-        HierPlacer::new(&circuit)
+        HierPlacer::hybrid(&circuit, 9)
             .with_options(HierOptions::default().with_seed(9).with_fast_schedule(true))
-            .with_sub_solver(Box::new(BTreeAnnealSolver))
             .run()
     };
     let a = run();
