@@ -15,13 +15,10 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Lifetime counters of one cache instance, reported by the daemon's
-/// `stats` command.
+/// `stats` command. Hits and misses are counted per job by the service's
+/// metrics registry, not per probe here: a solved job is probed twice.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found the key.
-    pub hits: u64,
-    /// Lookups that missed (including every lookup of a zero-capacity cache).
-    pub misses: u64,
     /// Entries stored (new keys and refreshes; the no-op inserts of a
     /// zero-capacity cache are not counted).
     pub insertions: u64,
@@ -62,9 +59,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.get_checked(key, |_| true)
     }
 
-    /// Looks a key up, but counts a match as a hit only when `accept`
-    /// approves its value; a rejected match is a miss, exactly as if the key
-    /// were absent, and keeps its recency.
+    /// Looks a key up, but returns a match only when `accept` approves its
+    /// value; a rejected match is a miss, exactly as if the key were absent,
+    /// and keeps its recency.
     pub fn get_checked<Q>(&mut self, key: &Q, accept: impl FnOnce(&V) -> bool) -> Option<&V>
     where
         K: Borrow<Q>,
@@ -75,13 +72,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         match self.map.get_mut(key) {
             Some((stamp, value)) if accept(value) => {
                 *stamp = tick;
-                self.stats.hits += 1;
                 Some(&*value)
             }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
+            _ => None,
         }
     }
 
@@ -122,7 +115,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.capacity
     }
 
-    /// Lifetime hit/miss/insertion/eviction counters.
+    /// Lifetime insertion/eviction counters.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -172,7 +165,6 @@ mod tests {
         cache.insert(1, "a");
         assert_eq!(cache.get_checked(&1, |v| *v == "b"), None);
         assert_eq!(cache.get_checked(&1, |v| *v == "a"), Some(&"a"));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, insertions: 1, evictions: 0 });
     }
 
     #[test]
@@ -189,11 +181,11 @@ mod tests {
         cache.insert(1, "a");
         assert_eq!(cache.get(&1), None);
         assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1, insertions: 0, evictions: 0 });
+        assert_eq!(cache.stats(), CacheStats { insertions: 0, evictions: 0 });
     }
 
     #[test]
-    fn stats_count_hits_misses_insertions_and_evictions() {
+    fn stats_count_insertions_and_evictions() {
         let mut cache = LruCache::new(2);
         cache.insert(1, "a");
         cache.insert(2, "b");
@@ -201,6 +193,6 @@ mod tests {
         assert_eq!(cache.get(&3), None); // miss
         cache.insert(3, "c"); // evicts 2
         assert_eq!(cache.get(&2), None); // miss
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2, insertions: 3, evictions: 1 });
+        assert_eq!(cache.stats(), CacheStats { insertions: 3, evictions: 1 });
     }
 }

@@ -25,6 +25,10 @@ pub(crate) struct ServiceMetrics {
     /// Jobs served from the result cache, at admission or after dequeue (the
     /// `stats` reply's `cache_hits`).
     pub cache_hits_total: Counter,
+    /// Jobs that found no cached report and went on to a worker's solve,
+    /// counted once per job where the worker's re-probe misses (the `stats`
+    /// reply's `cache.misses`).
+    pub cache_misses_total: Counter,
     /// Jobs currently waiting in the bounded queue.
     pub queue_depth: Gauge,
     /// Jobs currently being solved by a worker.
@@ -95,6 +99,7 @@ impl ServiceMetrics {
             errors_total: registry.counter("errors_total"),
             jobs_completed_total: registry.counter("jobs_completed_total"),
             cache_hits_total: registry.counter("cache_hits_total"),
+            cache_misses_total: registry.counter("cache_misses_total"),
             queue_depth: registry.gauge("queue_depth"),
             in_flight: registry.gauge("in_flight_jobs"),
             connections_active: registry.gauge("connections_active"),

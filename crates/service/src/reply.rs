@@ -166,8 +166,8 @@ pub(crate) fn stats(shared: &Shared) -> String {
         shared.telemetry.is_enabled(),
         shared.journal.is_some(),
         poison_recoveries(),
-        cache_stats.hits,
-        cache_stats.misses,
+        metrics.cache_hits_total.get(),
+        metrics.cache_misses_total.get(),
         cache_stats.insertions,
         cache_stats.evictions,
         cache_entries,

@@ -98,11 +98,9 @@ pub struct ServiceConfig {
     /// Test/bench hook: artificial extra latency per computed (non-cached)
     /// job, simulating heavier circuits than the suite can afford to run.
     pub job_delay: Option<Duration>,
-    /// Concurrent connections served at once (default
-    /// [`DEFAULT_MAX_CONNECTIONS`]).
+    /// Concurrent connections served at once (default 1024).
     pub max_connections: usize,
-    /// Largest accepted request line (default
-    /// [`DEFAULT_MAX_REQUEST_BYTES`]); an oversized line is answered with
+    /// Largest accepted request line (default 16 MiB); an oversized line is answered with
     /// `{"status":"error","kind":"request_too_large"}` and the connection
     /// closed.
     pub max_request_bytes: usize,
@@ -366,7 +364,8 @@ impl Shared {
         (true, "ready")
     }
 
-    /// The result cache's counters and its entry count, read together.
+    /// The result cache's insertion/eviction counters and its entry count,
+    /// read together.
     pub(crate) fn cache_stats(&self) -> (CacheStats, usize) {
         let cache = lock_or_recover(&self.cache);
         (cache.stats(), cache.len())
@@ -791,6 +790,7 @@ fn execute_job(
         shared.metrics.cache_hits_total.inc();
         return Ok((entry, true));
     }
+    shared.metrics.cache_misses_total.inc();
     // A job that expired while queued is not worth starting.
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
         return Err(JobFailure::Timeout);
@@ -956,8 +956,8 @@ mod tests {
     use super::*;
 
     /// Two different canonical circuit texts forced onto one circuit hash
-    /// must never be served each other's reports, and every probe must count
-    /// exactly one hit or one miss.
+    /// must never be served each other's reports, and the probes must leave
+    /// the entry count and insertion counters alone.
     #[test]
     fn a_circuit_hash_collision_is_a_miss_not_a_cross_served_report() {
         let cache = Mutex::new(LruCache::new(8));
@@ -983,7 +983,7 @@ mod tests {
         assert!(probe(&cache, &key, &text_a).is_none(), "a must not get b's report");
 
         let stats = lock_or_recover(&cache).stats();
-        assert_eq!(stats, CacheStats { hits: 3, misses: 2, insertions: 2, evictions: 0 });
+        assert_eq!(stats, CacheStats { insertions: 2, evictions: 0 });
         assert_eq!(lock_or_recover(&cache).len(), 1);
     }
 }
