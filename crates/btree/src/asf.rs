@@ -1,6 +1,6 @@
 //! Automatically symmetric-feasible (ASF) B*-trees: symmetry islands.
 //!
-//! Reference [16] of the survey formulates the placement of a symmetry group
+//! Reference \[16\] of the survey formulates the placement of a symmetry group
 //! as a *symmetry island*: the group is placed as one connected block that is
 //! internally mirror-symmetric about its axis, and the island as a whole is a
 //! single node in the surrounding (hierarchical) B*-tree.
@@ -15,7 +15,7 @@
 //! * self-symmetric modules are stacked in a centre column straddling the
 //!   axis.
 //!
-//! Compared to the full ASF-B*-tree of [16] this keeps the centre column
+//! Compared to the full ASF-B*-tree of \[16\] this keeps the centre column
 //! rectangular (self-symmetric modules do not interleave with the halves),
 //! a simplification documented in DESIGN.md; pair halves still take arbitrary
 //! B*-tree shapes, which is where almost all of the packing freedom lies.

@@ -1,6 +1,6 @@
 //! Hierarchical B*-trees (HB*-trees).
 //!
-//! The HB*-tree of reference [17] models each sub-circuit of the layout design
+//! The HB*-tree of reference \[17\] models each sub-circuit of the layout design
 //! hierarchy with its own floorplan representation and links them through
 //! hierarchy nodes: perturbations pick one sub-circuit's tree, and packing
 //! proceeds bottom-up, abstracting every packed sub-circuit as a block in its
@@ -15,7 +15,7 @@
 //! * all other internal nodes own an ordinary [`BStarTree`] over their
 //!   children (modules or sub-circuit blocks).
 //!
-//! Simplification vs. [17] (documented in DESIGN.md): a packed sub-circuit is
+//! Simplification vs. \[17\] (documented in DESIGN.md): a packed sub-circuit is
 //! abstracted by its bounding rectangle during parent packing, i.e. the
 //! rectilinear top contour of a cluster is not exploited. Experiment E10
 //! quantifies the impact by comparing against flat (non-hierarchical) B*-tree

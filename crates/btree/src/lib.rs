@@ -4,13 +4,13 @@
 //! placement with layout constraints*:
 //!
 //! * [`BStarTree`] — the B*-tree topological floorplan representation of Chang
-//!   et al. (reference [5] of the survey) with contour-based packing and the
+//!   et al. (reference \[5\] of the survey) with contour-based packing and the
 //!   standard perturbation operations (rotate, swap, move);
 //! * [`asf`] — *automatically symmetric-feasible* B*-trees: a symmetry group
 //!   is packed as a **symmetry island** (one half encoded as a B*-tree, the
 //!   other produced by mirroring about the axis, self-symmetric modules
 //!   centred on the axis), following the symmetry-island formulation of
-//!   reference [16];
+//!   reference \[16\];
 //! * [`common_centroid`] — interdigitated unit-device pattern generation for
 //!   common-centroid groups (Fig. 3(a) of the survey);
 //! * [`hbtree`] — the hierarchical HB*-tree: every sub-circuit of the layout

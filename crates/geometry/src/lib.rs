@@ -9,7 +9,8 @@
 //! * [`Contour`] — the horizontal skyline used by B*-tree packing;
 //! * [`BoundingBox`] — incremental bounding-box accumulation;
 //! * [`hpwl`] — half-perimeter wirelength of pin sets;
-//! * [`overlap`] utilities for placement legality checking.
+//! * [`overlap_area`] and [`total_overlap_area`] — overlap utilities for
+//!   placement legality checking.
 //!
 //! All coordinates are `i64` database units (dbu). Using integers keeps every
 //! packing algorithm exact and hashable, which matters for the enumeration and

@@ -1,6 +1,6 @@
 //! Layout-aware analog sizing (Section V of the DATE 2009 survey).
 //!
-//! The layout-aware sizing technique of reference [4] closes the loop between
+//! The layout-aware sizing technique of reference \[4\] closes the loop between
 //! electrical sizing and physical layout: every candidate sizing evaluated by
 //! the optimiser is turned into a layout through a *template*, parasitics are
 //! extracted from that layout, and the performance is judged **including**

@@ -1,7 +1,7 @@
 //! Procedural layout template for the folded-cascode amplifier.
 //!
 //! The template plays the role of the Cadence PCELL/SKILL templates of
-//! reference [4]: given a sizing it *procedurally* produces a full placement —
+//! reference \[4\]: given a sizing it *procedurally* produces a full placement —
 //! device blocks in fixed relative positions, mirrored about the differential
 //! axis — plus the routed wire lengths the extractor needs. Template
 //! generation is cheap (microseconds here, "a few seconds" in the paper),

@@ -5,7 +5,7 @@
 //! * [`pack_constraint_graph`] — the textbook O(n²) evaluation: build the
 //!   horizontal and vertical constraint relations implied by the sequence-pair
 //!   and compute longest paths;
-//! * [`pack_lcs`] — the FAST-SP-style evaluation (Tang & Wong, reference [26]
+//! * [`pack_lcs`] — the FAST-SP-style evaluation (Tang & Wong, reference \[26\]
 //!   of the survey): x coordinates are a weighted longest-common-subsequence
 //!   computation between α and β, y coordinates between reverse(α) and β. A
 //!   Fenwick tree over β positions gives O(n log n).

@@ -2,7 +2,7 @@
 //!
 //! Packing an S-F sequence-pair with the plain longest-path evaluation yields
 //! a legal placement, but not yet an exactly mirror-symmetric one: the paper
-//! (references [2], [13]) constructs the symmetric placement during
+//! (references \[2\], \[13\]) constructs the symmetric placement during
 //! evaluation. [`SymmetricPlacer`] implements that construction as an
 //! iterative legalisation:
 //!
@@ -81,7 +81,7 @@ impl<'a> SymmetricPlacer<'a> {
     ///    keeps the compactness of the plain packing and converges to an exact
     ///    mirror placement for the common (non-crossed) encodings;
     /// 2. an always-exact *symmetry-island* construction (in the spirit of the
-    ///    symmetry islands of reference [16] of the survey) used as a fallback
+    ///    symmetry islands of reference \[16\] of the survey) used as a fallback
     ///    when the iteration does not reach an exact fixpoint, e.g. for
     ///    encodings where two pairs of the same group appear "crossed" so that
     ///    mirroring one pair keeps pushing the other.

@@ -7,7 +7,7 @@ use std::fmt;
 /// A sequence-pair (α, β): two permutations of the same module set.
 ///
 /// The sequence-pair encodes a packed floorplan topologically (Murata et al.,
-/// reference [22] of the survey): module `a` is left of `b` iff `a` precedes
+/// reference \[22\] of the survey): module `a` is left of `b` iff `a` precedes
 /// `b` in *both* sequences, and `a` is below `b` iff `a` follows `b` in α but
 /// precedes it in β. Every pair of modules is therefore related horizontally
 /// or vertically and any sequence-pair corresponds to a legal (overlap-free)

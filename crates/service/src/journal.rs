@@ -20,9 +20,9 @@
 //!   journal doubles as the result store a restarted daemon serves
 //!   pre-crash reports from. A worker can finish a job before the reactor
 //!   has appended its enqueue record, so a complete record may precede its
-//!   enqueue; replay holds it until the next enqueue record (see [`replay`]).
+//!   enqueue; replay holds it until the next enqueue record (see `replay`).
 //!
-//! **Recovery** ([`Journal::open`]) replays the log: completed jobs seed the
+//! **Recovery** (`Journal::open`) replays the log: completed jobs seed the
 //! result cache, incomplete jobs are re-enqueued with their *recorded* seed —
 //! which is exactly the seed `SeedStream::seed_for(JOB_SEED_LANE, index)`
 //! would have derived — so the restarted daemon produces byte-identical

@@ -6,7 +6,7 @@
 //! entirely on `std::net` and `std::sync` — no async runtime, no new
 //! dependencies:
 //!
-//! * **JSON-lines protocol** ([`protocol`], [`json`]) — one request object
+//! * **JSON-lines protocol** (`protocol`, [`json`]) — one request object
 //!   per line; jobs name a bundled benchmark circuit or carry an inline
 //!   [`.apls` circuit](apls_io) plus a [`PortfolioConfig`
 //!   subset](apls_portfolio::PortfolioConfig);
