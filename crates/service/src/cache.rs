@@ -165,6 +165,7 @@ mod tests {
         cache.insert(1, "a");
         assert_eq!(cache.get_checked(&1, |v| *v == "b"), None);
         assert_eq!(cache.get_checked(&1, |v| *v == "a"), Some(&"a"));
+        assert_eq!(cache.stats(), CacheStats { insertions: 1, evictions: 0 });
     }
 
     #[test]

@@ -125,9 +125,9 @@ pub struct HierResult {
     /// The final placement, extracted from the minimum-area root shape's
     /// realising B*-tree.
     pub placement: Placement,
-    /// Hierarchy nodes annealing was *applied* to during the hybrid walk. When [`HierResult::enumeration_won`] is `true` the
-    /// refinements were attempted but discarded — the returned shapes owe
-    /// them nothing.
+    /// Hierarchy nodes annealing was *applied* to during the hybrid walk.
+    /// When [`HierResult::enumeration_won`] is `true` the refinements were
+    /// attempted but discarded — the returned shapes owe them nothing.
     pub annealed_nodes: usize,
     /// `true` when the pure-enumeration fallback beat the hybrid root shape
     /// (the driver then returns the enumeration result, so the hybrid can
@@ -228,9 +228,9 @@ impl<'a> HierPlacer<'a> {
 
         // The never-lose anchor: the walk carries the pure-enumeration shape
         // function alongside the hybrid one (sharing every subtree annealing
-        // never touched), and the better root shape wins. This
-        // mirrors the portfolio's restart-0 guarantee — the hybrid engine can
-        // match the deterministic engine in the worst case, never trail it.
+        // never touched), and the better root shape wins. This mirrors the
+        // portfolio's restart-0 guarantee — the hybrid engine can match the
+        // deterministic engine in the worst case, never trail it.
         let (esf, enumeration_won) = match solution.pure {
             Some(pure_esf) => {
                 let hybrid_area =
