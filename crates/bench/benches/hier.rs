@@ -28,6 +28,12 @@ fn bench_hier_configurations(c: &mut Criterion) {
             b.iter(|| HierPlacer::hybrid(&circuit, 7).with_options(options.clone()).run());
         });
     }
+    // the largest bundled circuit: enhanced shape-function addition is nearly
+    // all of a pure run
+    let circuit = benchmarks::by_name("lnamixbias").expect("bundled name resolves");
+    group.bench_with_input(BenchmarkId::new("pure", "lnamixbias"), &0, |b, _| {
+        b.iter(|| HierPlacer::new(&circuit).run());
+    });
     group.finish();
 }
 

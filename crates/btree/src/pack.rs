@@ -127,16 +127,41 @@ pub fn pack_btree_into(
     dims: &[Dims],
     out: &mut PackedBTree,
 ) {
-    scratch.contour.clear();
-    scratch.x_of.clear();
-    scratch.x_of.resize(tree.len(), (0, 0));
     out.rects.clear();
     out.rotated.clear();
     out.by_module.clear();
     out.by_module.resize(dims.len(), None);
-    out.width = 0;
-    out.height = 0;
+    let extent = pack_btree_with(scratch, tree, dims, |_, module, rotated, rect| {
+        out.rects.push((module, rect));
+        out.rotated.push(rotated);
+        out.by_module[module.index()] = Some(rect);
+    });
+    out.width = extent.w;
+    out.height = extent.h;
+}
 
+/// Packs a B*-tree for its floorplan extent alone: the contour walk of
+/// [`pack_btree_into`] without recording any rectangle, so sizing a
+/// candidate tree costs no allocation once `scratch` has grown.
+#[must_use]
+pub fn pack_extent(scratch: &mut PackScratch, tree: &BStarTree, dims: &[Dims]) -> Dims {
+    pack_btree_with(scratch, tree, dims, |_, _, _, _| {})
+}
+
+/// The one packing loop: places every node against the contour in pre-order
+/// and calls `visit(arena_index, module, rotated, rect)` for each, then
+/// returns the floorplan extent. The arena index is the one
+/// [`BStarTree::graft_from`] takes as its anchor.
+pub fn pack_btree_with<F: FnMut(usize, ModuleId, bool, Rect)>(
+    scratch: &mut PackScratch,
+    tree: &BStarTree,
+    dims: &[Dims],
+    mut visit: F,
+) -> Dims {
+    scratch.contour.clear();
+    scratch.x_of.clear();
+    scratch.x_of.resize(tree.len(), (0, 0));
+    let (mut width, mut height) = (0, 0);
     let contour = &mut scratch.contour;
     let x_of = &mut scratch.x_of;
     tree.walk_preorder(&mut |arena_idx, module, rotated, slot| {
@@ -150,12 +175,11 @@ pub fn pack_btree_into(
         let y = contour.place(x, d.w, d.h);
         let rect = Rect::new(x, y, x + d.w, y + d.h);
         x_of[arena_idx] = (x, x + d.w);
-        out.width = out.width.max(rect.x_max);
-        out.height = out.height.max(rect.y_max);
-        out.rects.push((module, rect));
-        out.rotated.push(rotated);
-        out.by_module[module.index()] = Some(rect);
+        width = width.max(rect.x_max);
+        height = height.max(rect.y_max);
+        visit(arena_idx, module, rotated, rect);
     });
+    Dims::new(width, height)
 }
 
 #[cfg(test)]
@@ -240,6 +264,7 @@ mod tests {
             let fresh = pack_btree(&tree, &dims);
             pack_btree_into(&mut scratch, &tree, &dims, &mut reused);
             assert_eq!(fresh, reused);
+            assert_eq!(pack_extent(&mut scratch, &tree, &dims), fresh.dims());
             // the by-module index agrees with the linear list
             for (i, &(m, r)) in fresh.rects().iter().enumerate() {
                 assert_eq!(reused.rect_of(m), Some(r));

@@ -40,7 +40,7 @@ struct Node {
 /// assert_eq!(tree.len(), 4);
 /// assert!(tree.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BStarTree {
     nodes: Vec<Node>,
     root: Option<usize>,
@@ -388,48 +388,44 @@ impl BStarTree {
         log.reset();
     }
 
-    /// Grafts a copy of `other` into this tree: `other`'s root becomes the
-    /// left (or right) child of the node holding `anchor_module`, and the rest
-    /// of `other`'s structure — including rotation flags — is preserved.
+    /// Overwrites this tree with a copy of `base` in which a copy of `other`
+    /// (structure and rotation flags preserved) hangs as the left (or right)
+    /// child of `base`'s arena node `anchor`; `other`'s nodes follow `base`'s
+    /// in the arena. The tree's storage is reused, so a buffer grafted into
+    /// over and over stops allocating once it has grown.
     ///
-    /// Returns `false` (leaving the tree untouched) when the anchor is
-    /// missing, the requested child slot is already occupied, `other` is
-    /// empty, or the module sets are not disjoint.
-    pub fn graft(
+    /// Returns `false` (leaving the tree untouched) when `other` is empty or
+    /// the requested child slot of `anchor` is occupied. The two module sets
+    /// must be disjoint; the caller checks that (a module in both trees would
+    /// be packed twice).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `anchor` is not an arena index of `base`.
+    pub fn graft_from(
         &mut self,
+        base: &BStarTree,
         other: &BStarTree,
-        anchor_module: ModuleId,
+        anchor: usize,
         as_left_child: bool,
     ) -> bool {
-        let Some(anchor) = self.nodes.iter().position(|n| n.module == anchor_module) else {
-            return false;
-        };
         let Some(other_root) = other.root else {
             return false;
         };
-        let slot_occupied = if as_left_child {
-            self.nodes[anchor].left.is_some()
-        } else {
-            self.nodes[anchor].right.is_some()
-        };
-        if slot_occupied {
+        let node = &base.nodes[anchor];
+        if (if as_left_child { node.left } else { node.right }).is_some() {
             return false;
         }
-        let own_modules: std::collections::BTreeSet<ModuleId> =
-            self.nodes.iter().map(|n| n.module).collect();
-        if other.nodes.iter().any(|n| own_modules.contains(&n.module)) {
-            return false;
-        }
-        let offset = self.nodes.len();
-        for n in &other.nodes {
-            self.nodes.push(Node {
-                module: n.module,
-                rotated: n.rotated,
-                left: n.left.map(|i| i + offset),
-                right: n.right.map(|i| i + offset),
-                parent: n.parent.map(|i| i + offset),
-            });
-        }
+        let offset = base.nodes.len();
+        self.nodes.clear();
+        self.nodes.extend_from_slice(&base.nodes);
+        self.nodes.extend(other.nodes.iter().map(|n| Node {
+            left: n.left.map(|i| i + offset),
+            right: n.right.map(|i| i + offset),
+            parent: n.parent.map(|i| i + offset),
+            ..*n
+        }));
+        self.root = base.root;
         let new_root = other_root + offset;
         self.nodes[new_root].parent = Some(anchor);
         if as_left_child {
@@ -625,6 +621,31 @@ mod tests {
         let mut single = BStarTree::left_chain(&ids(1));
         assert!(!single.move_node(ModuleId::from_index(0), ModuleId::from_index(0), true));
         assert!(tree.validate().is_ok());
+    }
+
+    #[test]
+    fn graft_from_hangs_a_copy_of_other_under_the_anchor() {
+        let id = ModuleId::from_index;
+        // arena 0 is the root, 1 its left child, 2 its right child
+        let base = BStarTree::balanced(&ids(3));
+        let mut other = BStarTree::left_chain(&[id(3), id(4)]);
+        other.rotate_node(id(4));
+        let mut buffer = BStarTree::default();
+        assert!(buffer.graft_from(&base, &other, 1, true));
+        assert!(buffer.validate().is_ok());
+        assert_eq!(buffer.preorder(), [0, 1, 3, 4, 2].map(id));
+        assert!(buffer.is_rotated(id(4)));
+        // an occupied slot or an empty `other` leaves the buffer untouched
+        let before = buffer.clone();
+        assert!(!buffer.graft_from(&base, &other, 0, true));
+        assert!(!buffer.graft_from(&base, &BStarTree::default(), 2, true));
+        assert_eq!(buffer, before);
+        // a reused buffer grafts exactly like a fresh one
+        assert!(buffer.graft_from(&base, &other, 2, false));
+        let mut fresh = BStarTree::default();
+        assert!(fresh.graft_from(&base, &other, 2, false));
+        assert_eq!(buffer, fresh);
+        assert_eq!(fresh.preorder(), [0, 1, 2, 3, 4].map(id));
     }
 
     #[test]

@@ -887,21 +887,21 @@ pub(crate) fn admit_place(
     // resolved value, deadline stripped (a replayed job deserves its full
     // time budget — the deadline bounded the original request's latency, not
     // the result), stream tags stripped (transport concerns, like the
-    // deadline, are not part of what the job computes).
+    // deadline, are not part of what the job computes). The config
+    // fingerprint is only ever read from the journal, so it is hashed here.
     let journal_spec = shared.journal.as_ref().map(|_| {
         let mut journal_spec = spec.clone();
         journal_spec.seed = Some(seed);
         journal_spec.deadline_ms = None;
         journal_spec.stream = None;
         journal_spec.stream_id = None;
-        journal_spec.to_json_line()
+        (journal_spec.to_json_line(), canonical_hash(&config_canonical))
     });
-    let config_fp = canonical_hash(&config_canonical);
-    let enqueue_record = journal_spec.as_deref().map(|spec| JournalRecord::Enqueue {
+    let enqueue_record = journal_spec.as_ref().map(|(spec, config_fp)| JournalRecord::Enqueue {
         index,
         seed,
         circuit_hash,
-        config_fp,
+        config_fp: *config_fp,
         spec,
     });
     let cache_key = CacheKey { circuit_hash, config: config_canonical, seed };

@@ -1,9 +1,8 @@
 //! Enhanced shape functions: shapes that carry their B*-tree.
 
-use apls_btree::{pack_btree, BStarTree};
+use apls_btree::{pack_btree_with, pack_extent, BStarTree, PackScratch};
 use apls_circuit::ModuleId;
-use apls_geometry::Dims;
-use rayon::prelude::*;
+use apls_geometry::{Coord, Dims};
 
 /// One realisable placement of a sub-circuit: its bounding box together with
 /// the B*-tree that produces it.
@@ -24,8 +23,8 @@ impl EnhancedShape {
     /// dimension table.
     #[must_use]
     pub fn from_tree(tree: BStarTree, module_dims: &[Dims]) -> Self {
-        let packed = pack_btree(&tree, module_dims);
-        EnhancedShape { dims: packed.dims(), tree }
+        let dims = pack_extent(&mut PackScratch::new(), &tree, module_dims);
+        EnhancedShape { dims, tree }
     }
 
     /// Bounding box of the placement.
@@ -77,15 +76,34 @@ impl EnhancedShapeFunction {
 
     /// Inserts a candidate shape, pruning dominated entries.
     pub fn insert(&mut self, shape: EnhancedShape) {
-        if self.shapes.iter().any(|s| shape.dims.dominates(s.dims) && shape.dims != s.dims) {
-            return;
+        if self.admits(shape.dims) {
+            self.push_admitted(shape);
         }
-        if self.shapes.iter().any(|s| s.dims == shape.dims) {
-            return; // keep one representative per footprint
+    }
+
+    /// [`EnhancedShapeFunction::insert`] of the shape `tree` realises, given
+    /// its packed extent `dims`: the tree is cloned only when the staircase
+    /// keeps it.
+    pub(crate) fn insert_tree(&mut self, dims: Dims, tree: &BStarTree) {
+        if self.admits(dims) {
+            self.push_admitted(EnhancedShape { dims, tree: tree.clone() });
         }
-        self.shapes.retain(|s| !s.dims.dominates(shape.dims) || s.dims == shape.dims);
-        self.shapes.push(shape);
-        self.shapes.sort_by_key(|s| (s.dims.w, s.dims.h));
+    }
+
+    /// Whether [`EnhancedShapeFunction::insert`] keeps a shape of these
+    /// dimensions: no kept shape may be dominated by it, or equal to it (one
+    /// representative per footprint).
+    fn admits(&self, dims: Dims) -> bool {
+        !self.shapes.iter().any(|s| dims.dominates(s.dims))
+    }
+
+    /// Adds an admitted shape, dropping the shapes it dominates and keeping
+    /// the staircase sorted by `(w, h)` (footprints are unique).
+    fn push_admitted(&mut self, shape: EnhancedShape) {
+        self.shapes.retain(|s| !s.dims.dominates(shape.dims));
+        let key = (shape.dims.w, shape.dims.h);
+        let at = self.shapes.partition_point(|s| (s.dims.w, s.dims.h) < key);
+        self.shapes.insert(at, shape);
     }
 
     /// The staircase of shapes, sorted by increasing width.
@@ -114,20 +132,27 @@ impl EnhancedShapeFunction {
 
     /// Enhanced addition of two shape functions.
     ///
-    /// For every pair of operand shapes three candidate combinations are
+    /// For every pair of operand shapes with disjoint module sets, the second
+    /// tree is grafted onto the first in three ways, and each candidate is
     /// packed and inserted:
     ///
-    /// * *horizontal interleave* — the second tree is grafted onto the end of
-    ///   the first tree's left-child spine, letting the second operand slide
-    ///   into concavities of the first (this is the enhanced addition of
-    ///   Fig. 7);
-    /// * *horizontal abut* — the second tree is grafted onto the node with the
-    ///   largest right edge, which reproduces the plain bounding-box addition
-    ///   exactly and guarantees the enhanced result is never worse than the
-    ///   regular one;
-    /// * *vertical stack/interleave* — the second tree is grafted onto the end
-    ///   of the first tree's right-child spine (placed above, possibly sinking
-    ///   into the skyline).
+    /// * *horizontal interleave* — under the bottom-row node with the largest
+    ///   right edge, letting the second operand slide into concavities of
+    ///   the first (this is the enhanced addition of Fig. 7);
+    /// * *horizontal abut* — under the node with the largest right edge,
+    ///   which reproduces the plain bounding-box addition exactly and
+    ///   guarantees the enhanced result is never worse than the regular one;
+    /// * *vertical stack/interleave* — as the right child of the tallest
+    ///   node at `x = 0` (placed above, possibly sinking into the skyline).
+    ///
+    /// Ties go to the node packed last. A pair whose module sets overlap
+    /// yields no candidate; an empty operand shape passes the other through.
+    ///
+    /// Each left operand is packed once, for its anchors and a mark table of
+    /// its modules. Every candidate is grafted into one reused buffer and
+    /// sized by an extent-only pack; only a candidate the staircase keeps is
+    /// cloned. The result is exactly that of cloning, grafting, packing and
+    /// inserting every candidate in turn.
     #[must_use]
     pub fn add(
         &self,
@@ -136,46 +161,41 @@ impl EnhancedShapeFunction {
     ) -> EnhancedShapeFunction {
         let mut out = EnhancedShapeFunction::new();
         out.shapes.reserve(self.shapes.len() + other.shapes.len());
-        for a in &self.shapes {
-            for b in &other.shapes {
-                for merged in merge_trees(&a.tree, &b.tree, module_dims) {
-                    out.insert(merged);
+        let other_modules: Vec<Vec<ModuleId>> =
+            other.shapes.iter().map(|b| b.tree.modules()).collect();
+        let mut scratch = PackScratch::new();
+        let mut candidate = BStarTree::default();
+        // marks[m] == stamp  <=>  module m is in the current left operand
+        let mut marks = vec![0usize; module_dims.len()];
+        for (stamp, a) in (1..).zip(&self.shapes) {
+            if a.tree.is_empty() {
+                for b in &other.shapes {
+                    out.insert_tree(b.dims, &b.tree);
                 }
+                continue;
             }
-        }
-        out
-    }
-
-    /// [`EnhancedShapeFunction::add`] with the candidate packings fanned out
-    /// over rayon workers.
-    ///
-    /// Candidates are collected per operand pair and inserted in exactly the
-    /// order the sequential `add` produces them, so the two methods return
-    /// bit-identical shape functions — parallelism only changes wall time.
-    /// Small operands fall through to the sequential path.
-    #[must_use]
-    pub fn add_parallel(
-        &self,
-        other: &EnhancedShapeFunction,
-        module_dims: &[Dims],
-    ) -> EnhancedShapeFunction {
-        /// Below this many tree merges the fan-out overhead dominates.
-        const MIN_PARALLEL_PAIRS: usize = 32;
-        if self.shapes.len() * other.shapes.len() < MIN_PARALLEL_PAIRS {
-            return self.add(other, module_dims);
-        }
-        let pairs: Vec<(usize, usize)> = (0..self.shapes.len())
-            .flat_map(|i| (0..other.shapes.len()).map(move |j| (i, j)))
-            .collect();
-        let merged: Vec<Vec<EnhancedShape>> = pairs
-            .into_par_iter()
-            .map(|(i, j)| merge_trees(&self.shapes[i].tree, &other.shapes[j].tree, module_dims))
-            .collect();
-        let mut out = EnhancedShapeFunction::new();
-        out.shapes.reserve(self.shapes.len() + other.shapes.len());
-        for batch in merged {
-            for shape in batch {
-                out.insert(shape);
+            let anchors = graft_anchors(&mut scratch, &a.tree, module_dims, |m| {
+                marks[m.index()] = stamp;
+            });
+            for (b, b_modules) in other.shapes.iter().zip(&other_modules) {
+                if b.tree.is_empty() {
+                    out.insert_tree(a.dims, &a.tree);
+                    continue;
+                }
+                if b_modules.iter().any(|m| marks[m.index()] == stamp) {
+                    continue;
+                }
+                for (i, &(anchor, as_left)) in anchors.iter().enumerate() {
+                    // an abut anchor equal to the interleave anchor repeats
+                    // its candidate, which the staircase would reject
+                    if i == 1 && anchor == anchors[0].0 {
+                        continue;
+                    }
+                    if candidate.graft_from(&a.tree, &b.tree, anchor, as_left) {
+                        let dims = pack_extent(&mut scratch, &candidate, module_dims);
+                        out.insert_tree(dims, &candidate);
+                    }
+                }
             }
         }
         out
@@ -232,81 +252,35 @@ impl EnhancedShapeFunction {
     }
 }
 
-/// Grafts `b` onto `a` in the three ways described in
-/// [`EnhancedShapeFunction::add`] and packs each candidate.
-fn merge_trees(a: &BStarTree, b: &BStarTree, module_dims: &[Dims]) -> Vec<EnhancedShape> {
-    if a.is_empty() {
-        return vec![EnhancedShape::from_tree(b.clone(), module_dims)];
-    }
-    if b.is_empty() {
-        return vec![EnhancedShape::from_tree(a.clone(), module_dims)];
-    }
-    let packed_a = pack_btree(a, module_dims);
-    // anchor modules in `a` for the three graft points
-    let left_spine_end = {
-        // the node reached by following left children from the root has the
-        // largest x of the bottom row; equivalently the module whose rect ends
-        // the first (pre-order) left chain. We identify it as the module whose
-        // rectangle has the maximal x_max among those with y_min == 0 on the
-        // left spine; walking the preorder is simpler: the left spine is the
-        // maximal prefix of the preorder reachable through left children.
-        // `BStarTree` does not expose child pointers, so use geometry instead:
-        // the module with the largest x_max among those at y_min == 0.
-        packed_a
-            .rects()
-            .iter()
-            .filter(|(_, r)| r.y_min == 0)
-            .max_by_key(|(_, r)| r.x_max)
-            .map(|(m, _)| *m)
-            .expect("non-empty packing")
-    };
-    let rightmost = packed_a
-        .rects()
-        .iter()
-        .max_by_key(|(_, r)| r.x_max)
-        .map(|(m, _)| *m)
-        .expect("non-empty packing");
-    let top_spine_end = packed_a
-        .rects()
-        .iter()
-        .filter(|(_, r)| r.x_min == 0)
-        .max_by_key(|(_, r)| r.y_max)
-        .map(|(m, _)| *m)
-        .expect("non-empty packing");
-
-    let mut out = Vec::with_capacity(3);
-    let grafts = [
-        (left_spine_end, true), // horizontal interleave: left child slot
-        (rightmost, true),      // horizontal abut: left child of the widest node
-        (top_spine_end, false), // vertical: right child slot of the tallest x=0 node
-    ];
-    for (anchor, as_left) in grafts {
-        if let Some(shape) = graft(a, b, anchor, as_left, module_dims) {
-            out.push(shape);
-        }
-    }
-    out
-}
-
-/// Builds a combined tree by grafting a copy of `b` (structure and rotation
-/// flags preserved) under `anchor` in a copy of `a`, then packing it.
-fn graft(
-    a: &BStarTree,
-    b: &BStarTree,
-    anchor: ModuleId,
-    as_left: bool,
+/// Packs a non-empty `tree` once and returns the three graft points of
+/// [`EnhancedShapeFunction::add`] as `(arena index, as left child)`, calling
+/// `mark` on every module on the way.
+fn graft_anchors(
+    scratch: &mut PackScratch,
+    tree: &BStarTree,
     module_dims: &[Dims],
-) -> Option<EnhancedShape> {
-    let mut combined = a.clone();
-    if !combined.graft(b, anchor, as_left) {
-        return None;
-    }
-    Some(EnhancedShape::from_tree(combined, module_dims))
+    mut mark: impl FnMut(ModuleId),
+) -> [(usize, bool); 3] {
+    // (key, arena index) per anchor; `>=` keeps the last of equal keys in
+    // packing order, and the root (at the origin) qualifies for all three
+    let mut best = [(Coord::MIN, 0usize); 3];
+    pack_btree_with(scratch, tree, module_dims, |idx, module, _, r| {
+        mark(module);
+        let keys =
+            [(r.y_min == 0).then_some(r.x_max), Some(r.x_max), (r.x_min == 0).then_some(r.y_max)];
+        for (slot, key) in best.iter_mut().zip(keys) {
+            if let Some(key) = key.filter(|&k| k >= slot.0) {
+                *slot = (key, idx);
+            }
+        }
+    });
+    [(best[0].1, true), (best[1].1, true), (best[2].1, false)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apls_btree::pack_btree;
     use apls_geometry::total_overlap_area;
 
     fn id(i: usize) -> ModuleId {

@@ -12,9 +12,12 @@
 //!   ([`apls_btree::anneal_subset`]), with seeds derived per node from one
 //!   root seed, so runs are reproducible and independent of the worker
 //!   thread count;
-//! * every sub-result is abstracted as an [`EnhancedShapeFunction`] and
-//!   siblings are composed bottom-up with rayon-parallel candidate packing
-//!   and dominance pruning.
+//! * every sub-result is abstracted as an [`EnhancedShapeFunction`];
+//!   children are solved on rayon workers, then folded in schematic order by
+//!   [`EnhancedShapeFunction::add`] (sequential and allocation-light: one
+//!   pack per left operand shape, an extent-only pack per candidate, a
+//!   clone only for the candidates the staircase keeps) with dominance
+//!   pruning, so the result never depends on the thread count.
 //!
 //! The pure-enumeration configuration of this driver ([`HierPlacer::new`])
 //! **is** the deterministic placer of Section IV:
@@ -28,7 +31,9 @@
 use crate::{EnhancedShape, EnhancedShapeFunction};
 use apls_anneal::rng::SeedStream;
 use apls_anneal::Schedule;
-use apls_btree::{anneal_subset, pack_btree, BStarTree, SubsetAnnealConfig};
+use apls_btree::{
+    anneal_subset, pack_btree, pack_extent, BStarTree, PackScratch, SubsetAnnealConfig,
+};
 use apls_circuit::benchmarks::BenchmarkCircuit;
 use apls_circuit::{HierarchyNode, HierarchyNodeId, ModuleId, Placement};
 use apls_geometry::{Dims, Orientation};
@@ -359,8 +364,8 @@ fn solve_node(ctx: &Ctx<'_>, node: HierarchyNodeId) -> NodeSolution {
                         }
                         Some(prev_h) => {
                             let prev_p = p.take().expect("pure fold tracks hybrid fold");
-                            p = Some(prev_p.add_parallel(child.pure_esf(), ctx.dims));
-                            h = Some(prev_h.add_parallel(&child.hybrid, ctx.dims));
+                            p = Some(prev_p.add(child.pure_esf(), ctx.dims));
+                            h = Some(prev_h.add(&child.hybrid, ctx.dims));
                         }
                     }
                 }
@@ -370,7 +375,7 @@ fn solve_node(ctx: &Ctx<'_>, node: HierarchyNodeId) -> NodeSolution {
                 for child in solved {
                     h = Some(match h {
                         None => child.hybrid,
-                        Some(prev) => prev.add_parallel(&child.hybrid, ctx.dims),
+                        Some(prev) => prev.add(&child.hybrid, ctx.dims),
                     });
                 }
                 let h = h.unwrap_or_default();
@@ -431,25 +436,25 @@ fn anneal_node(
 }
 
 /// Exhaustive enumeration of every B*-tree (and rotation assignment) of a
-/// basic module set.
+/// basic module set. Each variant is sized by an extent-only pack and cloned
+/// only when the staircase keeps it.
 fn enumerate_basic_set(ctx: &Ctx<'_>, modules: &[ModuleId]) -> EnhancedShapeFunction {
     use apls_btree::counting::enumerate_trees;
     let mut esf = EnhancedShapeFunction::new();
-    let rotatable: Vec<bool> = modules.iter().map(|&m| ctx.rotatable[m.index()]).collect();
-    let rot_count = 1usize << rotatable.iter().filter(|&&r| r).count();
-    for tree in enumerate_trees(modules) {
-        for rot_mask in 0..rot_count {
-            let mut t: BStarTree = tree.clone();
-            let mut bit = 0;
-            for (i, &m) in modules.iter().enumerate() {
-                if rotatable[i] {
-                    if (rot_mask >> bit) & 1 == 1 {
-                        t.rotate_node(m);
-                    }
-                    bit += 1;
+    let mut scratch = PackScratch::new();
+    // bit `i` of a rotation mask rotates the `i`-th rotatable module
+    let rotatable: Vec<ModuleId> =
+        modules.iter().copied().filter(|m| ctx.rotatable[m.index()]).collect();
+    for mut tree in enumerate_trees(modules) {
+        let mut applied = 0usize;
+        for rot_mask in 0..1usize << rotatable.len() {
+            for (bit, &m) in rotatable.iter().enumerate() {
+                if ((rot_mask ^ applied) >> bit) & 1 == 1 {
+                    tree.rotate_node(m);
                 }
             }
-            esf.insert(EnhancedShape::from_tree(t, ctx.dims));
+            applied = rot_mask;
+            esf.insert_tree(pack_extent(&mut scratch, &tree, ctx.dims), &tree);
         }
     }
     esf
