@@ -13,11 +13,9 @@
 //!   root seed, so runs are reproducible and independent of the worker
 //!   thread count;
 //! * every sub-result is abstracted as an [`EnhancedShapeFunction`];
-//!   children are solved on rayon workers, then folded in schematic order by
-//!   [`EnhancedShapeFunction::add`] (sequential and allocation-light: one
-//!   pack per left operand shape, an extent-only pack per candidate, a
-//!   clone only for the candidates the staircase keeps) with dominance
-//!   pruning, so the result never depends on the thread count.
+//!   children are solved on rayon workers and folded in schematic order by
+//!   [`EnhancedShapeFunction::add`] with dominance pruning, so the result
+//!   never depends on the thread count.
 //!
 //! The pure-enumeration configuration of this driver ([`HierPlacer::new`])
 //! **is** the deterministic placer of Section IV:

@@ -20,8 +20,7 @@
 //!   flow: small basic sets are enumerated exhaustively, larger hierarchy
 //!   nodes are refined by pinned-seed B*-tree annealing over the node's
 //!   modules, and every result is abstracted as an enhanced shape function
-//!   and composed bottom-up by enhanced addition (children solved on rayon
-//!   workers, folded in schematic order).
+//!   and composed bottom-up by enhanced addition.
 //!   [`DeterministicPlacer`] is its pure-enumeration configuration; the
 //!   hybrid configuration is the portfolio's fourth engine (`hier`).
 //!
