@@ -31,6 +31,9 @@ fn bench_hier_configurations(c: &mut Criterion) {
     // the largest bundled circuit: enhanced shape-function addition is nearly
     // all of a pure run
     let circuit = benchmarks::by_name("lnamixbias").expect("bundled name resolves");
+    group.bench_with_input(BenchmarkId::new("deterministic", "lnamixbias"), &0, |b, _| {
+        b.iter(|| DeterministicPlacer::new(&circuit).run(ShapeModel::Enhanced));
+    });
     group.bench_with_input(BenchmarkId::new("pure", "lnamixbias"), &0, |b, _| {
         b.iter(|| HierPlacer::new(&circuit).run());
     });

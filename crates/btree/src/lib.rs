@@ -51,7 +51,8 @@ mod tree;
 pub use anneal::{BTreePlacer, BTreePlacerConfig, HbTreePlacer, HbTreePlacerConfig, HbTreeResult};
 pub use hbtree::{HbPackScratch, HbTree, HbUndoLog};
 pub use pack::{
-    pack_btree, pack_btree_into, pack_btree_with, pack_extent, PackScratch, PackedBTree,
+    pack_btree, pack_btree_into, pack_btree_with, pack_extent, pack_extent_on, PackScratch,
+    PackedBTree,
 };
 pub use subset::{anneal_subset, SubsetAnnealConfig, SubsetAnnealResult};
 pub use tree::{BStarTree, TreeUndoLog};

@@ -148,6 +148,26 @@ pub fn pack_extent(scratch: &mut PackScratch, tree: &BStarTree, dims: &[Dims]) -
     pack_btree_with(scratch, tree, dims, |_, _, _, _| {})
 }
 
+/// Packs `tree` on top of everything the last pack into `base` placed,
+/// instead of on the empty skyline (root at the origin), and returns the
+/// extent of `tree`'s own nodes.
+///
+/// When that last pack was of a tree `a`, this places `tree`'s nodes
+/// exactly where they land once `tree` hangs as the right child of the end
+/// of `a`'s right chain ([`BStarTree::right_chain_end`]): that child is
+/// packed after all of `a`, at `x = 0`. The cost is O(|tree|) plus one copy
+/// of `base`'s contour.
+#[must_use]
+pub fn pack_extent_on(
+    scratch: &mut PackScratch,
+    base: &PackScratch,
+    tree: &BStarTree,
+    dims: &[Dims],
+) -> Dims {
+    scratch.contour.clone_from(&base.contour);
+    pack_on_contour(scratch, tree, dims, |_, _, _, _| {})
+}
+
 /// The one packing loop: places every node against the contour in pre-order
 /// and calls `visit(arena_index, module, rotated, rect)` for each, then
 /// returns the floorplan extent. The arena index is the one
@@ -156,9 +176,19 @@ pub fn pack_btree_with<F: FnMut(usize, ModuleId, bool, Rect)>(
     scratch: &mut PackScratch,
     tree: &BStarTree,
     dims: &[Dims],
-    mut visit: F,
+    visit: F,
 ) -> Dims {
     scratch.contour.clear();
+    pack_on_contour(scratch, tree, dims, visit)
+}
+
+/// [`pack_btree_with`] on whatever skyline `scratch` holds.
+fn pack_on_contour<F: FnMut(usize, ModuleId, bool, Rect)>(
+    scratch: &mut PackScratch,
+    tree: &BStarTree,
+    dims: &[Dims],
+    mut visit: F,
+) -> Dims {
     scratch.x_of.clear();
     scratch.x_of.resize(tree.len(), (0, 0));
     let (mut width, mut height) = (0, 0);

@@ -12,7 +12,7 @@
 //! target aspect ratio — running the annealer once per target produces the
 //! width/height spread a shape-function staircase needs.
 
-use crate::pack::{pack_btree_into, PackScratch, PackedBTree};
+use crate::pack::{pack_extent, PackScratch};
 use crate::tree::TreeUndoLog;
 use crate::BStarTree;
 use apls_anneal::{AnnealState, AnnealStats, Annealer, Schedule};
@@ -103,20 +103,20 @@ pub fn anneal_subset(
         dims: module_dims,
         rotatable,
         scratch: PackScratch::new(),
-        packed: PackedBTree::new(),
         aspect_target: config.aspect_target,
         aspect_weight: config.aspect_weight,
     };
     let stats = Annealer::with_seed(config.seed).run(&mut state, &config.schedule);
     let tree = state.best.map(|(t, _)| t).unwrap_or(state.tree);
-    pack_btree_into(&mut state.scratch, &tree, module_dims, &mut state.packed);
-    SubsetAnnealResult { dims: state.packed.dims(), tree, stats }
+    let dims = pack_extent(&mut state.scratch, &tree, module_dims);
+    SubsetAnnealResult { dims, tree, stats }
 }
 
 /// The subset annealing state: same zero-allocation hot path as the flat
 /// placer (scratch-buffer packing, undo-log rollback, driver-supplied cost in
 /// `commit`), but with an area + aspect-deviation cost instead of
-/// area + wirelength.
+/// area + wirelength. The cost reads only the footprint, so each move packs
+/// for the extent alone.
 struct SubsetState<'a> {
     tree: BStarTree,
     undo: TreeUndoLog,
@@ -124,19 +124,18 @@ struct SubsetState<'a> {
     dims: &'a [Dims],
     rotatable: &'a [bool],
     scratch: PackScratch,
-    packed: PackedBTree,
     aspect_target: Option<f64>,
     aspect_weight: f64,
 }
 
 impl AnnealState for SubsetState<'_> {
     fn cost(&mut self) -> f64 {
-        pack_btree_into(&mut self.scratch, &self.tree, self.dims, &mut self.packed);
-        let area = self.packed.area() as f64;
+        let extent = pack_extent(&mut self.scratch, &self.tree, self.dims);
+        let area = extent.area() as f64;
         match self.aspect_target {
             None => area,
             Some(target) => {
-                let ratio = self.packed.width() as f64 / self.packed.height().max(1) as f64;
+                let ratio = extent.w as f64 / extent.h.max(1) as f64;
                 area * (1.0 + self.aspect_weight * (ratio / target).ln().abs())
             }
         }

@@ -185,6 +185,18 @@ impl BStarTree {
         out
     }
 
+    /// Arena index of the last node on the root's right chain (`None` for
+    /// an empty tree). A right child hung under it is packed after every
+    /// other node, at `x = 0`.
+    #[must_use]
+    pub fn right_chain_end(&self) -> Option<usize> {
+        let mut idx = self.root?;
+        while let Some(right) = self.nodes[idx].right {
+            idx = right;
+        }
+        Some(idx)
+    }
+
     /// All modules in arena order (insertion order, not packing order).
     #[must_use]
     pub fn modules(&self) -> Vec<ModuleId> {
@@ -646,6 +658,18 @@ mod tests {
         assert!(fresh.graft_from(&base, &other, 2, false));
         assert_eq!(buffer, fresh);
         assert_eq!(fresh.preorder(), [0, 1, 2, 3, 4].map(id));
+    }
+
+    #[test]
+    fn right_chain_end_follows_right_children_from_the_root() {
+        let id = ModuleId::from_index;
+        assert_eq!(BStarTree::default().right_chain_end(), None);
+        // arena 0 is the root, 1 its left child, 2 its right child
+        let mut tree = BStarTree::balanced(&ids(3));
+        assert_eq!(tree.right_chain_end(), Some(2));
+        assert!(tree.move_node(id(1), id(2), true));
+        assert_eq!(tree.right_chain_end(), Some(2), "a left child does not extend the chain");
+        assert_eq!(BStarTree::left_chain(&ids(4)).right_chain_end(), Some(0));
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! to one [`RestartOutcome`]. Because the construction is identical, restart
 //! 0 of a portfolio (which reuses the root seed verbatim) replays the
 //! corresponding single-engine run bit for bit.
+//!
+//! The deterministic lane and every hier restart rest on the same
+//! pure-enumeration walk ([`PureWalk`]): the deterministic lane's placement
+//! is its root, and each hier restart takes its never-lose anchor and every
+//! subtree annealing never touches from it. A portfolio run shares one walk
+//! across its restarts; a standalone restart computes its own.
 
 use apls_anneal::Schedule;
 use apls_btree::{HbTreePlacer, HbTreePlacerConfig};
@@ -15,9 +21,10 @@ use apls_seqpair::tempering::TEMPERING_LANE;
 use apls_seqpair::{
     SeqPairPlacer, SeqPairPlacerConfig, TemperingPlacerConfig, TemperingSeqPairPlacer,
 };
-use apls_shapefn::{DeterministicPlacer, HierOptions, HierPlacer, ShapeModel};
+use apls_shapefn::{HierOptions, HierPlacer, PureWalk};
 use apls_telemetry::Telemetry;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One of the five placement approaches the portfolio races: the three
 /// engines of the DATE 2009 survey, the hierarchical cross-engine hybrid,
@@ -169,12 +176,21 @@ pub fn run_engine_once(
     seed: u64,
     settings: &RestartSettings,
 ) -> RestartOutcome {
-    run_engine_once_traced(circuit, engine, seed, settings, &Telemetry::disabled())
+    run_engine_once_traced(
+        circuit,
+        engine,
+        seed,
+        settings,
+        &Telemetry::disabled(),
+        &OnceLock::new(),
+    )
 }
 
 /// [`run_engine_once`] with telemetry threaded into the engine's annealing
-/// loop / hier node refinement (observe-only; the outcome is bit-identical
-/// whatever collector is installed).
+/// loop / hier walks (observe-only; the outcome is bit-identical whatever
+/// collector is installed). The deterministic and hier engines take the
+/// pure-enumeration walk from `pure_walk`, computing it under `telemetry`
+/// if the cell is still empty, so restarts sharing the cell walk once.
 ///
 /// # Panics
 ///
@@ -187,7 +203,10 @@ pub(crate) fn run_engine_once_traced(
     seed: u64,
     settings: &RestartSettings,
     telemetry: &Telemetry,
+    pure_walk: &OnceLock<PureWalk>,
 ) -> RestartOutcome {
+    let pure_walk =
+        || pure_walk.get_or_init(|| PureWalk::new(circuit, &HierOptions::default(), telemetry));
     match engine {
         PortfolioEngine::SequencePair => {
             let mut config = SeqPairPlacerConfig {
@@ -231,9 +250,11 @@ pub(crate) fn run_engine_once_traced(
             }
         }
         PortfolioEngine::Deterministic => {
-            let result = DeterministicPlacer::new(circuit).run(ShapeModel::Enhanced);
-            let placement =
-                result.placement.expect("the enhanced model always returns a placement");
+            let placement = HierPlacer::new(circuit)
+                .with_telemetry(telemetry.clone())
+                .with_pure_walk(pure_walk())
+                .run()
+                .placement;
             let metrics = placement.metrics(&circuit.netlist);
             let symmetry_error = placement.symmetry_error(&circuit.constraints);
             RestartOutcome {
@@ -275,6 +296,7 @@ pub(crate) fn run_engine_once_traced(
             let result = HierPlacer::hybrid(circuit, seed)
                 .with_options(options)
                 .with_telemetry(telemetry.clone())
+                .with_pure_walk(pure_walk())
                 .run();
             let metrics = result.placement.metrics(&circuit.netlist);
             let symmetry_error = result.placement.symmetry_error(&circuit.constraints);

@@ -6,11 +6,12 @@ use crate::engine::run_engine_once_traced;
 use crate::report::{PortfolioReport, RestartRecord};
 use crate::stats::placement_cost;
 use apls_circuit::benchmarks::BenchmarkCircuit;
+use apls_shapefn::PureWalk;
 use apls_telemetry::Telemetry;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A cooperative cancellation signal for a portfolio run.
@@ -169,6 +170,9 @@ pub fn run_portfolio_with(
     let mut detector = config.early_stop.map(PlateauDetector::new);
     let mut records: Vec<RestartRecord> = Vec::new();
     let mut early_stopped = false;
+    // the pure-enumeration walk, computed by the first deterministic or hier
+    // restart to need it and shared by all of them
+    let pure_walk = OnceLock::new();
 
     let generations = config.generations();
     let planned: usize = generations.iter().map(Vec::len).sum();
@@ -191,7 +195,10 @@ pub fn run_portfolio_with(
             return Err(Cancelled);
         }
         let batch_records: Vec<RestartRecord> = pool.install(|| {
-            batch.into_par_iter().map(|task| execute(circuit, task, config, telemetry)).collect()
+            batch
+                .into_par_iter()
+                .map(|task| execute(circuit, task, config, telemetry, &pure_walk))
+                .collect()
         });
         if let Some(observer) = observer {
             for (offset, record) in batch_records.iter().enumerate() {
@@ -228,6 +235,7 @@ fn execute(
     task: RestartTask,
     config: &PortfolioConfig,
     telemetry: &Telemetry,
+    pure_walk: &OnceLock<PureWalk>,
 ) -> RestartRecord {
     let start = Instant::now();
     let mut span = apls_telemetry::span!(
@@ -244,6 +252,7 @@ fn execute(
         task.seed,
         &config.restart_settings(),
         telemetry,
+        pure_walk,
     );
     let cost = placement_cost(&outcome.metrics, config.wirelength_weight);
     if span.is_recording() {
@@ -387,6 +396,66 @@ mod tests {
             assert_eq!(*completed, i + 1, "completed counts up in plan order");
             assert_eq!(*total, observed.restarts.len());
         }
+    }
+
+    #[test]
+    fn sharing_the_pure_walk_changes_no_restart_record() {
+        use crate::engine::run_engine_once;
+        let engines = [PortfolioEngine::Deterministic, PortfolioEngine::Hier];
+        for name in benchmarks::names() {
+            let circuit = benchmarks::by_name(name).expect("bundled name resolves");
+            let config = PortfolioConfig::new(5)
+                .with_restarts(2)
+                .with_engines(engines)
+                .with_fast_schedule(true);
+            let alone: Vec<_> = config
+                .generations()
+                .into_iter()
+                .flatten()
+                .map(|task| {
+                    let settings = config.restart_settings();
+                    run_engine_once(&circuit, task.engine, task.seed, &settings)
+                })
+                .collect();
+            for threads in [1, 2] {
+                let report = run_portfolio(&circuit, &config.clone().with_threads(threads));
+                assert_eq!(report.restarts.len(), alone.len(), "{name}");
+                for (shared, alone) in report.restarts.iter().zip(&alone) {
+                    let at = format!("{name} -t {threads}: {} {}", shared.engine, shared.restart);
+                    assert_eq!(shared.placement, alone.placement, "{at}");
+                    assert_eq!(
+                        shared.cost,
+                        placement_cost(&alone.metrics, config.wirelength_weight),
+                        "{at}"
+                    );
+                    assert_eq!(shared.enumeration_won, alone.enumeration_won, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_traced_portfolio_walks_the_pure_enumeration_once() {
+        use apls_telemetry::RecordingCollector;
+        let circuit = benchmarks::miller_opamp_fig6();
+        let config = PortfolioConfig::new(3).with_restarts(3).with_fast_schedule(true);
+        let recorder = Arc::new(RecordingCollector::new());
+        let telemetry = Telemetry::with_collector(Arc::clone(&recorder) as _);
+        let context = RunContext { telemetry, ..RunContext::default() };
+        let report = run_portfolio_with(&circuit, &config, &context)
+            .expect("an unarmed token never cancels");
+        let hier_restarts =
+            report.restarts.iter().filter(|r| r.engine == PortfolioEngine::Hier).count();
+        assert_eq!(hier_restarts, 3);
+        let spans = |name: &str| {
+            recorder.events().iter().filter(|e| e.cat == "hier" && e.name == name).count()
+        };
+        assert_eq!(
+            spans("pure_walk"),
+            1,
+            "the deterministic lane and hier restarts share one walk"
+        );
+        assert!(spans("enumerate_basic_set") > 0, "the walk is traced");
     }
 
     #[test]

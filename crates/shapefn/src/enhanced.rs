@@ -1,6 +1,6 @@
 //! Enhanced shape functions: shapes that carry their B*-tree.
 
-use apls_btree::{pack_btree_with, pack_extent, BStarTree, PackScratch};
+use apls_btree::{pack_btree_with, pack_extent, pack_extent_on, BStarTree, PackScratch};
 use apls_circuit::ModuleId;
 use apls_geometry::{Coord, Dims};
 
@@ -148,11 +148,32 @@ impl EnhancedShapeFunction {
     /// Ties go to the node packed last. A pair whose module sets overlap
     /// yields no candidate; an empty operand shape passes the other through.
     ///
-    /// Each left operand is packed once, for its anchors and a mark table of
-    /// its modules. Every candidate is grafted into one reused buffer and
-    /// sized by an extent-only pack; only a candidate the staircase keeps is
-    /// cloned. The result is exactly that of cloning, grafting, packing and
-    /// inserting every candidate in turn.
+    /// Each left operand is packed once, for its anchors, its final contour
+    /// and a mark table of its modules. Because a B*-tree's x-coordinates
+    /// depend only on its shape, most candidates are sized without packing
+    /// the grafted tree:
+    ///
+    /// * *abut* is exactly `(a.w + b.w, max(a.h, b.h))`: the second operand
+    ///   hangs right of the widest node, so no node of the first shares an
+    ///   x-span with it;
+    /// * *stack*, whose anchor ends the root's right chain, packs only the
+    ///   second operand, on the first one's saved contour: hung there, it is
+    ///   packed after every node of the first;
+    /// * *interleave* has the exact width `max(a.w, x + b.w)` (`x` is the
+    ///   anchor's right edge) and a height of at least `max(a.h, b.h)`, since
+    ///   packing on a higher contour never lowers a module; a candidate the
+    ///   staircase rejects even at that bound is neither grafted nor packed.
+    ///
+    /// The abut shortcut and the interleave bound need every module to have a
+    /// positive width and height (a zero-width module can sit on a contour
+    /// joint, and a rotation turns a zero height into a zero width). When
+    /// one does not, or the stack anchor is off the right chain, the
+    /// candidate is grafted into one reused buffer and sized by an
+    /// extent-only pack. Only a candidate the staircase keeps is cloned. The
+    /// result is exactly that of cloning, grafting, packing and inserting
+    /// every candidate in turn, provided every operand shape's dimensions are
+    /// the packed extent of its tree under `module_dims` (true of every shape
+    /// built against the same table).
     #[must_use]
     pub fn add(
         &self,
@@ -163,8 +184,10 @@ impl EnhancedShapeFunction {
         out.shapes.reserve(self.shapes.len() + other.shapes.len());
         let other_modules: Vec<Vec<ModuleId>> =
             other.shapes.iter().map(|b| b.tree.modules()).collect();
-        let mut scratch = PackScratch::new();
-        let mut candidate = BStarTree::default();
+        let shortcuts = module_dims.iter().all(|d| d.w > 0 && d.h > 0);
+        let mut left = LeftOperand::default();
+        let mut graft =
+            Grafter { candidate: BStarTree::default(), scratch: PackScratch::new(), module_dims };
         // marks[m] == stamp  <=>  module m is in the current left operand
         let mut marks = vec![0usize; module_dims.len()];
         for (stamp, a) in (1..).zip(&self.shapes) {
@@ -174,9 +197,8 @@ impl EnhancedShapeFunction {
                 }
                 continue;
             }
-            let anchors = graft_anchors(&mut scratch, &a.tree, module_dims, |m| {
-                marks[m.index()] = stamp;
-            });
+            left.pack(&a.tree, module_dims, |m| marks[m.index()] = stamp);
+            let [interleave, abut, stack] = left.anchors;
             for (b, b_modules) in other.shapes.iter().zip(&other_modules) {
                 if b.tree.is_empty() {
                     out.insert_tree(a.dims, &a.tree);
@@ -185,16 +207,24 @@ impl EnhancedShapeFunction {
                 if b_modules.iter().any(|m| marks[m.index()] == stamp) {
                     continue;
                 }
-                for (i, &(anchor, as_left)) in anchors.iter().enumerate() {
-                    // an abut anchor equal to the interleave anchor repeats
-                    // its candidate, which the staircase would reject
-                    if i == 1 && anchor == anchors[0].0 {
-                        continue;
+                if !shortcuts || out.admits(left.interleave_bound(b.dims)) {
+                    graft.pack_insert(&mut out, &a.tree, &b.tree, interleave, true);
+                }
+                // an abut anchor equal to the interleave anchor repeats its
+                // candidate, which the staircase would reject
+                if abut != interleave {
+                    if shortcuts {
+                        let dims = left.abut_dims(b.dims);
+                        graft.insert_sized(&mut out, dims, &a.tree, &b.tree, abut, true);
+                    } else {
+                        graft.pack_insert(&mut out, &a.tree, &b.tree, abut, true);
                     }
-                    if candidate.graft_from(&a.tree, &b.tree, anchor, as_left) {
-                        let dims = pack_extent(&mut scratch, &candidate, module_dims);
-                        out.insert_tree(dims, &candidate);
+                }
+                match left.stack_dims(&mut graft.scratch, &b.tree, module_dims) {
+                    Some(dims) => {
+                        graft.insert_sized(&mut out, dims, &a.tree, &b.tree, stack, false)
                     }
+                    None => graft.pack_insert(&mut out, &a.tree, &b.tree, stack, false),
                 }
             }
         }
@@ -252,39 +282,220 @@ impl EnhancedShapeFunction {
     }
 }
 
-/// Packs a non-empty `tree` once and returns the three graft points of
-/// [`EnhancedShapeFunction::add`] as `(arena index, as left child)`, calling
-/// `mark` on every module on the way.
-fn graft_anchors(
-    scratch: &mut PackScratch,
-    tree: &BStarTree,
-    module_dims: &[Dims],
-    mut mark: impl FnMut(ModuleId),
-) -> [(usize, bool); 3] {
-    // (key, arena index) per anchor; `>=` keeps the last of equal keys in
-    // packing order, and the root (at the origin) qualifies for all three
-    let mut best = [(Coord::MIN, 0usize); 3];
-    pack_btree_with(scratch, tree, module_dims, |idx, module, _, r| {
-        mark(module);
-        let keys =
-            [(r.y_min == 0).then_some(r.x_max), Some(r.x_max), (r.x_min == 0).then_some(r.y_max)];
-        for (slot, key) in best.iter_mut().zip(keys) {
-            if let Some(key) = key.filter(|&k| k >= slot.0) {
-                *slot = (key, idx);
+/// A non-empty left operand `a` of [`EnhancedShapeFunction::add`], packed
+/// once, and the sizes of the candidates grafted onto it.
+#[derive(Default)]
+struct LeftOperand {
+    /// Holds the contour `a`'s pack left behind.
+    scratch: PackScratch,
+    /// Packed extent.
+    dims: Dims,
+    /// Arena indices of the interleave, abut and stack anchors.
+    anchors: [usize; 3],
+    /// Right edge of the interleave anchor, where a graft under it starts.
+    interleave_x: Coord,
+    /// Arena index of the end of the root's right chain.
+    chain_end: usize,
+}
+
+impl LeftOperand {
+    /// Packs `tree` as the left operand, calling `mark` on every module on
+    /// the way.
+    fn pack(&mut self, tree: &BStarTree, module_dims: &[Dims], mut mark: impl FnMut(ModuleId)) {
+        // (key, arena index) per anchor; `>=` keeps the last of equal keys in
+        // packing order, and the root (at the origin) qualifies for all three
+        let mut best = [(Coord::MIN, 0usize); 3];
+        self.dims = pack_btree_with(&mut self.scratch, tree, module_dims, |idx, module, _, r| {
+            mark(module);
+            let keys = [
+                (r.y_min == 0).then_some(r.x_max),
+                Some(r.x_max),
+                (r.x_min == 0).then_some(r.y_max),
+            ];
+            for (slot, key) in best.iter_mut().zip(keys) {
+                if let Some(key) = key.filter(|&k| k >= slot.0) {
+                    *slot = (key, idx);
+                }
             }
+        });
+        self.anchors = best.map(|(_, idx)| idx);
+        self.interleave_x = best[0].0;
+        self.chain_end = tree.right_chain_end().expect("the left operand is not empty");
+    }
+
+    /// The exact width and a lower bound on the height of the interleave
+    /// candidate with a second operand of extent `b`. The second operand's
+    /// x-coordinates are its own shifted by `interleave_x` and the first's
+    /// are unchanged; packing on a higher contour never lowers a module, so
+    /// neither operand ends lower than it packs alone (given positive module
+    /// extents).
+    fn interleave_bound(&self, b: Dims) -> Dims {
+        Dims::new(self.dims.w.max(self.interleave_x + b.w), self.dims.h.max(b.h))
+    }
+
+    /// The exact extent of the abut candidate with a second operand of
+    /// extent `b`: it starts at `a.w`, right of every node of `a`, so the two
+    /// operands share no x-span and each packs as it does alone (given
+    /// positive module extents).
+    fn abut_dims(&self, b: Dims) -> Dims {
+        Dims::new(self.dims.w + b.w, self.dims.h.max(b.h))
+    }
+
+    /// The exact extent of the stack candidate with second operand `b`, or
+    /// `None` when the stack anchor is not the end of the root's right chain
+    /// (with positive module extents it always is: every node at `x = 0` is on
+    /// that chain). Hung under the chain's end, `b` is packed after all of
+    /// `a`, even the anchor's left subtree, rooted at `x = 0`: on `a`'s final
+    /// contour.
+    fn stack_dims(
+        &self,
+        scratch: &mut PackScratch,
+        b: &BStarTree,
+        module_dims: &[Dims],
+    ) -> Option<Dims> {
+        (self.anchors[2] == self.chain_end).then(|| {
+            let top = pack_extent_on(scratch, &self.scratch, b, module_dims);
+            Dims::new(self.dims.w.max(top.w), self.dims.h.max(top.h))
+        })
+    }
+}
+
+/// The buffers every candidate of one addition is grafted into and packed
+/// with, reused so sizing a candidate allocates nothing.
+struct Grafter<'d> {
+    candidate: BStarTree,
+    scratch: PackScratch,
+    module_dims: &'d [Dims],
+}
+
+impl Grafter<'_> {
+    /// Grafts `b` under `a`'s arena node `anchor`, sizes the result by an
+    /// extent-only pack and inserts it (nothing when the slot is taken).
+    fn pack_insert(
+        &mut self,
+        out: &mut EnhancedShapeFunction,
+        a: &BStarTree,
+        b: &BStarTree,
+        anchor: usize,
+        as_left: bool,
+    ) {
+        if self.candidate.graft_from(a, b, anchor, as_left) {
+            let dims = pack_extent(&mut self.scratch, &self.candidate, self.module_dims);
+            out.insert_tree(dims, &self.candidate);
         }
-    });
-    [(best[0].1, true), (best[1].1, true), (best[2].1, false)]
+    }
+
+    /// Inserts the graft of `b` under `a`'s arena node `anchor`, whose packed
+    /// extent is known to be `dims`: it is grafted and cloned only when the
+    /// staircase keeps it (nothing when the slot is taken).
+    fn insert_sized(
+        &mut self,
+        out: &mut EnhancedShapeFunction,
+        dims: Dims,
+        a: &BStarTree,
+        b: &BStarTree,
+        anchor: usize,
+        as_left: bool,
+    ) {
+        if out.admits(dims) && self.candidate.graft_from(a, b, anchor, as_left) {
+            out.push_admitted(EnhancedShape { dims, tree: self.candidate.clone() });
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apls_anneal::rng::SeededRng;
     use apls_btree::pack_btree;
     use apls_geometry::total_overlap_area;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn id(i: usize) -> ModuleId {
         ModuleId::from_index(i)
+    }
+
+    /// A balanced tree over `modules` after `steps` random perturbations
+    /// (rotations, swaps and moves).
+    fn random_tree(modules: &[ModuleId], seed: u64, steps: usize) -> BStarTree {
+        let mut tree = BStarTree::balanced(modules);
+        let mut rng = SeededRng::new(seed);
+        for _ in 0..steps {
+            tree.perturb(&mut rng, |_| true);
+        }
+        tree
+    }
+
+    proptest! {
+        #[test]
+        fn shortcuts_size_candidates_like_packing_the_real_graft(
+            sizes in vec((0i64..30, 0i64..60), 2..12),
+            split in 1usize..11,
+            seeds in (0u64..10_000, 0u64..10_000),
+            steps in 0usize..30,
+        ) {
+            // some modules have a zero extent (a rotation can turn it into a
+            // zero width), where only the stack shortcut is claimed
+            let dims: Vec<Dims> = sizes.iter().map(|&(w, h)| Dims::new(w, h)).collect();
+            let positive = dims.iter().all(|d| d.w > 0 && d.h > 0);
+            let modules: Vec<ModuleId> = (0..dims.len()).map(id).collect();
+            let (a_modules, b_modules) = modules.split_at(split.min(dims.len() - 1));
+            let a = random_tree(a_modules, seeds.0, steps);
+            let b = random_tree(b_modules, seeds.1, steps);
+            let mut scratch = PackScratch::new();
+            let b_dims = pack_extent(&mut scratch, &b, &dims);
+            let mut left = LeftOperand::default();
+            left.pack(&a, &dims, |_| {});
+            let real = |anchor, as_left| {
+                let mut grafted = BStarTree::default();
+                grafted
+                    .graft_from(&a, &b, anchor, as_left)
+                    .then(|| pack_extent(&mut PackScratch::new(), &grafted, &dims))
+            };
+            let [interleave, abut, stack] = left.anchors;
+            if positive {
+                let abut_real = real(abut, true).expect("the widest node has no left child");
+                prop_assert_eq!(left.abut_dims(b_dims), abut_real);
+                let interleave_real = real(interleave, true).expect("its left slot is free");
+                let bound = left.interleave_bound(b_dims);
+                prop_assert_eq!(bound.w, interleave_real.w);
+                prop_assert!(bound.h <= interleave_real.h, "{bound:?} vs {interleave_real:?}");
+            }
+            match left.stack_dims(&mut scratch, &b, &dims) {
+                Some(stack_dims) => prop_assert_eq!(Some(stack_dims), real(stack, false)),
+                None => prop_assert!(!positive, "positive extents put the anchor on the chain"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_width_modules_take_the_packing_path() {
+        // a 10x10 module on a 4x5 one, and beside them a zero-width 0x9
+        // module stacked on a 5x15 one. Abutted, the right operand's contour
+        // joins the left one's at x = 10 at equal height, so the zero-width
+        // module lands on top instead of on the floor: the abut candidate is
+        // 15x24, not the 15x15 the abut shortcut would claim. A 9x0 module
+        // turned by 90 degrees is the same zero-width module.
+        for (thin, rotated) in [(Dims::new(0, 9), false), (Dims::new(9, 0), true)] {
+            let dims = vec![Dims::new(4, 5), Dims::new(10, 10), Dims::new(5, 15), thin];
+            let column = |lower: usize, upper: usize| {
+                let mut tree = BStarTree::left_chain(&[id(lower), id(upper)]);
+                assert!(tree.move_node(id(upper), id(lower), false));
+                if rotated && upper == 3 {
+                    tree.rotate_node(id(3));
+                }
+                let mut esf = EnhancedShapeFunction::new();
+                esf.insert(EnhancedShape::from_tree(tree, &dims));
+                esf
+            };
+            let sum = column(0, 1).add(&column(2, 3), &dims);
+            let staircase: Vec<Dims> = sum.shapes().iter().map(EnhancedShape::dims).collect();
+            assert_eq!(staircase, [Dims::new(10, 25), Dims::new(15, 24)], "rotated: {rotated}");
+            for shape in sum.shapes() {
+                assert_eq!(pack_btree(shape.tree(), &dims).dims(), shape.dims());
+            }
+        }
     }
 
     #[test]

@@ -2,29 +2,32 @@
 //!
 //! Section IV of the paper bounds B*-tree enumeration with the layout design
 //! hierarchy; this module promotes that idea from a single-engine detail into
-//! a shared execution substrate. [`HierPlacer`] walks the hierarchy bottom-up:
+//! a shared execution substrate. It walks the hierarchy bottom-up twice:
 //!
-//! * *basic module sets* small enough to enumerate exhaustively are solved
-//!   exactly (every B*-tree and rotation assignment, as in the deterministic
-//!   placer);
-//! * in the hybrid configuration, larger nodes are additionally refined by a
-//!   flat B*-tree annealer over the node's modules
-//!   ([`apls_btree::anneal_subset`]), with seeds derived per node from one
-//!   root seed, so runs are reproducible and independent of the worker
-//!   thread count;
-//! * every sub-result is abstracted as an [`EnhancedShapeFunction`];
-//!   children are solved on rayon workers and folded in schematic order by
-//!   [`EnhancedShapeFunction::add`] with dominance pruning, so the result
-//!   never depends on the thread count.
+//! * the *pure walk* ([`PureWalk`]) solves every node by enumeration and
+//!   composition alone: *basic module sets* small enough to enumerate are
+//!   solved exactly (every B*-tree and rotation assignment), and every other
+//!   node folds its children's [`EnhancedShapeFunction`]s in schematic order
+//!   by [`EnhancedShapeFunction::add`] with dominance pruning. Children are
+//!   solved on rayon workers, so the walk is parallel but its result never
+//!   depends on the thread count. The walk keeps every node's shape function;
+//! * the *hybrid walk* ([`HierPlacer::hybrid`]) additionally refines nodes
+//!   past the annealing threshold by a flat B*-tree annealer over the node's
+//!   modules ([`apls_btree::anneal_subset`]), with seeds derived per node
+//!   from one root seed, so runs are reproducible and independent of the
+//!   worker thread count. It recomposes only the nodes at or above an
+//!   annealed node; every subtree annealing never touches takes its shape
+//!   function from the pure walk.
 //!
-//! The pure-enumeration configuration of this driver ([`HierPlacer::new`])
-//! **is** the deterministic placer of Section IV:
-//! [`crate::DeterministicPlacer`] delegates to it, and the equivalence is
-//! pinned bit-for-bit by the `hier_equivalence` integration tests. The hybrid
-//! configuration ([`HierPlacer::hybrid`]) can only improve on it: the driver
-//! keeps the pure enumeration result as a fallback and returns whichever
-//! root shape has the smaller area, mirroring the portfolio's restart-0
-//! guarantee.
+//! The pure configuration of this driver ([`HierPlacer::new`]) **is** the
+//! deterministic placer of Section IV: [`crate::DeterministicPlacer`]
+//! delegates to it, and the equivalence is pinned bit-for-bit by the
+//! `hier_equivalence` integration tests. The hybrid configuration can only
+//! improve on it: the pure walk's root is its never-lose anchor, and it
+//! returns whichever root shape has the smaller area, mirroring the
+//! portfolio's restart-0 guarantee. One [`PureWalk`] can serve many placers
+//! ([`HierPlacer::with_pure_walk`]); a portfolio run computes it once for its
+//! deterministic lane and every hier restart.
 
 use crate::{EnhancedShape, EnhancedShapeFunction};
 use apls_anneal::rng::SeedStream;
@@ -37,6 +40,7 @@ use apls_circuit::{HierarchyNode, HierarchyNodeId, ModuleId, Placement};
 use apls_geometry::{Dims, Orientation};
 use apls_telemetry::Telemetry;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Nodes with more than this many modules are composed from their children
@@ -138,6 +142,64 @@ pub struct HierResult {
     pub enumeration_won: bool,
 }
 
+/// The pure-enumeration walk of a circuit's hierarchy: the enhanced shape
+/// function of every node, exactly as the deterministic placer computes it.
+///
+/// It depends on the circuit and on [`HierOptions::max_shapes`] and
+/// [`HierOptions::max_enumerated_set`] only, so one walk serves every placer
+/// of the circuit under those two options: the pure placer's result, and
+/// each hybrid run's never-lose anchor and untouched subtrees.
+#[derive(Debug, Clone)]
+pub struct PureWalk {
+    /// Shape function of every hierarchy node, by node index.
+    nodes: Vec<EnhancedShapeFunction>,
+    root: HierarchyNodeId,
+    max_shapes: usize,
+    max_enumerated_set: usize,
+}
+
+impl PureWalk {
+    /// Walks `circuit`'s hierarchy under `options`' shape cap and enumeration
+    /// bound, inside one `hier/pure_walk` span on `telemetry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit's hierarchy tree has no root.
+    #[must_use]
+    pub fn new(circuit: &BenchmarkCircuit, options: &HierOptions, telemetry: &Telemetry) -> Self {
+        let _span = apls_telemetry::span!(
+            telemetry,
+            "hier",
+            "pure_walk",
+            modules = circuit.netlist.module_count()
+        );
+        let root = circuit.hierarchy.root().expect("hierarchy has a root");
+        let dims = circuit.netlist.default_dims();
+        let rotatable = circuit.rotatable_modules();
+        let ctx = Ctx { circuit, dims: &dims, rotatable: &rotatable, options, telemetry };
+        let mut nodes = vec![EnhancedShapeFunction::new(); circuit.hierarchy.node_count()];
+        for (node, esf) in walk_pure(&ctx, root) {
+            nodes[node.index()] = esf;
+        }
+        PureWalk {
+            nodes,
+            root,
+            max_shapes: options.max_shapes,
+            max_enumerated_set: options.max_enumerated_set,
+        }
+    }
+
+    /// The root's shape function.
+    #[must_use]
+    pub fn root(&self) -> &EnhancedShapeFunction {
+        self.node(self.root)
+    }
+
+    fn node(&self, node: HierarchyNodeId) -> &EnhancedShapeFunction {
+        &self.nodes[node.index()]
+    }
+}
+
 /// The hierarchical cross-engine placer.
 ///
 /// # Example
@@ -158,6 +220,8 @@ pub struct HierPlacer<'a> {
     /// threshold are refined by a flat B*-tree anneal.
     anneal: bool,
     telemetry: Telemetry,
+    /// A pure walk computed elsewhere; `None` computes one per run.
+    pure_walk: Option<&'a PureWalk>,
 }
 
 impl<'a> HierPlacer<'a> {
@@ -170,6 +234,7 @@ impl<'a> HierPlacer<'a> {
             options: HierOptions::default(),
             anneal: false,
             telemetry: Telemetry::disabled(),
+            pure_walk: None,
         }
     }
 
@@ -198,11 +263,21 @@ impl<'a> HierPlacer<'a> {
         self
     }
 
+    /// Uses a pure walk of this circuit computed elsewhere instead of
+    /// computing one per run (builder style). The result is bit-identical.
+    #[must_use]
+    pub fn with_pure_walk(mut self, walk: &'a PureWalk) -> Self {
+        self.pure_walk = Some(walk);
+        self
+    }
+
     /// Runs the pipeline.
     ///
     /// # Panics
     ///
-    /// Panics if the circuit's hierarchy tree has no root.
+    /// Panics if the circuit's hierarchy tree has no root, or if a shared
+    /// pure walk was computed under a different shape cap or enumeration
+    /// bound.
     #[must_use]
     pub fn run(&self) -> HierResult {
         let start = Instant::now();
@@ -213,9 +288,21 @@ impl<'a> HierPlacer<'a> {
             seed = self.options.seed,
             modules = self.circuit.netlist.module_count()
         );
-        let root = self.circuit.hierarchy.root().expect("hierarchy has a root");
-        // hoisted once per run; the old deterministic placer rebuilt the
-        // dimension table on every recursive node visit
+        let own_walk;
+        let walk = match self.pure_walk {
+            Some(walk) => {
+                assert_eq!(
+                    (walk.max_shapes, walk.max_enumerated_set),
+                    (self.options.max_shapes, self.options.max_enumerated_set),
+                    "the shared pure walk was computed under different options"
+                );
+                walk
+            }
+            None => {
+                own_walk = PureWalk::new(self.circuit, &self.options, &self.telemetry);
+                &own_walk
+            }
+        };
         let dims = self.circuit.netlist.default_dims();
         let rotatable = self.circuit.rotatable_modules();
         let ctx = Ctx {
@@ -223,29 +310,27 @@ impl<'a> HierPlacer<'a> {
             dims: &dims,
             rotatable: &rotatable,
             options: &self.options,
-            anneal: self.anneal,
             telemetry: &self.telemetry,
         };
-        let solution = solve_node(&ctx, root);
-        let annealed_nodes = solution.annealed;
+        let refined = if self.anneal { refine(&ctx, walk, walk.root) } else { None };
 
-        // The never-lose anchor: the walk carries the pure-enumeration shape
-        // function alongside the hybrid one (sharing every subtree annealing
-        // never touched), and the better root shape wins. This mirrors the
+        // The never-lose anchor: the pure walk's root competes with the
+        // hybrid one, and the better root shape wins. This mirrors the
         // portfolio's restart-0 guarantee — the hybrid engine can match the
-        // deterministic engine in the worst case, never trail it.
-        let (esf, enumeration_won) = match solution.pure {
-            Some(pure_esf) => {
-                let hybrid_area =
-                    solution.hybrid.min_area_shape().map_or(i128::MAX, EnhancedShape::area);
-                let pure_area = pure_esf.min_area_shape().map_or(i128::MAX, EnhancedShape::area);
-                if pure_area < hybrid_area {
-                    (pure_esf, true)
+        // deterministic engine in the worst case, never trail it. A walk
+        // annealing never touched is the pure walk.
+        let (esf, annealed_nodes, enumeration_won) = match refined {
+            Some(hybrid) => {
+                let area = |esf: &EnhancedShapeFunction| {
+                    esf.min_area_shape().map_or(i128::MAX, EnhancedShape::area)
+                };
+                if area(walk.root()) < area(&hybrid.esf) {
+                    (Cow::Borrowed(walk.root()), hybrid.annealed, true)
                 } else {
-                    (solution.hybrid, false)
+                    (Cow::Owned(hybrid.esf), hybrid.annealed, false)
                 }
             }
-            None => (solution.hybrid, false),
+            None => (Cow::Borrowed(walk.root()), 0, false),
         };
 
         let best = esf.min_area_shape().expect("root shape function is non-empty");
@@ -269,137 +354,118 @@ impl<'a> HierPlacer<'a> {
     }
 }
 
-/// Shared per-run context of the recursive solve: the hoisted dimension and
-/// rotation tables plus the pure/hybrid choice.
+/// Shared per-walk context: the hoisted dimension and rotation tables.
 #[derive(Clone, Copy)]
 struct Ctx<'a> {
     circuit: &'a BenchmarkCircuit,
     dims: &'a [Dims],
     rotatable: &'a [bool],
     options: &'a HierOptions,
-    anneal: bool,
     telemetry: &'a Telemetry,
 }
 
-/// The result of solving one hierarchy node.
-struct NodeSolution {
-    /// Shape function of the hybrid walk (annealing refinements included).
-    hybrid: EnhancedShapeFunction,
-    /// The pure-enumeration shape function of the same subtree, materialised
-    /// only once annealing has touched the subtree — `None` means "equal
-    /// to `hybrid`", which lets untouched subtrees (leaves, enumerated basic
-    /// sets, and everything below the first annealed node) be computed and
-    /// stored exactly once instead of re-running the whole pure pipeline for
-    /// the never-lose anchor.
-    pure: Option<EnhancedShapeFunction>,
+/// Solves the subtree of `node` by enumeration and composition alone and
+/// returns the shape function of each of its nodes, `node`'s last.
+fn walk_pure(
+    ctx: &Ctx<'_>,
+    node: HierarchyNodeId,
+) -> Vec<(HierarchyNodeId, EnhancedShapeFunction)> {
+    let children = match ctx.circuit.hierarchy.node(node) {
+        HierarchyNode::Leaf { module } => {
+            let esf =
+                EnhancedShapeFunction::for_module(*module, ctx.dims, ctx.rotatable[module.index()]);
+            return vec![(node, esf)];
+        }
+        HierarchyNode::Internal { .. } => ctx.circuit.hierarchy.children(node),
+    };
+    let modules = ctx.circuit.hierarchy.leaves_under(node);
+    if ctx.circuit.hierarchy.is_basic_module_set(node)
+        && modules.len() <= ctx.options.max_enumerated_set
+    {
+        let _span = apls_telemetry::span!(
+            ctx.telemetry,
+            "hier",
+            "enumerate_basic_set",
+            node = node.index() as u64,
+            modules = modules.len()
+        );
+        let mut esf = enumerate_basic_set(ctx, &modules);
+        esf.truncate(ctx.options.max_shapes);
+        return vec![(node, esf)];
+    }
+    // solve the children in parallel (each is a pure function of its
+    // subtree), then compose in schematic order — the fold order fixes the
+    // result, so thread count never matters
+    let solved: Vec<_> = children.to_vec().into_par_iter().map(|c| walk_pure(ctx, c)).collect();
+    let mut esf = fold(solved.iter().map(|sub| Cow::Borrowed(&sub[sub.len() - 1].1)), ctx.dims);
+    esf.truncate(ctx.options.max_shapes);
+    let mut out: Vec<_> = solved.into_iter().flatten().collect();
+    out.push((node, esf));
+    out
+}
+
+/// A node's shape function in the hybrid walk, where annealing touched its
+/// subtree.
+struct Refined {
+    esf: EnhancedShapeFunction,
     /// Annealing refinements in the subtree.
     annealed: usize,
 }
 
-impl NodeSolution {
-    fn shared(esf: EnhancedShapeFunction) -> Self {
-        NodeSolution { hybrid: esf, pure: None, annealed: 0 }
+/// Solves `node` in the hybrid walk; `None` when annealing touches nothing
+/// in its subtree, whose shape function is then the pure walk's.
+fn refine(ctx: &Ctx<'_>, walk: &PureWalk, node: HierarchyNodeId) -> Option<Refined> {
+    let HierarchyNode::Internal { .. } = ctx.circuit.hierarchy.node(node) else {
+        return None;
+    };
+    let modules = ctx.circuit.hierarchy.leaves_under(node);
+    if ctx.circuit.hierarchy.is_basic_module_set(node)
+        && modules.len() <= ctx.options.max_enumerated_set
+    {
+        // exact — annealing could only rediscover a subset
+        return None;
     }
-
-    /// The pure-enumeration side (falls back to `hybrid` when shared).
-    fn pure_esf(&self) -> &EnhancedShapeFunction {
-        self.pure.as_ref().unwrap_or(&self.hybrid)
+    let children = ctx.circuit.hierarchy.children(node);
+    let refined: Vec<Option<Refined>> =
+        children.to_vec().into_par_iter().map(|c| refine(ctx, walk, c)).collect();
+    let anneals_here = modules.len() > ctx.options.anneal_threshold && modules.len() <= ANNEAL_CAP;
+    if !anneals_here && refined.iter().all(Option::is_none) {
+        return None;
     }
+    let mut annealed = 0;
+    let operands = children.iter().zip(refined).map(|(&child, refined)| match refined {
+        Some(r) => {
+            annealed += r.annealed;
+            Cow::Owned(r.esf)
+        }
+        None => Cow::Borrowed(walk.node(child)),
+    });
+    let mut esf = fold(operands, ctx.dims);
+    if anneals_here {
+        let _span = apls_telemetry::span!(
+            ctx.telemetry,
+            "hier",
+            "sub_solve",
+            node = node.index() as u64,
+            modules = modules.len(),
+            solver = "btree-anneal"
+        );
+        esf.merge_from(anneal_node(ctx, node, &modules));
+        annealed += 1;
+    }
+    esf.truncate(ctx.options.max_shapes);
+    Some(Refined { esf, annealed })
 }
 
-/// Solves one hierarchy node bottom-up.
-fn solve_node(ctx: &Ctx<'_>, node: HierarchyNodeId) -> NodeSolution {
-    match ctx.circuit.hierarchy.node(node) {
-        HierarchyNode::Leaf { module } => NodeSolution::shared(EnhancedShapeFunction::for_module(
-            *module,
-            ctx.dims,
-            ctx.rotatable[module.index()],
-        )),
-        HierarchyNode::Internal { .. } => {
-            let modules = ctx.circuit.hierarchy.leaves_under(node);
-            let is_basic = ctx.circuit.hierarchy.is_basic_module_set(node);
-            let enumerated = is_basic && modules.len() <= ctx.options.max_enumerated_set;
-            if enumerated {
-                // exact — annealing could only rediscover a subset
-                let _span = apls_telemetry::span!(
-                    ctx.telemetry,
-                    "hier",
-                    "enumerate_basic_set",
-                    node = node.index() as u64,
-                    modules = modules.len()
-                );
-                let mut esf = enumerate_basic_set(ctx, &modules);
-                esf.truncate(ctx.options.max_shapes);
-                return NodeSolution::shared(esf);
-            }
-
-            // solve the children in parallel (each is a pure function of its
-            // subtree), then compose in schematic order — the fold order
-            // fixes the result, so thread count never matters
-            let children = ctx.circuit.hierarchy.children(node).to_vec();
-            let solved: Vec<NodeSolution> =
-                children.into_par_iter().map(|child| solve_node(ctx, child)).collect();
-            let mut annealed: usize = solved.iter().map(|s| s.annealed).sum();
-            let anneals_here = ctx.anneal
-                && modules.len() > ctx.options.anneal_threshold
-                && modules.len() <= ANNEAL_CAP;
-
-            // the pure side diverges from the hybrid side only above annealed
-            // nodes; below them it is the same object and costs nothing
-            let (mut hybrid, mut pure) = if annealed > 0 {
-                let mut h: Option<EnhancedShapeFunction> = None;
-                let mut p: Option<EnhancedShapeFunction> = None;
-                for child in solved {
-                    match h {
-                        None => {
-                            // first child: move both sides out; a shared pure
-                            // side needs one clone to materialise
-                            p = Some(match child.pure {
-                                Some(child_pure) => child_pure,
-                                None => child.hybrid.clone(),
-                            });
-                            h = Some(child.hybrid);
-                        }
-                        Some(prev_h) => {
-                            let prev_p = p.take().expect("pure fold tracks hybrid fold");
-                            p = Some(prev_p.add(child.pure_esf(), ctx.dims));
-                            h = Some(prev_h.add(&child.hybrid, ctx.dims));
-                        }
-                    }
-                }
-                (h.unwrap_or_default(), p)
-            } else {
-                let mut h: Option<EnhancedShapeFunction> = None;
-                for child in solved {
-                    h = Some(match h {
-                        None => child.hybrid,
-                        Some(prev) => prev.add(&child.hybrid, ctx.dims),
-                    });
-                }
-                let h = h.unwrap_or_default();
-                let p = if anneals_here { Some(h.clone()) } else { None };
-                (h, p)
-            };
-
-            if anneals_here {
-                let _span = apls_telemetry::span!(
-                    ctx.telemetry,
-                    "hier",
-                    "sub_solve",
-                    node = node.index() as u64,
-                    modules = modules.len(),
-                    solver = "btree-anneal"
-                );
-                hybrid.merge_from(anneal_node(ctx, node, &modules));
-                annealed += 1;
-            }
-            hybrid.truncate(ctx.options.max_shapes);
-            if let Some(p) = &mut pure {
-                p.truncate(ctx.options.max_shapes);
-            }
-            NodeSolution { hybrid, pure, annealed }
-        }
-    }
+/// Adds the children's shape functions in schematic order.
+fn fold<'e>(
+    children: impl Iterator<Item = Cow<'e, EnhancedShapeFunction>>,
+    dims: &[Dims],
+) -> EnhancedShapeFunction {
+    children
+        .reduce(|sum, child| Cow::Owned(sum.add(&child, dims)))
+        .map(Cow::into_owned)
+        .unwrap_or_default()
 }
 
 /// Flat B*-tree annealing over a node's modules (global ids, so the best

@@ -52,5 +52,5 @@ mod shape;
 
 pub use enhanced::{EnhancedShape, EnhancedShapeFunction};
 pub use enumerate::{DeterministicPlacer, DeterministicResult, PlacerOptions, ShapeModel};
-pub use hier::{HierOptions, HierPlacer, HierResult};
+pub use hier::{HierOptions, HierPlacer, HierResult, PureWalk};
 pub use shape::{Shape, ShapeFunction};

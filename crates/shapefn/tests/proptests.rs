@@ -13,6 +13,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+fn any_bool() -> impl Strategy<Value = bool> {
+    (0u8..2).prop_map(|b| b == 1)
+}
+
 fn arb_dims() -> impl Strategy<Value = Dims> {
     (1i64..200, 1i64..200).prop_map(|(w, h)| Dims::new(w, h))
 }
@@ -179,6 +183,26 @@ proptest! {
         let overlapping = fold(&right, &dims, &rotatable);
         prop_assert!(checked_add(&lhs, &overlapping, &dims).is_empty());
         prop_assert!(checked_add(&overlapping, &lhs, &dims).is_empty());
+    }
+
+    #[test]
+    fn enhanced_addition_with_zero_width_modules_equals_its_reference(
+        sizes in vec((0i64..4, 0i64..40), 2..9),
+        sides in vec(any_bool(), 2..9),
+    ) {
+        // narrow and zero-width modules put contour joints where the
+        // addition's sizing shortcuts would not hold; it must pack instead
+        let dims: Vec<Dims> = sizes.iter().map(|&(w, h)| Dims::new(w, h)).collect();
+        let n = dims.len().min(sides.len());
+        let rotatable = vec![true; dims.len()];
+        let (mut left, mut right) = (vec![0], vec![1]);
+        for (i, &side) in sides.iter().enumerate().take(n).skip(2) {
+            if side { left.push(i) } else { right.push(i) }
+        }
+        let lhs = fold(&left, &dims, &rotatable);
+        let rhs = fold(&right, &dims, &rotatable);
+        checked_add(&lhs, &rhs, &dims);
+        checked_add(&rhs, &lhs, &dims);
     }
 
     #[test]
