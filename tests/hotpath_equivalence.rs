@@ -13,6 +13,10 @@
 //! (clones and cross-circuit scratch reuse included), and bounded-budget
 //! `HbTreePlacer` restarts must reproduce golden values captured from the
 //! packer that repacked every node on every move.
+//!
+//! The parallel-tempering lane is pinned the same way: fast-schedule runs of
+//! `TemperingSeqPairPlacer` on every bundled circuit must reproduce golden
+//! placements, costs, winners and swap and move counts.
 
 use analog_layout_synthesis::anneal::rng::SeededRng;
 use analog_layout_synthesis::anneal::Schedule;
@@ -25,6 +29,7 @@ use analog_layout_synthesis::circuit::{ModuleId, Netlist, Placement};
 use analog_layout_synthesis::geometry::Orientation;
 use analog_layout_synthesis::seqpair::place::SymmetricPlacer;
 use analog_layout_synthesis::seqpair::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
+use analog_layout_synthesis::seqpair::tempering::{TemperingPlacerConfig, TemperingSeqPairPlacer};
 use analog_layout_synthesis::seqpair::{SeqPairPlacer, SeqPairPlacerConfig, SequencePair};
 use rand::Rng;
 
@@ -408,5 +413,45 @@ fn hbtree_placer_reproduces_pinned_restarts_bit_identically() {
         assert_eq!(result.metrics.wirelength, wirelength, "{name} seed {seed}: wirelength");
         let got = placement_fingerprint(&result.placement);
         assert_eq!(got, fingerprint, "{name} seed {seed}: placement fingerprint");
+    }
+}
+
+/// `TemperingSeqPairPlacer` runs on the fast schedule, pinned as
+/// `(circuit, seed, placement fingerprint, bounding area, best-cost bits,
+/// best replica, swaps accepted, moves accepted)` for every bundled circuit.
+/// Together the values pin the replica trajectories, the swap schedule, the
+/// winner choice and the snapshot the placer extracts from it.
+#[allow(clippy::type_complexity)]
+fn tempering_golden() -> Vec<(&'static str, u64, u64, i128, u64, usize, u64, u64)> {
+    vec![
+        ("miller_opamp_fig6", 3, 17482971607726529069, 23124, 4672246775287906304, 1, 13, 2898),
+        ("miller_v2", 4, 8126174211804515436, 322025, 4689324587459018752, 1, 3, 928),
+        ("comparator_v2", 5, 14066314832587951535, 598780, 4693411678337892352, 0, 40, 2212),
+        ("folded_cascode", 6, 6292242814318009807, 403572, 4690750542371094528, 1, 11, 1571),
+        ("buffer", 7, 17985103433931076246, 1119032, 4697653179733508096, 2, 11, 1473),
+        ("biasynth", 8, 16367700167047416168, 2519895, 4702751145926328320, 3, 8, 989),
+        ("lnamixbias", 9, 7556755836658030162, 3346815, 4704647730469797888, 2, 10, 1081),
+    ]
+}
+
+#[test]
+fn tempering_placer_reproduces_pinned_runs_bit_identically() {
+    let golden = tempering_golden();
+    for (i, name) in benchmarks::names().into_iter().enumerate() {
+        let seed = 3 + i as u64;
+        let circuit = benchmarks::by_name(name).expect("bundled name resolves");
+        let result = TemperingSeqPairPlacer::new(&circuit.netlist, &circuit.constraints)
+            .run(&TemperingPlacerConfig::fast(seed));
+        let got = (
+            name,
+            seed,
+            placement_fingerprint(&result.placement),
+            result.metrics.bounding_area,
+            result.stats.best_cost.to_bits(),
+            result.stats.best_replica,
+            result.stats.swaps_accepted,
+            result.stats.moves.accepted,
+        );
+        assert_eq!(Some(&got), golden.get(i), "{name} seed {seed}");
     }
 }
