@@ -1,9 +1,9 @@
 //! The simulated-annealing driver.
 
+use crate::chain::Chain;
 use crate::timing::MoveStats;
 use crate::{rng::SeededRng, AnnealState, Schedule};
 use apls_telemetry::{event, Telemetry};
-use rand::Rng;
 use std::time::Instant;
 
 /// Statistics of one annealing run.
@@ -15,9 +15,7 @@ pub struct AnnealStats {
     pub initial_cost: f64,
     /// Best cost observed during the run.
     pub best_cost: f64,
-    /// Cost of the final state (equal to `best_cost` because the driver
-    /// restores the best state before returning when the state supports it via
-    /// cost monotonicity of rollbacks; see [`Annealer::run`]).
+    /// Cost of the final (last accepted) state.
     pub final_cost: f64,
     /// Number of temperature steps executed.
     pub temperature_steps: u64,
@@ -57,12 +55,6 @@ pub struct Annealer {
 }
 
 impl Annealer {
-    /// Creates an annealer with the default seed.
-    #[must_use]
-    pub fn new() -> Self {
-        Annealer { seed: 0xA91A5 }
-    }
-
     /// Creates an annealer with an explicit seed; the same seed, state and
     /// schedule reproduce the identical run.
     #[must_use]
@@ -70,15 +62,20 @@ impl Annealer {
         Annealer { seed }
     }
 
-    /// Runs the annealing loop on `state` under `schedule`.
+    /// Runs the annealing loop on `state` under `schedule` and returns the
+    /// statistics together with the best snapshot.
     ///
     /// The classic Metropolis criterion is used: downhill moves are always
     /// accepted, uphill moves with probability `exp(-Δ/T)`. Each proposal is
-    /// evaluated exactly once; the accepted cost is handed to
-    /// [`AnnealState::commit`] so states never pay a second evaluation. The
-    /// state is left in its last *accepted* configuration; callers that must
-    /// recover the global best configuration should snapshot it in `commit`.
-    pub fn run<S: AnnealState>(&self, state: &mut S, schedule: &Schedule) -> AnnealStats {
+    /// evaluated exactly once. The state is left in its last *accepted*
+    /// configuration; the snapshot follows the rule of [`AnnealState`] and
+    /// is `None` when no move was accepted, in which case the initial state
+    /// (still in `state`) is the answer.
+    pub fn run<S: AnnealState>(
+        &self,
+        state: &mut S,
+        schedule: &Schedule,
+    ) -> (AnnealStats, Option<S::Snapshot>) {
         self.run_traced(state, schedule, &Telemetry::disabled())
     }
 
@@ -95,76 +92,52 @@ impl Annealer {
         state: &mut S,
         schedule: &Schedule,
         telemetry: &Telemetry,
-    ) -> AnnealStats {
+    ) -> (AnnealStats, Option<S::Snapshot>) {
         let started = Instant::now();
         let enabled = telemetry.is_enabled();
         let mut span = telemetry.span("anneal", "anneal");
         span.arg("seed", self.seed);
         let mut mix: Vec<(&'static str, u64)> = Vec::new();
-        let mut rng = SeededRng::new(self.seed);
-        let initial_cost = state.cost();
-        let mut stats = AnnealStats {
-            initial_cost,
-            best_cost: initial_cost,
-            final_cost: initial_cost,
-            ..AnnealStats::default()
-        };
-        let mut current_cost = initial_cost;
+        let mut chain = Chain::new(state, SeededRng::new(self.seed));
+        let initial_cost = chain.cost;
+        let mut temperature_steps = 0u64;
         let mut temperature = schedule.t_start();
 
-        'outer: while temperature >= schedule.t_end() {
-            stats.temperature_steps += 1;
-            let attempted_before = stats.moves.attempted;
-            let accepted_before = stats.moves.accepted;
-            for _ in 0..schedule.moves_per_step() {
-                if let Some(cap) = schedule.max_moves() {
-                    if stats.moves.attempted >= cap {
-                        break 'outer;
+        while temperature >= schedule.t_end() {
+            temperature_steps += 1;
+            let attempted_before = chain.moves.attempted;
+            let accepted_before = chain.moves.accepted;
+            let finished =
+                chain.run(temperature, schedule.moves_per_step(), schedule.max_moves(), |s| {
+                    if enabled {
+                        tally(&mut mix, s.move_kind());
                     }
-                }
-                stats.moves.attempted += 1;
-                state.propose(&mut rng);
-                if enabled {
-                    tally(&mut mix, state.move_kind());
-                }
-                let new_cost = state.cost();
-                let delta = new_cost - current_cost;
-                let accept = if delta <= 0.0 {
-                    true
-                } else {
-                    let p = (-delta / temperature).exp();
-                    rng.gen::<f64>() < p
-                };
-                if accept {
-                    stats.moves.accepted += 1;
-                    if delta > 0.0 {
-                        stats.moves.uphill += 1;
-                    }
-                    current_cost = new_cost;
-                    state.commit(new_cost);
-                    if new_cost < stats.best_cost {
-                        stats.best_cost = new_cost;
-                    }
-                } else {
-                    state.rollback();
-                }
+                });
+            if !finished {
+                break;
             }
             if enabled {
                 event!(
                     telemetry,
                     "anneal",
                     "temp_step",
-                    step = stats.temperature_steps - 1,
+                    step = temperature_steps - 1,
                     temperature = temperature,
-                    attempted = stats.moves.attempted - attempted_before,
-                    accepted = stats.moves.accepted - accepted_before,
-                    current_cost = current_cost,
-                    best_cost = stats.best_cost,
+                    attempted = chain.moves.attempted - attempted_before,
+                    accepted = chain.moves.accepted - accepted_before,
+                    current_cost = chain.cost,
+                    best_cost = chain.best_cost,
                 );
             }
             temperature *= schedule.alpha();
         }
-        stats.final_cost = current_cost;
+        let mut stats = AnnealStats {
+            moves: chain.moves,
+            initial_cost,
+            best_cost: chain.best_cost,
+            final_cost: chain.cost,
+            temperature_steps,
+        };
         stats.moves.wall_time = started.elapsed();
         if enabled {
             let args = mix
@@ -178,7 +151,7 @@ impl Annealer {
             span.arg("accepted", stats.moves.accepted);
             span.arg("temperature_steps", stats.temperature_steps);
         }
-        stats
+        (stats, chain.into_best())
     }
 }
 
@@ -191,12 +164,6 @@ fn tally(mix: &mut Vec<(&'static str, u64)>, kind: &'static str) {
         }
     }
     mix.push((kind, 1));
-}
-
-impl Default for Annealer {
-    fn default() -> Self {
-        Annealer::new()
-    }
 }
 
 #[cfg(test)]
@@ -213,8 +180,12 @@ mod tests {
     }
 
     impl AnnealState for Target {
+        type Snapshot = i64;
         fn cost(&mut self) -> f64 {
             (self.x - 37).abs() as f64
+        }
+        fn snapshot(&self) -> i64 {
+            self.x
         }
         fn propose(&mut self, rng: &mut dyn RngCore) {
             self.backup = self.x;
@@ -237,7 +208,7 @@ mod tests {
     fn annealing_converges_on_simple_target() {
         let mut state = Target { x: 500, backup: 0 };
         let schedule = Schedule::geometric(50.0, 0.01, 0.9, 100);
-        let stats = Annealer::with_seed(1).run(&mut state, &schedule);
+        let stats = Annealer::with_seed(1).run(&mut state, &schedule).0;
         assert!(stats.final_cost <= stats.initial_cost);
         assert!(stats.final_cost < 20.0, "final cost {}", stats.final_cost);
         assert!(stats.moves.accepted > 0);
@@ -248,8 +219,8 @@ mod tests {
         let schedule = Schedule::fast();
         let mut a = Target { x: 400, backup: 0 };
         let mut b = Target { x: 400, backup: 0 };
-        let sa = Annealer::with_seed(99).run(&mut a, &schedule);
-        let sb = Annealer::with_seed(99).run(&mut b, &schedule);
+        let sa = Annealer::with_seed(99).run(&mut a, &schedule).0;
+        let sb = Annealer::with_seed(99).run(&mut b, &schedule).0;
         assert_eq!(a.x, b.x);
         assert_eq!(sa.moves.accepted, sb.moves.accepted);
         assert_eq!(sa.final_cost, sb.final_cost);
@@ -270,19 +241,22 @@ mod tests {
     fn max_moves_caps_the_run() {
         let mut state = Target { x: 1000, backup: 0 };
         let schedule = Schedule::geometric(50.0, 0.01, 0.99, 1000).with_max_moves(10);
-        let stats = Annealer::with_seed(3).run(&mut state, &schedule);
+        let stats = Annealer::with_seed(3).run(&mut state, &schedule).0;
         assert_eq!(stats.moves.attempted, 10);
     }
 
-    /// The single-evaluation contract: every committed cost equals the cost
-    /// the driver evaluated for that proposal, so states never re-evaluate.
+    /// The single-evaluation contract: one `cost` per proposal (plus the
+    /// initial one) and one `commit` per accepted move.
     struct Auditing {
         inner: Target,
-        committed: Vec<f64>,
+        evaluations: u64,
+        commits: u64,
     }
 
     impl AnnealState for Auditing {
+        type Snapshot = i64;
         fn cost(&mut self) -> f64 {
+            self.evaluations += 1;
             self.inner.cost()
         }
         fn propose(&mut self, rng: &mut dyn RngCore) {
@@ -291,25 +265,105 @@ mod tests {
         fn rollback(&mut self) {
             self.inner.rollback();
         }
-        fn commit(&mut self, accepted_cost: f64) {
-            assert_eq!(accepted_cost, self.inner.cost(), "commit cost must match evaluation");
-            self.committed.push(accepted_cost);
+        fn snapshot(&self) -> i64 {
+            self.inner.x
+        }
+        fn commit(&mut self) {
+            self.commits += 1;
         }
     }
 
     #[test]
-    fn commit_receives_the_evaluated_cost() {
-        let mut state = Auditing { inner: Target { x: 300, backup: 0 }, committed: Vec::new() };
-        let stats = Annealer::with_seed(8).run(&mut state, &Schedule::fast());
-        assert_eq!(state.committed.len() as u64, stats.moves.accepted);
-        let min_committed = state.committed.iter().copied().fold(f64::INFINITY, f64::min);
-        assert_eq!(min_committed, stats.best_cost);
+    fn each_proposal_is_evaluated_once_and_each_acceptance_committed_once() {
+        let mut state =
+            Auditing { inner: Target { x: 300, backup: 0 }, evaluations: 0, commits: 0 };
+        let (stats, best) = Annealer::with_seed(8).run(&mut state, &Schedule::fast());
+        assert_eq!(state.evaluations, stats.moves.attempted + 1);
+        assert_eq!(state.commits, stats.moves.accepted);
+        let best = best.expect("some move was accepted");
+        assert_eq!((best - 37).abs() as f64, stats.best_cost);
+    }
+
+    /// Every proposal climbs by one, so every accepted move is uphill.
+    struct Climber {
+        x: i64,
+    }
+
+    impl AnnealState for Climber {
+        type Snapshot = i64;
+        fn cost(&mut self) -> f64 {
+            self.x as f64
+        }
+        fn propose(&mut self, _rng: &mut dyn RngCore) {
+            self.x += 1;
+        }
+        fn rollback(&mut self) {
+            self.x -= 1;
+        }
+        fn snapshot(&self) -> i64 {
+            self.x
+        }
+    }
+
+    /// The snapshot rule: the first accepted state is taken even when it is
+    /// worse than the initial one, while `best_cost` keeps the initial cost.
+    #[test]
+    fn the_first_accepted_state_is_the_snapshot_even_uphill() {
+        let mut state = Climber { x: 10 };
+        let schedule = Schedule::geometric(1e9, 1.0, 0.5, 20);
+        let (stats, best) = Annealer::with_seed(4).run(&mut state, &schedule);
+        assert!(stats.moves.accepted > 1);
+        assert_eq!(stats.moves.uphill, stats.moves.accepted);
+        assert_eq!(best, Some(11));
+        assert_eq!(stats.best_cost, 10.0);
+        assert_eq!(stats.initial_cost, 10.0);
+    }
+
+    /// Nothing accepted: no snapshot, and the state is the initial one.
+    #[test]
+    fn a_run_without_acceptances_returns_no_snapshot() {
+        let mut state = Climber { x: 10 };
+        let schedule = Schedule::geometric(1e-9, 1e-10, 0.5, 20);
+        let (stats, best) = Annealer::with_seed(4).run(&mut state, &schedule);
+        assert!(stats.moves.attempted > 0);
+        assert_eq!(stats.moves.accepted, 0);
+        assert_eq!(best, None);
+        assert_eq!(state.x, 10);
+    }
+
+    /// `rollback` undoes only half of the climb.
+    struct BadUndo {
+        x: i64,
+    }
+
+    impl AnnealState for BadUndo {
+        type Snapshot = i64;
+        fn cost(&mut self) -> f64 {
+            self.x as f64
+        }
+        fn propose(&mut self, _rng: &mut dyn RngCore) {
+            self.x += 2;
+        }
+        fn rollback(&mut self) {
+            self.x -= 1;
+        }
+        fn snapshot(&self) -> i64 {
+            self.x
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "rollback did not restore")]
+    fn a_wrong_rollback_trips_the_undo_check() {
+        let schedule = Schedule::geometric(1e-9, 1e-10, 0.5, 20);
+        let _ = Annealer::with_seed(4).run(&mut BadUndo { x: 0 }, &schedule);
     }
 
     #[test]
     fn throughput_is_reported() {
         let mut state = Target { x: 250, backup: 0 };
-        let stats = Annealer::with_seed(6).run(&mut state, &Schedule::fast());
+        let stats = Annealer::with_seed(6).run(&mut state, &Schedule::fast()).0;
         assert!(stats.moves.attempted > 0);
         if let Some(mps) = stats.moves_per_second() {
             assert!(mps > 0.0);
@@ -320,7 +374,7 @@ mod tests {
     #[test]
     fn stats_ratios_are_sane() {
         let mut state = Target { x: 200, backup: 0 };
-        let stats = Annealer::with_seed(5).run(&mut state, &Schedule::fast());
+        let stats = Annealer::with_seed(5).run(&mut state, &Schedule::fast()).0;
         let ratio = stats.acceptance_ratio();
         assert!((0.0..=1.0).contains(&ratio));
         assert!(stats.moves.uphill <= stats.moves.accepted);
@@ -332,12 +386,12 @@ mod tests {
     fn traced_run_is_bit_identical_and_records_trajectory() {
         let schedule = Schedule::fast();
         let mut plain = Target { x: 400, backup: 0 };
-        let plain_stats = Annealer::with_seed(42).run(&mut plain, &schedule);
+        let plain_stats = Annealer::with_seed(42).run(&mut plain, &schedule).0;
 
         let collector = Arc::new(RecordingCollector::new());
         let telemetry = Telemetry::with_collector(collector.clone());
         let mut traced = Target { x: 400, backup: 0 };
-        let traced_stats = Annealer::with_seed(42).run_traced(&mut traced, &schedule, &telemetry);
+        let traced_stats = Annealer::with_seed(42).run_traced(&mut traced, &schedule, &telemetry).0;
 
         assert_eq!(plain.x, traced.x);
         assert_eq!(plain_stats.moves.attempted, traced_stats.moves.attempted);

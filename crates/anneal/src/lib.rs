@@ -4,11 +4,14 @@
 //! B*-tree / HB*-tree placer (Section III) explore their topological encodings
 //! with simulated annealing. This crate provides the shared engine:
 //!
-//! * [`AnnealState`] — the trait an encoding implements: propose a perturbation,
-//!   evaluate a cost, accept or roll back;
+//! * [`AnnealState`] — the trait an encoding implements: propose a
+//!   perturbation, evaluate a cost, roll back, and take a snapshot;
 //! * [`Schedule`] — geometric cooling schedules with configurable start/end
 //!   temperature, moves per temperature step, and an optional move budget;
-//! * [`Annealer`] — the driver, which reports [`AnnealStats`];
+//! * [`Annealer`] — the driver, which reports [`AnnealStats`] and the best
+//!   snapshot, and [`tempering`], which runs replicas with exchanges. Both
+//!   run one Metropolis chain, which owns acceptance, best-state tracking
+//!   and, in debug builds, the check that every rollback restores the state;
 //! * [`rng`] — deterministic seedable RNG helpers ([`rng::SeededRng`]) and
 //!   stateless per-worker seed derivation ([`rng::SeedStream`]) so that every
 //!   experiment in the workspace — including parallel multi-start portfolios
@@ -20,11 +23,11 @@
 //!
 //! ```
 //! use apls_anneal::{AnnealState, Annealer, Schedule};
-//! use rand::Rng;
 //!
 //! struct Toy { value: i64, backup: i64 }
 //!
 //! impl AnnealState for Toy {
+//!     type Snapshot = i64;
 //!     fn cost(&mut self) -> f64 { self.value.abs() as f64 }
 //!     fn propose(&mut self, rng: &mut dyn rand::RngCore) {
 //!         self.backup = self.value;
@@ -32,19 +35,22 @@
 //!         self.value += delta;
 //!     }
 //!     fn rollback(&mut self) { self.value = self.backup; }
+//!     fn snapshot(&self) -> i64 { self.value }
 //! }
 //!
 //! let mut state = Toy { value: 100, backup: 0 };
 //! let schedule = Schedule::geometric(10.0, 0.01, 0.9, 50);
-//! let stats = Annealer::with_seed(7).run(&mut state, &schedule);
-//! assert!(state.value.abs() <= 100);
+//! let (stats, best) = Annealer::with_seed(7).run(&mut state, &schedule);
+//! let best = best.unwrap_or(state.value);
 //! assert!(stats.moves.attempted > 0);
+//! assert!(best.abs() <= 100);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod annealer;
+mod chain;
 pub mod rng;
 mod schedule;
 pub mod tempering;
@@ -52,24 +58,35 @@ mod timing;
 
 pub use annealer::{AnnealStats, Annealer};
 pub use schedule::Schedule;
-pub use tempering::{run_tempering, run_tempering_traced, TemperingConfig, TemperingStats};
+pub use tempering::{run_tempering_traced, TemperingConfig, TemperingStats};
 pub use timing::MoveStats;
 
 use rand::RngCore;
 
 /// A state that can be explored by simulated annealing.
 ///
-/// The protocol is propose → evaluate → accept or [`AnnealState::rollback`].
+/// The protocol is propose → evaluate → [`AnnealState::commit`] or
+/// [`AnnealState::rollback`].
 ///
-/// **Single-evaluation contract:** the engine calls [`AnnealState::propose`]
+/// **Single-evaluation contract:** the driver calls [`AnnealState::propose`]
 /// exactly once per move, then [`AnnealState::cost`] exactly once for that
-/// proposal, and finally either [`AnnealState::commit`] — passing the cost it
-/// just evaluated — or [`AnnealState::rollback`]. Implementations therefore
-/// never need to re-evaluate inside `commit`, and `cost` may freely reuse
-/// internal scratch buffers (it takes `&mut self` for exactly that reason).
-/// `rollback` is only ever called for the most recent proposal, so one undo
-/// record suffices.
+/// proposal, and finally either `commit` or `rollback`. `cost` may therefore
+/// freely reuse internal scratch buffers (it takes `&mut self` for exactly
+/// that reason). `rollback` is only ever called for the most recent
+/// proposal, so one undo record suffices.
+///
+/// **Snapshot rule:** the driver keeps the best state, not the state. It
+/// takes a [`AnnealState::snapshot`] of the first accepted state, and after
+/// that of every accepted state whose cost is strictly lower than the kept
+/// snapshot's. The initial state is never snapshotted: a run that accepts no
+/// move returns no snapshot, and the caller falls back to the state itself.
+/// In debug builds the driver also snapshots before every proposal and
+/// asserts that `rollback` restored exactly that snapshot.
 pub trait AnnealState {
+    /// What the driver keeps of the best state: enough to rebuild the
+    /// result, and comparable so the debug undo check can use it.
+    type Snapshot: PartialEq;
+
     /// Cost of the current state (lower is better).
     ///
     /// Called exactly once per proposal (and once before the run starts for
@@ -87,10 +104,12 @@ pub trait AnnealState {
     /// Undoes the most recent proposal.
     fn rollback(&mut self);
 
-    /// Called when a proposal is accepted, with the cost the engine evaluated
-    /// for it. The default does nothing; states that track a best-so-far
-    /// snapshot use this hook without re-evaluating anything.
-    fn commit(&mut self, _accepted_cost: f64) {}
+    /// Copies the current state (see the snapshot rule above).
+    fn snapshot(&self) -> Self::Snapshot;
+
+    /// Called when a proposal is accepted, for states that keep incremental
+    /// caches to settle. The default does nothing.
+    fn commit(&mut self) {}
 
     /// Short static label of the *most recent* proposal's move type, used by
     /// telemetry to report the move-type mix of a run. Only queried between

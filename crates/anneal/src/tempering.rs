@@ -20,10 +20,13 @@
 //!   one draw per attempted swap, so the swap schedule is a pure function of
 //!   the seed and the replica costs.
 //!
+//! Every replica is one Metropolis chain, the same one [`crate::Annealer`]
+//! runs, so acceptance and best-state tracking match the plain annealer's.
 //! Telemetry ([`run_tempering_traced`]) observes the swap schedule without
 //! participating in it: no collector ever touches a seed-stream lane.
 
-use crate::rng::{SeedStream, SeededRng};
+use crate::chain::Chain;
+use crate::rng::SeedStream;
 use crate::timing::MoveStats;
 use crate::{AnnealState, Schedule};
 use apls_telemetry::{event, Telemetry};
@@ -111,54 +114,35 @@ impl TemperingStats {
     }
 }
 
-/// One replica's bundle on the move phase: state, private RNG, running cost
-/// and counters. Owned, so the parallel map can ship it to a worker.
-struct Replica<S> {
-    state: S,
-    rng: SeededRng,
-    cost: f64,
-    best_cost: f64,
-    attempted: u64,
-    accepted: u64,
-    uphill: u64,
-}
-
-/// Runs parallel tempering over `replicas` (all assumed to encode the same
-/// problem, typically from identical initial states) and returns the states
-/// together with the run statistics.
+/// Runs parallel tempering over `states` (all assumed to encode the same
+/// problem, typically from identical initial states) and returns the states,
+/// the run statistics and the winner's best snapshot.
 ///
 /// Replica `k` starts at ladder slot `k` (slot 0 coldest). The final states
-/// come back in *replica* order — inspect each state's own best snapshot and
-/// [`TemperingStats::best_replica`] to recover the winner.
+/// come back in *replica* order. The winner is replica
+/// [`TemperingStats::best_replica`]; its snapshot follows the rule of
+/// [`AnnealState`] and is `None` when it accepted no move, in which case its
+/// final state is the answer.
+///
+/// Emits a `tempering/tempering` span over the run and one
+/// `tempering/swap_round` event per exchange phase (round index, slot-0
+/// temperature, swaps attempted/accepted in the round). Telemetry is
+/// observe-only: the replica streams, the swap schedule and the returned
+/// statistics are bit-identical whatever collector is installed.
 ///
 /// # Panics
 ///
 /// Panics when `states.len() != config.replicas` or the configuration is
 /// invalid (see [`TemperingConfig::validate`]).
-pub fn run_tempering<S: AnnealState + Send>(
-    states: Vec<S>,
-    config: &TemperingConfig,
-) -> (Vec<S>, TemperingStats) {
-    run_tempering_traced(states, config, &Telemetry::disabled())
-}
-
-/// [`run_tempering`] with telemetry: emits a `tempering/tempering` span over
-/// the run and one `tempering/swap_round` event per exchange phase (round
-/// index, slot-0 temperature, swaps attempted/accepted in the round).
-///
-/// Telemetry is observe-only: the replica streams, the swap schedule and the
-/// returned statistics are bit-identical to [`run_tempering`] whatever
-/// collector is installed.
-///
-/// # Panics
-///
-/// Panics when `states.len() != config.replicas` or the configuration is
-/// invalid (see [`TemperingConfig::validate`]).
-pub fn run_tempering_traced<S: AnnealState + Send>(
-    states: Vec<S>,
+pub fn run_tempering_traced<S>(
+    mut states: Vec<S>,
     config: &TemperingConfig,
     telemetry: &Telemetry,
-) -> (Vec<S>, TemperingStats) {
+) -> (Vec<S>, TemperingStats, Option<S::Snapshot>)
+where
+    S: AnnealState + Send,
+    S::Snapshot: Send,
+{
     config.validate();
     assert_eq!(states.len(), config.replicas, "one state per replica required");
     let started = Instant::now();
@@ -170,24 +154,13 @@ pub fn run_tempering_traced<S: AnnealState + Send>(
     let schedule = &config.schedule;
     let k = config.replicas;
 
-    // Initial evaluation, exactly like the plain annealer's first `cost()`.
-    let mut replicas: Vec<Replica<S>> = states
-        .into_iter()
+    // Each chain evaluates its initial cost, exactly like the plain annealer.
+    let mut chains: Vec<Chain<'_, S>> = states
+        .iter_mut()
         .enumerate()
-        .map(|(i, mut state)| {
-            let cost = state.cost();
-            Replica {
-                state,
-                rng: stream.rng_for(config.lane, i as u64),
-                cost,
-                best_cost: cost,
-                attempted: 0,
-                accepted: 0,
-                uphill: 0,
-            }
-        })
+        .map(|(i, state)| Chain::new(state, stream.rng_for(config.lane, i as u64)))
         .collect();
-    let initial_cost = replicas[0].cost;
+    let initial_cost = chains[0].cost;
 
     // Ladder slot -> replica index; swaps permute this assignment so the
     // (large) states never move.
@@ -209,14 +182,14 @@ pub fn run_tempering_traced<S: AnnealState + Send>(
         }
         let moves_per_round = schedule.moves_per_step();
         let max_moves = schedule.max_moves();
-        replicas = replicas
+        chains = chains
             .into_iter()
             .zip(temp_of_replica)
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(mut r, temperature)| {
-                metropolis_round(&mut r, temperature, moves_per_round, max_moves);
-                r
+            .map(|(mut chain, temperature)| {
+                chain.run(temperature, moves_per_round, max_moves, |_| {});
+                chain
             })
             .collect();
 
@@ -233,7 +206,7 @@ pub fn run_tempering_traced<S: AnnealState + Send>(
             // Replica-exchange criterion: accept with min(1, exp(Δ)),
             // Δ = (1/T_cold − 1/T_hot) · (E_cold − E_hot). One RNG draw per
             // attempt keeps the swap stream independent of the outcome.
-            let delta = (1.0 / t_cold - 1.0 / t_hot) * (replicas[i].cost - replicas[j].cost);
+            let delta = (1.0 / t_cold - 1.0 / t_hot) * (chains[i].cost - chains[j].cost);
             let u = swap_rng.gen::<f64>();
             if delta >= 0.0 || u < delta.exp() {
                 slots.swap(s, s + 1);
@@ -257,12 +230,12 @@ pub fn run_tempering_traced<S: AnnealState + Send>(
         round += 1;
     }
 
-    for (i, r) in replicas.iter().enumerate() {
-        stats.moves.attempted += r.attempted;
-        stats.moves.accepted += r.accepted;
-        stats.moves.uphill += r.uphill;
-        if r.best_cost < stats.best_cost {
-            stats.best_cost = r.best_cost;
+    for (i, chain) in chains.iter().enumerate() {
+        stats.moves.attempted += chain.moves.attempted;
+        stats.moves.accepted += chain.moves.accepted;
+        stats.moves.uphill += chain.moves.uphill;
+        if chain.best_cost < stats.best_cost {
+            stats.best_cost = chain.best_cost;
             stats.best_replica = i;
         }
     }
@@ -274,7 +247,8 @@ pub fn run_tempering_traced<S: AnnealState + Send>(
         span.arg("best_cost", stats.best_cost);
         span.arg("best_replica", stats.best_replica);
     }
-    (replicas.into_iter().map(|r| r.state).collect(), stats)
+    let best = chains.swap_remove(stats.best_replica).into_best();
+    (states, stats, best)
 }
 
 /// Temperature of ladder slot `s` in a round whose slot-0 temperature is
@@ -287,46 +261,6 @@ fn temp_of_slot(t_round: f64, ratio: f64, s: usize) -> f64 {
     t
 }
 
-/// One round of fixed-temperature Metropolis moves on one replica, following
-/// the single-evaluation protocol of [`crate::Annealer::run`].
-fn metropolis_round<S: AnnealState>(
-    r: &mut Replica<S>,
-    temperature: f64,
-    moves: usize,
-    max_moves: Option<u64>,
-) {
-    for _ in 0..moves {
-        if let Some(cap) = max_moves {
-            if r.attempted >= cap {
-                return;
-            }
-        }
-        r.attempted += 1;
-        r.state.propose(&mut r.rng);
-        let new_cost = r.state.cost();
-        let delta = new_cost - r.cost;
-        let accept = if delta <= 0.0 {
-            true
-        } else {
-            let p = (-delta / temperature).exp();
-            r.rng.gen::<f64>() < p
-        };
-        if accept {
-            r.accepted += 1;
-            if delta > 0.0 {
-                r.uphill += 1;
-            }
-            r.cost = new_cost;
-            r.state.commit(new_cost);
-            if new_cost < r.best_cost {
-                r.best_cost = new_cost;
-            }
-        } else {
-            r.state.rollback();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,21 +268,21 @@ mod tests {
     use rand::RngCore;
     use std::sync::Arc;
 
-    /// Minimises |x - target| over integers; snapshots its best in `commit`.
+    /// Minimises |x - 37| over integers.
     #[derive(Debug, Clone)]
     struct Toy {
         x: i64,
         backup: i64,
-        best: i64,
     }
 
     impl Toy {
         fn new(x: i64) -> Self {
-            Toy { x, backup: x, best: x }
+            Toy { x, backup: x }
         }
     }
 
     impl AnnealState for Toy {
+        type Snapshot = i64;
         fn cost(&mut self) -> f64 {
             (self.x - 37).abs() as f64
         }
@@ -359,11 +293,20 @@ mod tests {
         fn rollback(&mut self) {
             self.x = self.backup;
         }
-        fn commit(&mut self, accepted_cost: f64) {
-            if accepted_cost < (self.best - 37).abs() as f64 {
-                self.best = self.x;
-            }
+        fn snapshot(&self) -> i64 {
+            self.x
         }
+    }
+
+    /// Untraced run; checks that an improving winner's snapshot has the
+    /// reported best cost.
+    fn temper(states: Vec<Toy>, config: &TemperingConfig) -> (Vec<Toy>, TemperingStats) {
+        let (states, stats, best) = run_tempering_traced(states, config, &Telemetry::disabled());
+        if stats.best_cost < stats.initial_cost {
+            let best = best.expect("an improving winner accepted a move");
+            assert_eq!((best - 37).abs() as f64, stats.best_cost);
+        }
+        (states, stats)
     }
 
     fn config(replicas: usize) -> TemperingConfig {
@@ -379,7 +322,7 @@ mod tests {
     #[test]
     fn tempering_improves_and_reports_consistent_stats() {
         let states = vec![Toy::new(500); 4];
-        let (finals, stats) = run_tempering(states, &config(4));
+        let (finals, stats) = temper(states, &config(4));
         assert_eq!(finals.len(), 4);
         assert!(stats.best_cost <= stats.initial_cost);
         assert!(stats.moves.attempted > 0);
@@ -391,7 +334,7 @@ mod tests {
 
     #[test]
     fn identical_configs_reproduce_identical_runs() {
-        let run = || run_tempering(vec![Toy::new(200); 3], &config(3));
+        let run = || temper(vec![Toy::new(200); 3], &config(3));
         let (a_states, a) = run();
         let (b_states, b) = run();
         assert_eq!(a.best_cost, b.best_cost);
@@ -403,7 +346,7 @@ mod tests {
         // an explicitly different run differs somewhere
         let mut other = config(3);
         other.seed = 6;
-        let (_, c) = run_tempering(vec![Toy::new(200); 3], &other);
+        let (_, c) = temper(vec![Toy::new(200); 3], &other);
         assert!((a.best_cost, a.moves.accepted) != (c.best_cost, c.moves.accepted));
     }
 
@@ -411,7 +354,7 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let run_with = |threads: usize| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| run_tempering(vec![Toy::new(321); 5], &config(5)))
+            pool.install(|| temper(vec![Toy::new(321); 5], &config(5)))
         };
         let (s1, a) = run_with(1);
         let (s4, b) = run_with(4);
@@ -426,16 +369,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "one state per replica")]
     fn replica_count_mismatch_panics() {
-        let _ = run_tempering(vec![Toy::new(0); 2], &config(3));
+        let _ = temper(vec![Toy::new(0); 2], &config(3));
     }
 
     /// Telemetry observes the swap schedule without perturbing it.
     #[test]
     fn traced_tempering_is_bit_identical_and_records_rounds() {
-        let (plain_states, plain) = run_tempering(vec![Toy::new(250); 3], &config(3));
+        let (plain_states, plain) = temper(vec![Toy::new(250); 3], &config(3));
         let collector = Arc::new(RecordingCollector::new());
         let telemetry = Telemetry::with_collector(collector.clone());
-        let (traced_states, traced) =
+        let (traced_states, traced, _) =
             run_tempering_traced(vec![Toy::new(250); 3], &config(3), &telemetry);
         assert_eq!(plain.best_cost, traced.best_cost);
         assert_eq!(plain.moves.attempted, traced.moves.attempted);

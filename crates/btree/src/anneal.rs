@@ -107,17 +107,14 @@ impl<'a> HbTreePlacer<'a> {
         let mut state = HbState {
             tree: initial,
             undo: HbUndoLog::default(),
-            #[cfg(debug_assertions)]
-            check: None,
-            best: None,
             delta: DeltaCost::new(self.circuit.netlist.adjacency(), module_count),
             scratch: HbPackScratch::new(),
             placement: Placement::with_capacity(module_count),
             wirelength_weight: config.wirelength_weight,
         };
-        let stats =
+        let (stats, best) =
             Annealer::with_seed(config.seed).run_traced(&mut state, &config.schedule, telemetry);
-        let best_tree = state.best.map(|(t, _)| t).unwrap_or(state.tree);
+        let best_tree = best.unwrap_or(state.tree);
         let placement = best_tree.pack();
         let metrics = placement.metrics(&self.circuit.netlist);
         let symmetry_error = placement.symmetry_error(&self.circuit.constraints);
@@ -129,15 +126,10 @@ impl<'a> HbTreePlacer<'a> {
 /// through reusable scratch buffers, the cost skips the O(n²) overlap scan
 /// (HB*-tree packings are overlap-free by construction; `debug_assertions`
 /// builds still verify it), rejected moves are undone via the undo log instead
-/// of restoring a deep clone, and `commit` receives the already-evaluated cost
-/// from the driver so accepted moves never pack twice.
+/// of restoring a deep clone, and accepted moves never pack twice.
 struct HbState {
     tree: HbTree,
     undo: HbUndoLog,
-    /// Clone-based reference for the undo log, kept only in debug builds.
-    #[cfg(debug_assertions)]
-    check: Option<HbTree>,
-    best: Option<(HbTree, f64)>,
     delta: DeltaCost,
     scratch: HbPackScratch,
     placement: Placement,
@@ -145,6 +137,8 @@ struct HbState {
 }
 
 impl AnnealState for HbState {
+    type Snapshot = HbTree;
+
     fn cost(&mut self) -> f64 {
         self.tree.pack_into(&mut self.scratch, &mut self.placement);
         debug_assert!(self.placement.is_complete());
@@ -173,32 +167,15 @@ impl AnnealState for HbState {
     }
 
     fn propose(&mut self, rng: &mut dyn RngCore) {
-        #[cfg(debug_assertions)]
-        {
-            self.check = Some(self.tree.clone());
-        }
         self.tree.perturb_logged(rng, &mut self.undo);
     }
 
     fn rollback(&mut self) {
         self.tree.undo(&mut self.undo);
-        #[cfg(debug_assertions)]
-        if let Some(prev) = self.check.take() {
-            debug_assert!(
-                self.tree == prev,
-                "undo-log rollback diverged from the clone-based reference"
-            );
-        }
     }
 
-    fn commit(&mut self, accepted_cost: f64) {
-        let better = match &self.best {
-            Some((_, c)) => accepted_cost < *c,
-            None => true,
-        };
-        if better {
-            self.best = Some((self.tree.clone(), accepted_cost));
-        }
+    fn snapshot(&self) -> HbTree {
+        self.tree.clone()
     }
 
     fn move_kind(&self) -> &'static str {
@@ -241,9 +218,6 @@ impl<'a> BTreePlacer<'a> {
         let mut state = FlatState {
             tree: BStarTree::balanced(&modules),
             undo: TreeUndoLog::default(),
-            #[cfg(debug_assertions)]
-            check: None,
-            best: None,
             dims: self.netlist.default_dims(),
             delta: DeltaCost::new(self.netlist.adjacency(), modules.len()),
             rotatable,
@@ -251,9 +225,9 @@ impl<'a> BTreePlacer<'a> {
             packed: PackedBTree::new(),
             wirelength_weight: config.wirelength_weight,
         };
-        let stats =
+        let (stats, best) =
             Annealer::with_seed(config.seed).run_traced(&mut state, &config.schedule, telemetry);
-        let best_tree = state.best.map(|(t, _)| t).unwrap_or(state.tree);
+        let best_tree = best.unwrap_or(state.tree);
         let placement = flat_placement(self.netlist, &best_tree);
         let metrics = placement.metrics(self.netlist);
         let symmetry_error = placement.symmetry_error(self.constraints);
@@ -274,17 +248,12 @@ fn flat_placement(netlist: &Netlist, tree: &BStarTree) -> Placement {
 /// The flat B*-tree annealing state on the zero-allocation hot path: one
 /// `pack_btree_into` per proposal straight into reusable buffers, wirelength
 /// over the CSR pin adjacency with no intermediate placement, O(1) undo-log
-/// rollback, and a driver-supplied cost in `commit` (no second pack). The
-/// B*-tree packing anchors its bounding box at the origin, so the packed
+/// rollback, and no second pack on acceptance. The B*-tree packing anchors its bounding box at the origin, so the packed
 /// width/height are exactly the metrics bounding box of the equivalent
 /// placement.
 struct FlatState {
     tree: BStarTree,
     undo: TreeUndoLog,
-    /// Clone-based reference for the undo log, kept only in debug builds.
-    #[cfg(debug_assertions)]
-    check: Option<BStarTree>,
-    best: Option<(BStarTree, f64)>,
     dims: Vec<apls_geometry::Dims>,
     delta: DeltaCost,
     rotatable: Vec<bool>,
@@ -294,6 +263,8 @@ struct FlatState {
 }
 
 impl AnnealState for FlatState {
+    type Snapshot = BStarTree;
+
     fn cost(&mut self) -> f64 {
         pack_btree_into(&mut self.scratch, &self.tree, &self.dims, &mut self.packed);
         // Wirelength through `DeltaCost::sweep_hpwl`: a B*-tree repack shifts
@@ -308,33 +279,16 @@ impl AnnealState for FlatState {
     }
 
     fn propose(&mut self, rng: &mut dyn RngCore) {
-        #[cfg(debug_assertions)]
-        {
-            self.check = Some(self.tree.clone());
-        }
         let rotatable = &self.rotatable;
         self.tree.perturb_logged(rng, |m| rotatable[m.index()], &mut self.undo);
     }
 
     fn rollback(&mut self) {
         self.tree.undo(&mut self.undo);
-        #[cfg(debug_assertions)]
-        if let Some(prev) = self.check.take() {
-            debug_assert!(
-                self.tree == prev,
-                "undo-log rollback diverged from the clone-based reference"
-            );
-        }
     }
 
-    fn commit(&mut self, accepted_cost: f64) {
-        let better = match &self.best {
-            Some((_, c)) => accepted_cost < *c,
-            None => true,
-        };
-        if better {
-            self.best = Some((self.tree.clone(), accepted_cost));
-        }
+    fn snapshot(&self) -> BStarTree {
+        self.tree.clone()
     }
 
     fn move_kind(&self) -> &'static str {

@@ -99,28 +99,25 @@ pub fn anneal_subset(
     let mut state = SubsetState {
         tree: BStarTree::balanced(modules),
         undo: TreeUndoLog::default(),
-        best: None,
         dims: module_dims,
         rotatable,
         scratch: PackScratch::new(),
         aspect_target: config.aspect_target,
         aspect_weight: config.aspect_weight,
     };
-    let stats = Annealer::with_seed(config.seed).run(&mut state, &config.schedule);
-    let tree = state.best.map(|(t, _)| t).unwrap_or(state.tree);
+    let (stats, best) = Annealer::with_seed(config.seed).run(&mut state, &config.schedule);
+    let tree = best.unwrap_or(state.tree);
     let dims = pack_extent(&mut state.scratch, &tree, module_dims);
     SubsetAnnealResult { dims, tree, stats }
 }
 
 /// The subset annealing state: same zero-allocation hot path as the flat
-/// placer (scratch-buffer packing, undo-log rollback, driver-supplied cost in
-/// `commit`), but with an area + aspect-deviation cost instead of
-/// area + wirelength. The cost reads only the footprint, so each move packs
+/// placer (scratch-buffer packing, undo-log rollback), but with an
+/// area + aspect-deviation cost instead of area + wirelength. The cost reads only the footprint, so each move packs
 /// for the extent alone.
 struct SubsetState<'a> {
     tree: BStarTree,
     undo: TreeUndoLog,
-    best: Option<(BStarTree, f64)>,
     dims: &'a [Dims],
     rotatable: &'a [bool],
     scratch: PackScratch,
@@ -129,6 +126,8 @@ struct SubsetState<'a> {
 }
 
 impl AnnealState for SubsetState<'_> {
+    type Snapshot = BStarTree;
+
     fn cost(&mut self) -> f64 {
         let extent = pack_extent(&mut self.scratch, &self.tree, self.dims);
         let area = extent.area() as f64;
@@ -150,14 +149,8 @@ impl AnnealState for SubsetState<'_> {
         self.tree.undo(&mut self.undo);
     }
 
-    fn commit(&mut self, accepted_cost: f64) {
-        let better = match &self.best {
-            Some((_, c)) => accepted_cost < *c,
-            None => true,
-        };
-        if better {
-            self.best = Some((self.tree.clone(), accepted_cost));
-        }
+    fn snapshot(&self) -> BStarTree {
+        self.tree.clone()
     }
 }
 

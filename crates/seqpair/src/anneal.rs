@@ -12,7 +12,7 @@
 //!   with the symmetry error added to the cost function, the classical
 //!   alternative the paper argues against.
 
-use crate::hot::{HotMode, HotSpEval};
+use crate::hot::HotSpEval;
 use crate::place::SymmetricPlacer;
 use crate::seq::SpUndoLog;
 use crate::symmetry::{canonical_symmetric_feasible, SymmetricMoveSet};
@@ -125,24 +125,17 @@ impl<'a> SeqPairPlacer<'a> {
         let modules: Vec<ModuleId> = self.netlist.module_ids().collect();
         let initial = canonical_symmetric_feasible(&modules, self.constraints);
         let placer = SymmetricPlacer::new(self.netlist, self.constraints);
-        let mode = match config.symmetry_mode {
-            SymmetryMode::Exact => HotMode::Exact,
-            SymmetryMode::Penalty { weight } => HotMode::Penalty { weight },
-        };
         let hot = HotSpEval::new(
             self.constraints,
             placer.dims().to_vec(),
             self.netlist.adjacency(),
             &initial,
-            mode,
+            config.symmetry_mode,
             config.wirelength_weight,
         );
         SpState {
             sp: initial,
             undo: SpUndoLog::default(),
-            #[cfg(debug_assertions)]
-            check: None,
-            best: None,
             placer,
             hot,
             touched: Vec::new(),
@@ -165,12 +158,12 @@ impl<'a> SeqPairPlacer<'a> {
     #[must_use]
     pub fn run_traced(&self, config: &SeqPairPlacerConfig, telemetry: &Telemetry) -> SeqPairResult {
         let mut state = self.make_state(config);
-        let stats =
+        let (stats, best) =
             Annealer::with_seed(config.seed).run_traced(&mut state, &config.schedule, telemetry);
         state.hot.counters.emit(telemetry);
 
         // Prefer the best snapshot over the final accepted state.
-        let (best_sp, _) = state.best.clone().unwrap_or((state.sp.clone(), f64::MAX));
+        let best_sp = best.unwrap_or_else(|| state.sp.clone());
         let placement = state.build_placement(&best_sp);
         let metrics = placement.metrics(self.netlist);
         let symmetry_error = placement.symmetry_error(self.constraints);
@@ -179,8 +172,7 @@ impl<'a> SeqPairPlacer<'a> {
 }
 
 /// The sequence-pair annealing state on the single-evaluation hot path: each
-/// proposal is legalised and scored exactly once (the driver hands the
-/// accepted cost back to `commit`), the cost skips the O(n²) overlap scan
+/// proposal is legalised and scored exactly once, the cost skips the O(n²) overlap scan
 /// (sequence-pair packings are overlap-free by construction), rejected moves
 /// are undone by replaying the undo log instead of restoring a clone of the
 /// whole encoding, and scoring goes through the incremental [`HotSpEval`]
@@ -191,11 +183,6 @@ impl<'a> SeqPairPlacer<'a> {
 pub(crate) struct SpState<'a> {
     pub(crate) sp: SequencePair,
     undo: SpUndoLog,
-    /// Clone-based reference for the undo log, kept only in debug builds.
-    #[cfg(debug_assertions)]
-    check: Option<SequencePair>,
-    /// Best (sequence-pair, cost) seen so far.
-    pub(crate) best: Option<(SequencePair, f64)>,
     placer: SymmetricPlacer<'a>,
     pub(crate) hot: HotSpEval<'a>,
     /// Modules whose α/β positions the open proposal may have changed.
@@ -216,15 +203,13 @@ impl SpState<'_> {
 }
 
 impl AnnealState for SpState<'_> {
+    type Snapshot = SequencePair;
+
     fn cost(&mut self) -> f64 {
         self.hot.evaluate(&self.sp, Some(&self.touched))
     }
 
     fn propose(&mut self, rng: &mut dyn RngCore) {
-        #[cfg(debug_assertions)]
-        {
-            self.check = Some(self.sp.clone());
-        }
         match self.config.symmetry_mode {
             SymmetryMode::Exact => {
                 // the S-F move set may occasionally reject a structural move
@@ -277,24 +262,14 @@ impl AnnealState for SpState<'_> {
     fn rollback(&mut self) {
         self.sp.undo(&mut self.undo);
         self.hot.rollback();
-        #[cfg(debug_assertions)]
-        if let Some(prev) = self.check.take() {
-            debug_assert!(
-                self.sp == prev,
-                "undo-log rollback diverged from the clone-based reference"
-            );
-        }
     }
 
-    fn commit(&mut self, accepted_cost: f64) {
+    fn snapshot(&self) -> SequencePair {
+        self.sp.clone()
+    }
+
+    fn commit(&mut self) {
         self.hot.commit();
-        let better = match &self.best {
-            Some((_, best_cost)) => accepted_cost < *best_cost,
-            None => true,
-        };
-        if better {
-            self.best = Some((self.sp.clone(), accepted_cost));
-        }
     }
 
     fn move_kind(&self) -> &'static str {

@@ -33,6 +33,7 @@
 //! buffer swap, rejection simply discards the proposal buffer (plus a
 //! [`DeltaCost::undo`]), so rollback is O(touched nets).
 
+use crate::anneal::SymmetryMode;
 use crate::pack::{LowerBounds, MaxFenwick};
 use crate::place::{island_geometry, tighten_group_with, IslandGeometry};
 use crate::SequencePair;
@@ -211,19 +212,6 @@ impl LegaliseCounters {
     }
 }
 
-/// How the evaluator scores a sequence-pair (mirrors
-/// [`crate::anneal::SymmetryMode`] without borrowing the config).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum HotMode {
-    /// Full symmetric legalisation (iterative tightening + island fallback).
-    Exact,
-    /// Plain packing plus `weight · symmetry_error`.
-    Penalty {
-        /// Cost weight of one doubled-dbu of symmetry error.
-        weight: f64,
-    },
-}
-
 /// Allocation-free, incrementally updated evaluator for the sequence-pair
 /// annealing loop.
 #[derive(Debug, Clone)]
@@ -232,7 +220,7 @@ pub(crate) struct HotSpEval<'a> {
     dims: Vec<Dims>,
     n: usize,
     max_iterations: usize,
-    mode: HotMode,
+    mode: SymmetryMode,
     wirelength_weight: f64,
     delta: DeltaCost,
 
@@ -278,7 +266,7 @@ impl<'a> HotSpEval<'a> {
         dims: Vec<Dims>,
         adjacency: NetAdjacency,
         initial_sp: &SequencePair,
-        mode: HotMode,
+        mode: SymmetryMode,
         wirelength_weight: f64,
     ) -> Self {
         let n = dims.len();
@@ -416,13 +404,13 @@ impl<'a> HotSpEval<'a> {
 
         // --- 2. symmetry handling -------------------------------------------
         let cost = match self.mode {
-            HotMode::Penalty { weight } => {
+            SymmetryMode::Penalty { weight } => {
                 self.fx.copy_from_slice(&self.prop.x0);
                 self.fy.copy_from_slice(&self.prop.y0);
                 let err = self.symmetry_error_of(sp, SymmetrySource::Final);
                 self.hot_cost(sp) + weight * err as f64
             }
-            HotMode::Exact => {
+            SymmetryMode::Exact => {
                 if self.islands.is_empty() {
                     // No populated symmetry group: the first tightening pass
                     // changes nothing, and the island construction reduces to
@@ -936,7 +924,7 @@ mod proptests {
                 dims.clone(),
                 adjacency.clone(),
                 &sp,
-                HotMode::Exact,
+                SymmetryMode::Exact,
                 0.5,
             );
 
@@ -1143,7 +1131,7 @@ mod proptests {
             let ids: Vec<ModuleId> = (0..n).map(id).collect();
             let mut sp = canonical_symmetric_feasible(&ids, &constraints);
             let mut eval =
-                HotSpEval::new(&constraints, dims.clone(), adjacency.clone(), &sp, HotMode::Exact, 0.5);
+                HotSpEval::new(&constraints, dims.clone(), adjacency.clone(), &sp, SymmetryMode::Exact, 0.5);
 
             let check = |eval: &HotSpEval<'_>, sp: &SequencePair, cost: f64| {
                 let placement = placer.place(sp);

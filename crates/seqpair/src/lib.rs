@@ -57,6 +57,6 @@ pub mod symmetry;
 pub mod tempering;
 
 pub use anneal::{SeqPairPlacer, SeqPairPlacerConfig, SymmetryMode};
-pub use pack::{PackAlgorithm, PackedFloorplan};
+pub use pack::PackedFloorplan;
 pub use seq::{SequencePair, SpUndoLog};
 pub use tempering::{TemperingPlacerConfig, TemperingResult, TemperingSeqPairPlacer};

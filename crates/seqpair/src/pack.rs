@@ -18,16 +18,6 @@ use crate::SequencePair;
 use apls_circuit::ModuleId;
 use apls_geometry::{Coord, Dims, Rect};
 
-/// Which packing algorithm to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PackAlgorithm {
-    /// O(n²) constraint-graph longest path.
-    ConstraintGraph,
-    /// O(n log n) weighted-LCS (FAST-SP).
-    #[default]
-    WeightedLcs,
-}
-
 /// The result of packing a sequence-pair: one rectangle per module plus the
 /// floorplan extents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,15 +72,6 @@ impl PackedFloorplan {
 /// packers require every module of the encoding to have an entry.
 fn dims_of(dims: &[Dims], module: ModuleId) -> Dims {
     dims[module.index()]
-}
-
-/// Packs with the selected algorithm.
-#[must_use]
-pub fn pack(sp: &SequencePair, dims: &[Dims], algorithm: PackAlgorithm) -> PackedFloorplan {
-    match algorithm {
-        PackAlgorithm::ConstraintGraph => pack_constraint_graph(sp, dims),
-        PackAlgorithm::WeightedLcs => pack_lcs(sp, dims),
-    }
 }
 
 /// O(n²) constraint-graph packing.
@@ -333,12 +314,17 @@ mod tests {
         vec![Dims::new(side, side); n]
     }
 
+    /// Both packers, named for assertion messages.
+    type Packer = fn(&SequencePair, &[Dims]) -> PackedFloorplan;
+    const PACKERS: [(&str, Packer); 2] =
+        [("constraint graph", pack_constraint_graph), ("weighted LCS", pack_lcs)];
+
     #[test]
     fn identity_packs_into_a_row() {
         let sp = SequencePair::identity((0..3).map(id).collect());
         let dims = vec![Dims::new(10, 5), Dims::new(20, 8), Dims::new(5, 3)];
-        for algo in [PackAlgorithm::ConstraintGraph, PackAlgorithm::WeightedLcs] {
-            let fp = pack(&sp, &dims, algo);
+        for (_, pack) in PACKERS {
+            let fp = pack(&sp, &dims);
             assert_eq!(fp.width(), 35);
             assert_eq!(fp.height(), 8);
             assert_eq!(fp.rect_of(id(0)).unwrap().origin().x, 0);
@@ -374,10 +360,10 @@ mod tests {
             Dims::new(50, 20),
             Dims::new(30, 50),
         ];
-        for algo in [PackAlgorithm::ConstraintGraph, PackAlgorithm::WeightedLcs] {
-            let fp = pack(&sp, &dims, algo);
+        for (name, pack) in PACKERS {
+            let fp = pack(&sp, &dims);
             let rects: Vec<Rect> = fp.rects().iter().map(|(_, r)| *r).collect();
-            assert_eq!(total_overlap_area(&rects), 0, "{algo:?}");
+            assert_eq!(total_overlap_area(&rects), 0, "{name}");
         }
     }
 

@@ -159,7 +159,7 @@ impl<'a> TemperingSeqPairPlacer<'a> {
             ladder_ratio: config.ladder_ratio,
             schedule: config.schedule,
         };
-        let (states, stats) = run_tempering_traced(states, &tempering, telemetry);
+        let (states, stats, best) = run_tempering_traced(states, &tempering, telemetry);
         if telemetry.is_enabled() {
             let mut counters = LegaliseCounters::default();
             for state in &states {
@@ -169,7 +169,7 @@ impl<'a> TemperingSeqPairPlacer<'a> {
         }
 
         let winner = &states[stats.best_replica];
-        let best_sp = winner.best.clone().map(|(sp, _)| sp).unwrap_or_else(|| winner.sp.clone());
+        let best_sp = best.unwrap_or_else(|| winner.sp.clone());
         let placement = winner.build_placement(&best_sp);
         let metrics = placement.metrics(self.netlist);
         let symmetry_error = placement.symmetry_error(self.constraints);
