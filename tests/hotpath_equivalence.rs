@@ -268,11 +268,13 @@ fn hbtree_hot_path_matches_pre_refactor_evaluator_on_all_benchmarks() {
     }
 }
 
-#[test]
-fn seqpair_hot_path_matches_pre_refactor_evaluator_on_all_benchmarks() {
+/// Runs `SeqPairPlacer` and the pre-refactor reference on every bundled
+/// circuit under the schedule `schedule_of(module_count)` and asserts
+/// identical encodings, placements and metrics.
+fn assert_seqpair_matches_reference(schedule_of: impl Fn(usize) -> Schedule) {
     for name in benchmarks::names() {
         let circuit = benchmarks::by_name(name).expect("bundled name resolves");
-        let schedule = schedule_for(circuit.module_count());
+        let schedule = schedule_of(circuit.module_count());
 
         let config = SeqPairPlacerConfig {
             seed: SEED,
@@ -299,6 +301,21 @@ fn seqpair_hot_path_matches_pre_refactor_evaluator_on_all_benchmarks() {
         assert_eq!(new.placement, expected, "sequence-pair placement diverged on {name}");
         assert_eq!(new.metrics, expected.metrics(&circuit.netlist), "{name}");
     }
+}
+
+#[test]
+fn seqpair_hot_path_matches_pre_refactor_evaluator_on_all_benchmarks() {
+    assert_seqpair_matches_reference(schedule_for);
+}
+
+/// The same equivalence on a cold schedule, where most uphill proposals are
+/// rejected: at T = 1e6 almost every move is accepted, so the matrix above
+/// never exercises a run dominated by rejections.
+#[test]
+fn seqpair_cold_schedule_matches_reference_anneal() {
+    assert_seqpair_matches_reference(|_| {
+        Schedule::geometric(100.0, 0.05, 0.85, 100).with_max_moves(1500)
+    });
 }
 
 // --- HB*-tree packing cache --------------------------------------------------
