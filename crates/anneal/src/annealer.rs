@@ -38,7 +38,7 @@ impl AnnealStats {
         }
     }
 
-    /// Annealing throughput: proposals evaluated per second of wall time
+    /// Annealing throughput: proposals per second of wall time
     /// (`None` when no move ran or the clock resolution swallowed the run).
     #[must_use]
     pub fn moves_per_second(&self) -> Option<f64> {
@@ -67,7 +67,8 @@ impl Annealer {
     ///
     /// The classic Metropolis criterion is used: downhill moves are always
     /// accepted, uphill moves with probability `exp(-Δ/T)`. Each proposal is
-    /// evaluated exactly once. The state is left in its last *accepted*
+    /// evaluated at most once: never when [`AnnealState::lower_bound`]
+    /// already proves it rejected. The state is left in its last *accepted*
     /// configuration; the snapshot follows the rule of [`AnnealState`] and
     /// is `None` when no move was accepted, in which case the initial state
     /// (still in `state`) is the answer.
@@ -80,7 +81,8 @@ impl Annealer {
     }
 
     /// [`Annealer::run`] with telemetry: emits an `anneal/anneal` span over
-    /// the run, one `anneal/temp_step` event per temperature step (the cost
+    /// the run (its `early_rejected` arg counts the proposals rejected on
+    /// their lower bound without a `cost` call), one `anneal/temp_step` event per temperature step (the cost
     /// trajectory and per-step acceptance rate) and a final
     /// `anneal/move_mix` event tallying [`AnnealState::move_kind`] labels.
     ///
@@ -149,6 +151,7 @@ impl Annealer {
             span.arg("best_cost", stats.best_cost);
             span.arg("attempted", stats.moves.attempted);
             span.arg("accepted", stats.moves.accepted);
+            span.arg("early_rejected", chain.early_rejected);
             span.arg("temperature_steps", stats.temperature_steps);
         }
         (stats, chain.into_best())
@@ -245,11 +248,13 @@ mod tests {
         assert_eq!(stats.moves.attempted, 10);
     }
 
-    /// The single-evaluation contract: one `cost` per proposal (plus the
-    /// initial one) and one `commit` per accepted move.
+    /// The single-evaluation contract: one `lower_bound` per proposal, at
+    /// most one `cost` (plus the initial one), and one `commit` per accepted
+    /// move. The bound is the cost itself, so it rejects early often.
     struct Auditing {
         inner: Target,
         evaluations: u64,
+        bounds: u64,
         commits: u64,
     }
 
@@ -257,6 +262,10 @@ mod tests {
         type Snapshot = i64;
         fn cost(&mut self) -> f64 {
             self.evaluations += 1;
+            self.inner.cost()
+        }
+        fn lower_bound(&mut self) -> f64 {
+            self.bounds += 1;
             self.inner.cost()
         }
         fn propose(&mut self, rng: &mut dyn RngCore) {
@@ -273,12 +282,28 @@ mod tests {
         }
     }
 
+    /// Reads a `u64` argument of the one `anneal/anneal` span.
+    fn anneal_span_arg(collector: &RecordingCollector, key: &str) -> u64 {
+        let events = collector.events();
+        let span = events.iter().find(|e| e.ph == 'X' && e.name == "anneal").expect("anneal span");
+        match span.args.iter().find(|(k, _)| k == key) {
+            Some((_, apls_telemetry::Value::U64(v))) => *v,
+            other => panic!("anneal span argument {key}: {other:?}"),
+        }
+    }
+
     #[test]
-    fn each_proposal_is_evaluated_once_and_each_acceptance_committed_once() {
+    fn cost_calls_plus_early_rejections_equal_the_proposals() {
         let mut state =
-            Auditing { inner: Target { x: 300, backup: 0 }, evaluations: 0, commits: 0 };
-        let (stats, best) = Annealer::with_seed(8).run(&mut state, &Schedule::fast());
-        assert_eq!(state.evaluations, stats.moves.attempted + 1);
+            Auditing { inner: Target { x: 300, backup: 0 }, evaluations: 0, bounds: 0, commits: 0 };
+        let collector = Arc::new(RecordingCollector::new());
+        let telemetry = Telemetry::with_collector(collector.clone());
+        let (stats, best) =
+            Annealer::with_seed(8).run_traced(&mut state, &Schedule::fast(), &telemetry);
+        let early_rejected = anneal_span_arg(&collector, "early_rejected");
+        assert!(early_rejected > 0);
+        assert_eq!(state.bounds, stats.moves.attempted);
+        assert_eq!(state.evaluations - 1 + early_rejected, stats.moves.attempted);
         assert_eq!(state.commits, stats.moves.accepted);
         let best = best.expect("some move was accepted");
         assert_eq!((best - 37).abs() as f64, stats.best_cost);

@@ -10,8 +10,9 @@
 //!   temperature, moves per temperature step, and an optional move budget;
 //! * [`Annealer`] — the driver, which reports [`AnnealStats`] and the best
 //!   snapshot, and [`tempering`], which runs replicas with exchanges. Both
-//!   run one Metropolis chain, which owns acceptance, best-state tracking
-//!   and, in debug builds, the check that every rollback restores the state;
+//!   run one Metropolis chain, which owns acceptance, early rejection on a
+//!   state's [`AnnealState::lower_bound`], best-state tracking and, in debug
+//!   builds, the check that every rollback restores the state;
 //! * [`rng`] — deterministic seedable RNG helpers ([`rng::SeededRng`]) and
 //!   stateless per-worker seed derivation ([`rng::SeedStream`]) so that every
 //!   experiment in the workspace — including parallel multi-start portfolios
@@ -69,10 +70,14 @@ use rand::RngCore;
 /// [`AnnealState::rollback`].
 ///
 /// **Single-evaluation contract:** the driver calls [`AnnealState::propose`]
-/// exactly once per move, then [`AnnealState::cost`] exactly once for that
-/// proposal, and finally either `commit` or `rollback`. `cost` may therefore
-/// freely reuse internal scratch buffers (it takes `&mut self` for exactly
-/// that reason). `rollback` is only ever called for the most recent
+/// exactly once per move, then [`AnnealState::lower_bound`] once, then
+/// [`AnnealState::cost`] at most once for that proposal, and finally either
+/// `commit` or `rollback`. `cost` is skipped only when the bound alone
+/// proves the proposal rejected (early rejection), and then `rollback`
+/// follows the bound directly. `lower_bound` and `cost` may therefore
+/// freely reuse internal scratch buffers (they take `&mut self` for exactly
+/// that reason), and `cost` may reuse whatever `lower_bound` computed for
+/// the same proposal. `rollback` is only ever called for the most recent
 /// proposal, so one undo record suffices.
 ///
 /// **Snapshot rule:** the driver keeps the best state, not the state. It
@@ -89,10 +94,24 @@ pub trait AnnealState {
 
     /// Cost of the current state (lower is better).
     ///
-    /// Called exactly once per proposal (and once before the run starts for
+    /// Called at most once per proposal (and once before the run starts for
     /// the initial cost), so this is the natural place to pack the encoding
     /// into reusable scratch storage.
     fn cost(&mut self) -> f64;
+
+    /// A lower bound on what [`AnnealState::cost`] would return for the open
+    /// proposal, for early rejection: when the bound lies above the current
+    /// cost, the driver draws its Metropolis number first and skips `cost`
+    /// if the bound alone rejects. Decisions, RNG stream and results are
+    /// the same as without a bound; only the skipped work differs.
+    ///
+    /// Called once per proposal, after [`AnnealState::propose`] and before
+    /// `cost`; never for the initial state. The bound must never exceed the
+    /// cost (debug builds assert it). The default, `f64::NEG_INFINITY`,
+    /// never rejects early.
+    fn lower_bound(&mut self) -> f64 {
+        f64::NEG_INFINITY
+    }
 
     /// Applies a random perturbation to the state.
     ///

@@ -106,7 +106,7 @@ impl TemperingStats {
         }
     }
 
-    /// Tempering throughput: proposals evaluated per second of wall time
+    /// Tempering throughput: proposals per second of wall time
     /// (`None` when no move ran or the clock swallowed the run).
     #[must_use]
     pub fn moves_per_second(&self) -> Option<f64> {
@@ -124,7 +124,8 @@ impl TemperingStats {
 /// [`AnnealState`] and is `None` when it accepted no move, in which case its
 /// final state is the answer.
 ///
-/// Emits a `tempering/tempering` span over the run and one
+/// Emits a `tempering/tempering` span over the run (its `early_rejected` arg
+/// sums the replicas' proposals rejected on their lower bound) and one
 /// `tempering/swap_round` event per exchange phase (round index, slot-0
 /// temperature, swaps attempted/accepted in the round). Telemetry is
 /// observe-only: the replica streams, the swap schedule and the returned
@@ -230,7 +231,9 @@ where
         round += 1;
     }
 
+    let mut early_rejected = 0u64;
     for (i, chain) in chains.iter().enumerate() {
+        early_rejected += chain.early_rejected;
         stats.moves.attempted += chain.moves.attempted;
         stats.moves.accepted += chain.moves.accepted;
         stats.moves.uphill += chain.moves.uphill;
@@ -244,6 +247,7 @@ where
         span.arg("rounds", stats.rounds);
         span.arg("swaps_attempted", stats.swaps_attempted);
         span.arg("swaps_accepted", stats.swaps_accepted);
+        span.arg("early_rejected", early_rejected);
         span.arg("best_cost", stats.best_cost);
         span.arg("best_replica", stats.best_replica);
     }

@@ -10,7 +10,8 @@ use std::time::Duration;
 /// Proposal counters and wall time of one annealing-style run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MoveStats {
-    /// Total proposals evaluated.
+    /// Total proposals made (early rejections included: a proposal the
+    /// chain rejects on its lower bound counts without being evaluated).
     pub attempted: u64,
     /// Proposals accepted (including uphill moves).
     pub accepted: u64,
@@ -31,7 +32,7 @@ impl MoveStats {
         }
     }
 
-    /// Throughput: proposals evaluated per second of wall time (`None` when
+    /// Throughput: proposals per second of wall time (`None` when
     /// no move ran or the clock resolution swallowed the run).
     #[must_use]
     pub fn moves_per_second(&self) -> Option<f64> {

@@ -206,7 +206,17 @@ impl AnnealState for SpState<'_> {
     type Snapshot = SequencePair;
 
     fn cost(&mut self) -> f64 {
-        self.hot.evaluate(&self.sp, Some(&self.touched))
+        // the chain bounds every proposal first; only the initial cost
+        // arrives without a bound
+        if self.hot.has_bound() {
+            self.hot.finish(&self.sp)
+        } else {
+            self.hot.evaluate(&self.sp, Some(&self.touched))
+        }
+    }
+
+    fn lower_bound(&mut self) -> f64 {
+        self.hot.bound(&self.sp, Some(&self.touched))
     }
 
     fn propose(&mut self, rng: &mut dyn RngCore) {

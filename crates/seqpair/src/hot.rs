@@ -155,7 +155,8 @@ impl SweepMax {
 /// evaluation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LegaliseCounters {
-    /// `evaluate` calls (the initial state plus one per proposal).
+    /// [`HotSpEval::bound`] calls: the initial state plus one per proposal,
+    /// early-rejected proposals included (they stop after the bound).
     pub(crate) evaluations: u64,
     /// Evaluations settled by the island area alone, before any tightening.
     pub(crate) island_shortcuts: u64,
@@ -258,6 +259,19 @@ pub(crate) struct HotSpEval<'a> {
     // final (post-decision) coordinates of the open proposal
     fx: Vec<Coord>,
     fy: Vec<Coord>,
+    /// What [`HotSpEval::bound`] computed for the open proposal, until
+    /// [`HotSpEval::finish`] or `rollback` consumes it.
+    pending: Option<Bounded>,
+}
+
+/// The base-pack extent of the open proposal and, in exact mode with
+/// islands, the area of its island construction (whose outer pack then
+/// sits in `ox`/`oy`).
+#[derive(Debug, Clone, Copy)]
+struct Bounded {
+    plain_width: Coord,
+    plain_height: Coord,
+    islands_area: Option<i128>,
 }
 
 impl<'a> HotSpEval<'a> {
@@ -320,22 +334,45 @@ impl<'a> HotSpEval<'a> {
             oy: vec![0; n],
             fx: vec![0; n],
             fy: vec![0; n],
+            pending: None,
             dims,
         }
     }
 
-    /// Evaluates one proposal. `touched` lists the modules whose α/β
+    /// Evaluates one proposal: [`HotSpEval::bound`], then
+    /// [`HotSpEval::finish`]. `touched` lists the modules whose α/β
     /// positions may have changed since the last *committed* evaluation
     /// (duplicates allowed); pass `None` to force a full resweep.
     pub(crate) fn evaluate(&mut self, sp: &SequencePair, touched: Option<&[ModuleId]>) -> f64 {
+        self.bound(sp, touched);
+        self.finish(sp)
+    }
+
+    /// Whether [`HotSpEval::bound`] ran for the open proposal and
+    /// [`HotSpEval::finish`] has not yet consumed it.
+    pub(crate) fn has_bound(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// First half of an evaluation: the base pack (incrementally resweeped,
+    /// see [`HotSpEval::evaluate`] for `touched`) and, in exact mode with
+    /// islands, the island construction's outer pack. Returns a lower bound
+    /// on the cost [`HotSpEval::finish`] will compute, for early rejection:
+    /// `min(base area, island area)`, or `-inf` in penalty mode, with a
+    /// negative wirelength weight, or for an empty circuit.
+    ///
+    /// The bound is exact: the final area is either the island area or an
+    /// iterative area, and a bounded repack still enforces every left-of and
+    /// below relation, so the iterative area is at least the base area (see
+    /// [`HotSpEval::legalise`]). The cost adds `w * wirelength` with
+    /// `w >= 0` to that area, and f64 rounding is monotone.
+    pub(crate) fn bound(&mut self, sp: &SequencePair, touched: Option<&[ModuleId]>) -> f64 {
         let n = self.n;
         debug_assert_eq!(sp.len(), n);
         self.counters.evaluations += 1;
         if n == 0 {
-            self.delta.begin();
-            let wl = self.delta.total();
-            self.finish_initial_if_needed();
-            return self.wirelength_weight * wl;
+            self.pending = Some(Bounded { plain_width: 0, plain_height: 0, islands_area: None });
+            return f64::NEG_INFINITY;
         }
         self.cur.ensure_len(n);
         self.prop.copy_from(&self.cur);
@@ -402,25 +439,54 @@ impl<'a> HotSpEval<'a> {
             plain_height = plain_height.max(self.prop.y0[i] + self.dims[i].h);
         }
 
-        // --- 2. symmetry handling -------------------------------------------
-        let cost = match self.mode {
-            SymmetryMode::Penalty { weight } => {
+        let islands_area = (matches!(self.mode, SymmetryMode::Exact) && !self.islands.is_empty())
+            .then(|| {
+                self.build_outer(sp);
+                self.islands_bbox_area()
+            });
+        self.pending = Some(Bounded { plain_width, plain_height, islands_area });
+        if matches!(self.mode, SymmetryMode::Exact) && self.wirelength_weight >= 0.0 {
+            let base_area = i128::from(plain_width) * i128::from(plain_height);
+            islands_area.map_or(base_area, |islands| islands.min(base_area)) as f64
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
+    /// Second half of an evaluation: symmetry legalisation, the decision and
+    /// the wirelength, reusing what [`HotSpEval::bound`] computed for the
+    /// same proposal. Returns the cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bound` ran for the open proposal.
+    pub(crate) fn finish(&mut self, sp: &SequencePair) -> f64 {
+        let Bounded { plain_width, plain_height, islands_area } =
+            self.pending.take().expect("finish follows bound");
+        if self.n == 0 {
+            self.delta.begin();
+            let wl = self.delta.total();
+            self.finish_initial_if_needed();
+            return self.wirelength_weight * wl;
+        }
+        let cost = match (self.mode, islands_area) {
+            (SymmetryMode::Penalty { weight }, _) => {
                 self.fx.copy_from_slice(&self.prop.x0);
                 self.fy.copy_from_slice(&self.prop.y0);
                 let err = self.symmetry_error_of(sp, SymmetrySource::Final);
                 self.hot_cost(sp) + weight * err as f64
             }
-            SymmetryMode::Exact => {
-                if self.islands.is_empty() {
-                    // No populated symmetry group: the first tightening pass
-                    // changes nothing, and the island construction reduces to
-                    // the identical plain packing, so the decision always
-                    // keeps the base coordinates.
-                    self.fx.copy_from_slice(&self.prop.x0);
-                    self.fy.copy_from_slice(&self.prop.y0);
-                } else {
-                    self.legalise(sp, plain_width, plain_height);
-                }
+            (SymmetryMode::Exact, None) => {
+                // No populated symmetry group: the first tightening pass
+                // changes nothing, and the island construction reduces to
+                // the identical plain packing, so the decision always keeps
+                // the base coordinates.
+                self.fx.copy_from_slice(&self.prop.x0);
+                self.fy.copy_from_slice(&self.prop.y0);
+                self.hot_cost(sp)
+            }
+            (SymmetryMode::Exact, Some(islands_area)) => {
+                self.legalise(sp, plain_width, plain_height, islands_area);
                 self.hot_cost(sp)
             }
         };
@@ -438,6 +504,7 @@ impl<'a> HotSpEval<'a> {
     /// Rejects the open proposal: the wirelength caches roll back from the
     /// journal; the proposal sweep buffer is simply abandoned.
     pub(crate) fn rollback(&mut self) {
+        self.pending = None;
         self.delta.undo();
     }
 
@@ -456,7 +523,8 @@ impl<'a> HotSpEval<'a> {
     /// bounded repacks, divergence guard, island fallback, compactness
     /// decision. Leaves the chosen coordinates in `fx`/`fy`.
     ///
-    /// The island construction runs first, because its area alone often
+    /// The island construction ran first, in [`HotSpEval::bound`], because
+    /// its area (`islands_area`, with the outer pack in `ox`/`oy`) alone often
     /// settles the decision: the base pack spans `[0, plain_width] ×
     /// [0, plain_height]` (its first α module sits at x = 0, its last at
     /// y = 0), and every bounded repack still enforces each left-of and below
@@ -464,10 +532,14 @@ impl<'a> HotSpEval<'a> {
     /// spans at least that width and height. When the islands are strictly
     /// smaller than the base pack, the iterative construction cannot win and
     /// is skipped.
-    fn legalise(&mut self, sp: &SequencePair, plain_width: Coord, plain_height: Coord) {
+    fn legalise(
+        &mut self,
+        sp: &SequencePair,
+        plain_width: Coord,
+        plain_height: Coord,
+        islands_area: i128,
+    ) {
         let n = self.n;
-        self.build_outer(sp);
-        let islands_area = self.islands_bbox_area();
         let base_area = i128::from(plain_width) * i128::from(plain_height);
         if islands_area < base_area {
             self.counters.island_shortcuts += 1;
@@ -1027,6 +1099,17 @@ mod proptests {
         Symmetric(u64),
     }
 
+    /// What the script does with one proposal after it is made.
+    #[derive(Debug, Clone, Copy)]
+    enum Verdict {
+        /// Evaluate in full, then commit.
+        Accept,
+        /// Evaluate in full, then roll back.
+        Reject,
+        /// Roll back right after the bound, as an early rejection does.
+        RejectOnBound,
+    }
+
     /// Dims, groups as `(pairs, self-symmetric)` member lists, whether the
     /// encoding stays symmetric-feasible, the script, and the index of the
     /// one step evaluated with `touched = None`.
@@ -1034,7 +1117,7 @@ mod proptests {
         Vec<Dims>,
         Vec<(Vec<(ModuleId, ModuleId)>, Vec<ModuleId>)>,
         bool,
-        Vec<(SymStep, bool)>,
+        Vec<(SymStep, Verdict)>,
         usize,
     );
 
@@ -1046,14 +1129,19 @@ mod proptests {
             .prop_map(|(large, small, big)| if large == 1 { big } else { small })
             .prop_flat_map(|n| {
                 let groups = proptest::collection::vec((0usize..4, 0usize..3), 1..4);
-                let step = (0u8..4, 0usize..n, 0usize..n, 0u64..u64::MAX, 0u8..2).prop_map(
-                    |(kind, i, j, seed, acc)| {
+                let step = (0u8..4, 0usize..n, 0usize..n, 0u64..u64::MAX, 0u8..3).prop_map(
+                    |(kind, i, j, seed, verdict)| {
                         let step = match kind {
                             0 => SymStep::SwapAlpha(i, j),
                             1 => SymStep::SwapBeta(i, j),
                             _ => SymStep::Symmetric(seed),
                         };
-                        (step, acc == 1)
+                        let verdict = match verdict {
+                            0 => Verdict::Reject,
+                            1 => Verdict::Accept,
+                            _ => Verdict::RejectOnBound,
+                        };
+                        (step, verdict)
                     },
                 );
                 (
@@ -1102,7 +1190,9 @@ mod proptests {
         /// them — reproduces `SymmetricPlacer::place` plus
         /// `Placement::hot_cost`: identical cost and identical coordinates
         /// after every accepted or rejected proposal, including one
-        /// full-resweep (`touched = None`) evaluation.
+        /// full-resweep (`touched = None`) evaluation. The bound never
+        /// exceeds the cost, and a proposal rolled back right after its
+        /// bound leaves the evaluator exact for the next one.
         #[test]
         fn legalise_matches_symmetric_placer_move_by_move(
             (dims, groups, sf_only, script, full_at) in arb_sym_case()
@@ -1147,7 +1237,7 @@ mod proptests {
 
             let mut log = SpUndoLog::default();
             let mut touched = Vec::new();
-            for (k, (step, accept)) in script.into_iter().enumerate() {
+            for (k, (step, verdict)) in script.into_iter().enumerate() {
                 let step = match step {
                     SymStep::SwapAlpha(i, j) | SymStep::SwapBeta(i, j) if sf_only => {
                         SymStep::Symmetric((i * n + j) as u64)
@@ -1170,10 +1260,17 @@ mod proptests {
                 touched.clear();
                 log.touched_modules(&sp, &mut touched);
 
-                let cost = eval.evaluate(&sp, if k == full_at { None } else { Some(&touched) });
+                let bound = eval.bound(&sp, if k == full_at { None } else { Some(&touched) });
+                if let Verdict::RejectOnBound = verdict {
+                    eval.rollback();
+                    sp.undo(&mut log);
+                    continue;
+                }
+                let cost = eval.finish(&sp);
                 check(&eval, &sp, cost);
+                prop_assert!(bound <= cost, "bound {} above cost {} of {}", bound, cost, sp);
 
-                if accept {
+                if let Verdict::Accept = verdict {
                     eval.commit();
                 } else {
                     eval.rollback();

@@ -41,10 +41,14 @@ pub fn phase_note(cat: &str, name: &str) -> Option<&'static str> {
         // Engine phases.
         ("portfolio", "portfolio_run") => "one multi-start portfolio run",
         ("portfolio", "restart") => "one engine restart inside a portfolio run",
-        ("anneal", "anneal") => "one simulated-annealing descent",
+        ("anneal", "anneal") => {
+            "one simulated-annealing descent (early_rejected: proposals rejected on a cost bound)"
+        }
         ("anneal", "temp_step") => "per-temperature annealing progress",
         ("anneal", "move_mix") => "accepted-move histogram for one descent",
-        ("tempering", "tempering") => "one parallel-tempering lane",
+        ("tempering", "tempering") => {
+            "one parallel-tempering lane (early_rejected: proposals rejected on a cost bound)"
+        }
         ("tempering", "swap_round") => "replica-swap round between temperatures",
         ("seqpair", "legalise") => {
             "sequence-pair legalisation counters of one run (island shortcuts, repack steps)"

@@ -10,8 +10,10 @@ use analog_layout_synthesis::circuit::benchmarks;
 use analog_layout_synthesis::portfolio::{
     run_portfolio, run_portfolio_with, PortfolioConfig, RunContext,
 };
+use analog_layout_synthesis::seqpair::tempering::{TemperingPlacerConfig, TemperingSeqPairPlacer};
+use analog_layout_synthesis::seqpair::{SeqPairPlacer, SeqPairPlacerConfig};
 use analog_layout_synthesis::service::{JobSpec, PlacementService, ServiceClient, ServiceConfig};
-use analog_layout_synthesis::telemetry::{RecordingCollector, Telemetry};
+use analog_layout_synthesis::telemetry::{RecordingCollector, Telemetry, TraceEvent, Value};
 
 /// Every bundled circuit's portfolio report is byte-identical whether the
 /// run records a full trace or runs with the no-op handle.
@@ -33,6 +35,54 @@ fn portfolio_reports_are_byte_identical_with_and_without_telemetry() {
         assert!(!recorder.is_empty(), "{name}: traced run must actually record events");
         assert_eq!(quiet, traced, "{name}: report body changed under telemetry");
     }
+}
+
+/// The `early_rejected` argument of the one `cat/name` span of a trace.
+fn early_rejected(events: &[TraceEvent], cat: &str, name: &str) -> u64 {
+    let spans: Vec<_> =
+        events.iter().filter(|e| e.ph == 'X' && e.cat == cat && e.name == name).collect();
+    assert_eq!(spans.len(), 1, "one {cat}/{name} span per run");
+    match spans[0].args.iter().find(|(k, _)| k == "early_rejected") {
+        Some((_, Value::U64(v))) => *v,
+        other => panic!("{cat}/{name} early_rejected: {other:?}"),
+    }
+}
+
+/// Early rejection is visible in the trace and, like every other recorded
+/// figure, changes nothing: a full-schedule sequence-pair run and a
+/// tempering run give the same results traced and untraced, and both reject
+/// some proposals on their area bound alone.
+#[test]
+fn early_rejections_are_traced_without_changing_results() {
+    let circuit = benchmarks::by_name("miller_v2").expect("bundled name resolves");
+    let placer = SeqPairPlacer::new(&circuit.netlist, &circuit.constraints);
+    let config =
+        SeqPairPlacerConfig { seed: 21, ..SeqPairPlacerConfig::for_netlist(&circuit.netlist) };
+    let quiet = placer.run(&config);
+    let recorder = Arc::new(RecordingCollector::new());
+    let traced = placer.run_traced(&config, &Telemetry::with_collector(Arc::clone(&recorder) as _));
+    assert_eq!(quiet.placement, traced.placement);
+    assert_eq!(quiet.sequence_pair, traced.sequence_pair);
+    assert_eq!(quiet.stats.best_cost.to_bits(), traced.stats.best_cost.to_bits());
+    assert_eq!(quiet.stats.moves.attempted, traced.stats.moves.attempted);
+    assert_eq!(quiet.stats.moves.accepted, traced.stats.moves.accepted);
+    let early = early_rejected(&recorder.events(), "anneal", "anneal");
+    assert!(early > 0, "a full schedule rejects some proposals on the bound");
+    assert!(early < traced.stats.moves.attempted - traced.stats.moves.accepted);
+
+    let tempering = TemperingSeqPairPlacer::new(&circuit.netlist, &circuit.constraints);
+    let config = TemperingPlacerConfig::fast(21);
+    let quiet = tempering.run(&config);
+    let recorder = Arc::new(RecordingCollector::new());
+    let traced =
+        tempering.run_traced(&config, &Telemetry::with_collector(Arc::clone(&recorder) as _));
+    assert_eq!(quiet.placement, traced.placement);
+    assert_eq!(quiet.stats.best_cost.to_bits(), traced.stats.best_cost.to_bits());
+    assert_eq!(quiet.stats.moves.attempted, traced.stats.moves.attempted);
+    assert_eq!(quiet.stats.swaps_accepted, traced.stats.swaps_accepted);
+    let early = early_rejected(&recorder.events(), "tempering", "tempering");
+    assert!(early > 0, "tempering replicas reject on the bound too");
+    assert!(early < traced.stats.moves.attempted - traced.stats.moves.accepted);
 }
 
 /// Runs one job per bundled circuit against a fresh service and returns the
