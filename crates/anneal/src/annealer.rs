@@ -82,9 +82,10 @@ impl Annealer {
 
     /// [`Annealer::run`] with telemetry: emits an `anneal/anneal` span over
     /// the run (its `early_rejected` arg counts the proposals rejected on
-    /// their lower bound without a `cost` call), one `anneal/temp_step` event per temperature step (the cost
-    /// trajectory and per-step acceptance rate) and a final
-    /// `anneal/move_mix` event tallying [`AnnealState::move_kind`] labels.
+    /// their lower bound without a `cost` call), one `anneal/temp_step`
+    /// event per temperature step (the cost trajectory and per-step
+    /// acceptance rate) and a final `anneal/move_mix` event tallying
+    /// [`AnnealState::move_kind`] labels.
     ///
     /// Telemetry is observe-only: the RNG stream, the visit order and the
     /// returned statistics are bit-identical to [`Annealer::run`] whatever

@@ -93,6 +93,7 @@ impl<'s, S: AnnealState> Chain<'s, S> {
             }
             let new_cost = self.state.cost();
             let delta = new_cost - self.cost;
+            // `-inf` claims nothing, also when infinite costs make `delta` NaN
             debug_assert!(
                 lb_delta == f64::NEG_INFINITY || lb_delta <= delta,
                 "lower bound {bound} above the cost {new_cost}"
