@@ -1,7 +1,7 @@
 //! Hot-path micro- and macro-benchmarks: contour placement, B*-tree packing,
 //! end-to-end annealing throughput (moves/sec) per engine, the sequence-pair
-//! evaluator across circuit sizes, and the service's JSON string codec on its
-//! largest inputs.
+//! evaluator across circuit sizes, and the service's JSON codec and writers
+//! on their largest inputs.
 //!
 //! The recorded trajectory lives in `BENCH_hotpath.json` at the repository
 //! root: every PR that touches the evaluation pipeline re-runs this bench and
@@ -236,10 +236,11 @@ fn bench_seqpair_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// The string codec on the cache-hit path's largest strings: decoding an
+/// The JSON codec on the cache-hit path's largest strings: decoding an
 /// inline `lnamixbias` place request (its `.apls` text is one escaped JSON
-/// string), escaping that text back, and escaping an `lnamixbias` report as
-/// it enters the cache.
+/// string), escaping that text back, escaping an `lnamixbias` report as it
+/// enters the cache, and the two writers that produce them: rendering that
+/// report and encoding that request.
 fn bench_json_codec(c: &mut Criterion) {
     let text = include_str!("../../../examples/circuits/lnamixbias.apls");
     let spec = JobSpec::inline(text)
@@ -249,13 +250,16 @@ fn bench_json_codec(c: &mut Criterion) {
         .with_fast(true);
     let line = spec.to_json_line();
     let circuit = benchmarks::by_name("lnamixbias").expect("bundled");
-    let report = run_portfolio(&circuit, &spec.resolved_config(7)).to_json_deterministic();
+    let run = run_portfolio(&circuit, &spec.resolved_config(7));
+    let report = run.to_json_deterministic();
     let mut group = c.benchmark_group("json_codec");
     group.bench_function("decode_request/lnamixbias", |b| {
         b.iter(|| JobSpec::from_json(&json::Json::parse(&line).expect("parses")).expect("decodes"));
     });
     group.bench_function("quote_apls/lnamixbias", |b| b.iter(|| json::quote(text)));
     group.bench_function("quote_report/lnamixbias", |b| b.iter(|| json::quote(&report)));
+    group.bench_function("render_report/lnamixbias", |b| b.iter(|| run.to_json_deterministic()));
+    group.bench_function("encode_request/lnamixbias", |b| b.iter(|| spec.to_json_line()));
     group.finish();
 }
 

@@ -409,6 +409,35 @@ mod tests {
     }
 
     #[test]
+    fn both_records_are_pinned_byte_for_byte() {
+        let spec = JobSpec::inline("apls 1\ncircuit \"x\"\n").with_seed(7).to_json_line();
+        assert_eq!(
+            JournalRecord::Enqueue {
+                index: 4,
+                seed: u64::MAX,
+                circuit_hash: 11,
+                config_fp: 22,
+                spec: &spec
+            }
+            .render(),
+            concat!(
+                r#"{"v":1,"type":"enqueue","index":4,"seed":18446744073709551615,"circuit_hash":11,"#,
+                r#""config_fp":22,"spec":"{\"op\":\"place\",\"apls\":\"apls 1\\ncircuit "#,
+                r#"\\\"x\\\"\\n\",\"seed\":7}"}"#,
+                "\n"
+            )
+        );
+        assert_eq!(
+            complete_record(4, "{\n  \"circuit\": \"a\\b\"\n}\n"),
+            concat!(
+                r#"{"v":1,"type":"complete","index":4,"report_fp":33,"#,
+                r#""report":"{\n  \"circuit\": \"a\\b\"\n}\n"}"#,
+                "\n"
+            )
+        );
+    }
+
+    #[test]
     fn a_complete_record_before_its_enqueue_restores_the_job() {
         let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
         // job 0 completes before its enqueue lands; job 5's enqueue never

@@ -210,11 +210,12 @@ pub(crate) fn progress_frame(
 mod tests {
     use super::*;
 
-    /// Every answer for both destinations, pinned byte for byte. The
-    /// expected lines are the ones the per-shape builders this writer
+    /// Every answer for both destinations, then the `ping` and `dump`
+    /// answers and the three frames before a report, pinned byte for byte.
+    /// The answer lines are the ones the per-shape builders [`render`]
     /// replaced produced, except the plain timeout, whose `"id"` moved to
     /// the head.
-    const GOLDEN: [&str; 13] = [
+    const GOLDEN: [&str; 18] = [
         r#"{"id":3,"status":"ok","circuit":"c\"1","seed":9,"cache_hit":true,"queue_ms":0.000,"solve_ms":1.500,"total_ms":2.250,"report":"{\"x\":\"a\\nb\"}"}"#,
         r#"{"frame":"report","id":5,"job":3,"status":"ok","circuit":"c\"1","seed":9,"cache_hit":true,"queue_ms":0.000,"solve_ms":1.500,"total_ms":2.250,"report":"{\"x\":\"a\\nb\"}"}"#,
         r#"{"id":3,"status":"ok","circuit":"c","seed":9,"cache_hit":false,"queue_ms":0.500,"solve_ms":1.000,"total_ms":2.000,"report":"{\"x\":\"a\\nb\"}"}"#,
@@ -228,6 +229,11 @@ mod tests {
         r#"{"status":"retry","error":"job queue full, retry later"}"#,
         r#"{"frame":"report","id":8,"status":"retry","error":"job queue full, retry later"}"#,
         r#"{"status":"error","kind":"request_too_large","error":"request exceeds 1024 bytes, closing connection"}"#,
+        r#"{"status":"ok","service":"apls","protocol":1}"#,
+        r#"{"status":"ok","events":3,"overwritten":1,"capacity":4096,"path":"/tmp/flight \"1\".jsonl"}"#,
+        r#"{"frame":"accepted","id":5,"job":3,"circuit":"c\"1","seed":9}"#,
+        r#"{"frame":"queued","id":5,"depth":2}"#,
+        r#"{"frame":"progress","id":5,"engine":"seqpair","restart":1,"completed":2,"total":8,"cost":1234.5}"#,
     ];
 
     #[test]
@@ -261,6 +267,17 @@ mod tests {
             })
             .collect();
         lines.push(render(&metrics, Dest::Plain, &too_large));
+        lines.push(ping());
+        let flight = FlightDump {
+            path: "/tmp/flight \"1\".jsonl".into(),
+            events: 3,
+            overwritten: 1,
+            capacity: 4096,
+        };
+        lines.push(dump(&flight));
+        lines.push(accepted_frame(5, 3, "c\"1", 9));
+        lines.push(queued_frame(5, 2));
+        lines.push(progress_frame(5, "seqpair", 1, 2, 8, 1234.5));
         assert_eq!(lines.len(), GOLDEN.len());
         for (i, (line, expected)) in lines.iter().zip(GOLDEN).enumerate() {
             assert_eq!(line, expected, "row {i}");
