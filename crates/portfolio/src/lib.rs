@@ -15,8 +15,8 @@
 //!   [`apls_anneal::rng::SeedStream`], so results are bit-identical for any
 //!   thread count;
 //! * [`PortfolioReport`] — the winning placement plus per-engine statistics,
-//!   per-restart records, a restart-cost histogram, and hand-rolled JSON
-//!   emission;
+//!   per-restart records, a restart-cost histogram, and its JSON rendering
+//!   through the workspace's one writer ([`apls_telemetry::json`]);
 //! * [`svg::render_svg`] — an SVG rendering of any placement, used by the
 //!   `apls` CLI for the winner.
 //!

@@ -1,11 +1,11 @@
 //! Portfolio results: per-restart records, per-engine summaries, and the
-//! aggregate [`PortfolioReport`] with hand-rolled JSON emission.
+//! aggregate [`PortfolioReport`] with its JSON rendering.
 
 use crate::config::PortfolioConfig;
 use crate::engine::PortfolioEngine;
 use crate::stats::{CostStats, RestartHistogram};
 use apls_circuit::{Placement, PlacementMetrics};
-use apls_telemetry::event::quote_into;
+use apls_telemetry::json::{self, Float, Layout, Writer};
 use std::time::Duration;
 
 /// The outcome of one completed restart.
@@ -202,8 +202,8 @@ impl PortfolioReport {
 
     /// Serialises the full report as a JSON document.
     ///
-    /// The workspace's serde is a vendored marker-only shim, so this is
-    /// written by hand; the schema is documented in DESIGN.md §6.
+    /// Written through the workspace's one JSON writer
+    /// ([`apls_telemetry::json`]); the schema is documented in DESIGN.md §6.
     #[must_use]
     pub fn to_json(&self) -> String {
         self.render_json(true)
@@ -223,113 +223,82 @@ impl PortfolioReport {
     }
 
     fn render_json(&self, timings: bool) -> String {
-        let ms = |d: Duration| -> String {
-            if timings {
-                format!("{:.3}", d.as_secs_f64() * 1e3)
-            } else {
-                "null".to_string()
-            }
+        // a timing-derived value, or `null` in the deterministic report
+        let timed = |w: &mut Writer<'_>, v: Option<f64>, format: Float| {
+            w.opt(v.filter(|_| timings), |w, v| w.f64(v, format));
         };
+        let ms = |d: Duration| Some(d.as_secs_f64() * 1e3);
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"circuit\": ");
-        quote_into(&mut out, &self.circuit_name);
-        out.push_str(",\n");
-        out.push_str(&format!("  \"root_seed\": {},\n", self.root_seed));
-        out.push_str(&format!("  \"restarts_scheduled\": {},\n", self.restarts_scheduled));
-        out.push_str(&format!("  \"restarts_run\": {},\n", self.restarts.len()));
-        out.push_str(&format!("  \"early_stopped\": {},\n", self.early_stopped));
-        out.push_str(&format!("  \"wall_ms\": {},\n", ms(self.wall_time)));
-        let best = self.best();
-        out.push_str("  \"best\": ");
-        push_restart_json(&mut out, best, "  ");
-        out.push_str(",\n  \"engines\": [\n");
-        for (i, e) in self.engines.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"restarts_run\": {}, \"best_cost\": {:.3}, \"mean_cost\": {:.3}, \"worst_cost\": {:.3}, \"best_restart\": {}, \"mean_acceptance\": {}, \"mean_moves_per_sec\": {}, \"enumeration_wins\": {}, \"total_runtime_ms\": {}}}{}\n",
-                e.engine,
-                e.restarts_run,
-                e.cost.min,
-                e.cost.mean,
-                e.cost.max,
-                e.best_restart,
-                json_opt(e.mean_acceptance),
-                if timings { json_opt_rounded(e.mean_moves_per_second) } else { "null".into() },
-                json_opt_usize(e.enumeration_wins),
-                ms(e.total_runtime),
-                comma(i, self.engines.len()),
-            ));
-        }
-        out.push_str("  ],\n  \"restarts\": [\n");
-        for (i, r) in self.restarts.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"engine\": \"{}\", \"restart\": {}, \"seed\": {}, \"cost\": {:.3}, \"runtime_ms\": {}, \"acceptance\": {}, \"moves_per_sec\": {}, \"enumeration_won\": {}, \"symmetry_error\": {}}}{}\n",
-                r.engine,
-                r.restart,
-                r.seed,
-                r.cost,
-                ms(r.runtime),
-                json_opt(r.acceptance_ratio),
-                if timings { json_opt_rounded(r.moves_per_second) } else { "null".into() },
-                json_opt_bool(r.enumeration_won),
-                r.symmetry_error,
-                comma(i, self.restarts.len()),
-            ));
-        }
-        out.push_str("  ],\n  \"histogram\": [\n");
-        let labels = RestartHistogram::labels();
-        for (i, (label, count)) in labels.iter().zip(&self.histogram.counts).enumerate() {
-            out.push_str("    {\"bucket\": ");
-            quote_into(&mut out, label);
-            out.push_str(&format!(", \"count\": {}}}{}\n", count, comma(i, labels.len())));
-        }
-        out.push_str("  ]\n}\n");
+        json::object(&mut out, Layout::Indented, |w| {
+            w.key("circuit").str(&self.circuit_name);
+            w.key("root_seed").int(self.root_seed);
+            w.key("restarts_scheduled").int(self.restarts_scheduled);
+            w.key("restarts_run").int(self.restarts.len());
+            w.key("early_stopped").bool(self.early_stopped);
+            timed(w.key("wall_ms"), ms(self.wall_time), Float::Fixed(3));
+            w.key("best").object(Layout::Indented, |w| write_best(w, self.best()));
+            w.key("engines").array(Layout::Indented, |w| {
+                for e in &self.engines {
+                    w.object(Layout::Row, |w| {
+                        w.key("engine").str(e.engine.name());
+                        w.key("restarts_run").int(e.restarts_run);
+                        w.key("best_cost").f64(e.cost.min, Float::Fixed(3));
+                        w.key("mean_cost").f64(e.cost.mean, Float::Fixed(3));
+                        w.key("worst_cost").f64(e.cost.max, Float::Fixed(3));
+                        w.key("best_restart").int(e.best_restart);
+                        w.key("mean_acceptance").opt(e.mean_acceptance, |w, a| {
+                            w.f64(a, Float::Fixed(4));
+                        });
+                        timed(w.key("mean_moves_per_sec"), e.mean_moves_per_second, Float::Rounded);
+                        w.key("enumeration_wins").opt(e.enumeration_wins, Writer::int);
+                        timed(w.key("total_runtime_ms"), ms(e.total_runtime), Float::Fixed(3));
+                    });
+                }
+            });
+            w.key("restarts").array(Layout::Indented, |w| {
+                for r in &self.restarts {
+                    w.object(Layout::Row, |w| {
+                        w.key("engine").str(r.engine.name());
+                        w.key("restart").int(r.restart);
+                        w.key("seed").int(r.seed);
+                        w.key("cost").f64(r.cost, Float::Fixed(3));
+                        timed(w.key("runtime_ms"), ms(r.runtime), Float::Fixed(3));
+                        w.key("acceptance")
+                            .opt(r.acceptance_ratio, |w, a| w.f64(a, Float::Fixed(4)));
+                        timed(w.key("moves_per_sec"), r.moves_per_second, Float::Rounded);
+                        w.key("enumeration_won").opt(r.enumeration_won, Writer::bool);
+                        w.key("symmetry_error").int(r.symmetry_error);
+                    });
+                }
+            });
+            w.key("histogram").array(Layout::Indented, |w| {
+                for (label, count) in RestartHistogram::labels().iter().zip(&self.histogram.counts)
+                {
+                    w.object(Layout::Row, |w| {
+                        w.key("bucket").str(label);
+                        w.key("count").int(*count);
+                    });
+                }
+            });
+        });
+        out.push('\n');
         out
     }
 }
 
-/// Appends the JSON object of one restart (without trailing newline).
-fn push_restart_json(out: &mut String, r: &RestartRecord, indent: &str) {
-    out.push_str(&format!(
-        "{{\n{indent}  \"engine\": \"{}\",\n{indent}  \"restart\": {},\n{indent}  \"seed\": {},\n{indent}  \"cost\": {:.3},\n{indent}  \"width\": {},\n{indent}  \"height\": {},\n{indent}  \"area_usage\": {:.4},\n{indent}  \"wirelength\": {:.3},\n{indent}  \"symmetry_error\": {},\n{indent}  \"overlap_area\": {},\n{indent}  \"enumeration_won\": {}\n{indent}}}",
-        r.engine,
-        r.restart,
-        r.seed,
-        r.cost,
-        r.metrics.width,
-        r.metrics.height,
-        r.metrics.area_usage,
-        r.metrics.wirelength,
-        r.symmetry_error,
-        r.metrics.overlap_area,
-        json_opt_bool(r.enumeration_won),
-    ));
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x:.4}"))
-}
-
-/// Like [`json_opt`] but rounded to whole units (used for moves/sec, where
-/// fractional digits are noise).
-fn json_opt_rounded(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{:.0}", x.round()))
-}
-
-fn json_opt_bool(v: Option<bool>) -> String {
-    v.map_or_else(|| "null".to_string(), |b| b.to_string())
-}
-
-fn json_opt_usize(v: Option<usize>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
+/// Writes the winning restart's members into the open object `w`.
+fn write_best(w: &mut Writer<'_>, r: &RestartRecord) {
+    w.key("engine").str(r.engine.name());
+    w.key("restart").int(r.restart);
+    w.key("seed").int(r.seed);
+    w.key("cost").f64(r.cost, Float::Fixed(3));
+    w.key("width").int(r.metrics.width);
+    w.key("height").int(r.metrics.height);
+    w.key("area_usage").f64(r.metrics.area_usage, Float::Fixed(4));
+    w.key("wirelength").f64(r.metrics.wirelength, Float::Fixed(3));
+    w.key("symmetry_error").int(r.symmetry_error);
+    w.key("overlap_area").int(r.metrics.overlap_area);
+    w.key("enumeration_won").opt(r.enumeration_won, Writer::bool);
 }
 
 #[cfg(test)]

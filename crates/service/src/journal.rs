@@ -37,9 +37,10 @@
 //! counts the failure and keeps serving.
 
 use crate::fault::FaultPlan;
-use crate::json::{quote, Json};
+use crate::json::Json;
 use crate::protocol::JobSpec;
 use crate::sync::lock_or_recover;
+use apls_telemetry::json::{self, Layout};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
@@ -123,15 +124,33 @@ pub(crate) enum JournalRecord<'a> {
 
 impl JournalRecord<'_> {
     fn render(&self) -> String {
-        match self {
-            JournalRecord::Enqueue { index, seed, circuit_hash, config_fp, spec } => format!(
-                "{{\"v\":{JOURNAL_VERSION},\"type\":\"enqueue\",\"index\":{index},\"seed\":{seed},\"circuit_hash\":{circuit_hash},\"config_fp\":{config_fp},\"spec\":{}}}\n",
-                quote(spec)
-            ),
-            JournalRecord::Complete { index, report_fp, quoted_report } => format!(
-                "{{\"v\":{JOURNAL_VERSION},\"type\":\"complete\",\"index\":{index},\"report_fp\":{report_fp},\"report\":{quoted_report}}}\n",
-            ),
+        let mut out = String::new();
+        match *self {
+            JournalRecord::Enqueue { index, seed, circuit_hash, config_fp, spec } => {
+                out.reserve(spec.len() + 128);
+                json::object(&mut out, Layout::Compact, |w| {
+                    w.key("v").int(JOURNAL_VERSION);
+                    w.key("type").str("enqueue");
+                    w.key("index").int(index);
+                    w.key("seed").int(seed);
+                    w.key("circuit_hash").int(circuit_hash);
+                    w.key("config_fp").int(config_fp);
+                    w.key("spec").str(spec);
+                });
+            }
+            JournalRecord::Complete { index, report_fp, quoted_report } => {
+                out.reserve(quoted_report.len() + 96);
+                json::object(&mut out, Layout::Compact, |w| {
+                    w.key("v").int(JOURNAL_VERSION);
+                    w.key("type").str("complete");
+                    w.key("index").int(index);
+                    w.key("report_fp").int(report_fp);
+                    w.key("report").raw(quoted_report);
+                });
+            }
         }
+        out.push('\n');
+        out
     }
 }
 
@@ -341,6 +360,7 @@ fn parse_record(line: &str) -> Option<ParsedRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::quote;
     use crate::protocol::CircuitSource;
 
     fn tempfile(name: &str) -> PathBuf {

@@ -1,13 +1,13 @@
-//! A minimal JSON reader/writer for the service protocol.
+//! The JSON reader of the service protocol.
 //!
-//! The workspace's vendored serde is a marker-only shim, so the JSON-lines
-//! protocol is handled by this hand-rolled module instead: a recursive
-//! descent parser into a [`Json`] value tree plus the string-escaping helpers
-//! the envelope writers use. Numbers keep their raw source text so 64-bit
-//! seeds round-trip without `f64` precision loss.
+//! The workspace's vendored serde is a marker-only shim, so requests, replies
+//! and journal records are read by this module: a recursive descent parser
+//! into a [`Json`] value tree. Numbers keep their raw source text so 64-bit
+//! seeds round-trip without `f64` precision loss. Everything the service
+//! writes goes through the workspace's one writer, [`apls_telemetry::json`];
+//! [`quote`] is its escaper returning a fresh string.
 
-use apls_telemetry::event::find_quote_or_backslash;
-use std::fmt;
+use apls_telemetry::json::{find_quote_or_backslash, quote_into};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,43 +114,11 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    /// Compact (single-line) JSON emission.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(raw) => f.write_str(raw),
-            Json::Str(s) => write!(f, "{}", quote(s)),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{value}", quote(key))?;
-                }
-                f.write_str("}")
-            }
-        }
-    }
-}
-
 /// Escapes and quotes a string as a JSON string literal.
 #[must_use]
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    apls_telemetry::event::quote_into(&mut out, s);
+    quote_into(&mut out, s);
     out
 }
 
@@ -380,7 +348,15 @@ mod tests {
         assert_eq!(json.get("seed").and_then(Json::as_u64), Some(7));
         assert_eq!(json.get("engines").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
         assert!(json.get("x").is_some_and(Json::is_null));
-        assert_eq!(Json::parse(&json.to_string()).unwrap(), json);
+        let engines = Json::Arr(vec![Json::Str("seqpair".into()), Json::Str("hier".into())]);
+        let fields = vec![
+            ("op".to_string(), Json::Str("place".into())),
+            ("seed".to_string(), Json::Num("7".into())),
+            ("engines".to_string(), engines),
+            ("fast".to_string(), Json::Bool(true)),
+            ("x".to_string(), Json::Null),
+        ];
+        assert_eq!(json, Json::Obj(fields));
     }
 
     #[test]

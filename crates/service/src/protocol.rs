@@ -14,9 +14,10 @@
 //! queue/solve/total milliseconds). The full schema is documented in
 //! DESIGN.md §10.
 
-use crate::json::{quote, Json};
+use crate::json::Json;
 use apls_io::canonical_hash;
 use apls_portfolio::{EarlyStop, PortfolioConfig, PortfolioEngine};
+use apls_telemetry::json::{self, Float, Layout};
 
 /// Where a job's circuit comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,50 +149,51 @@ impl JobSpec {
     /// Encodes the request as one JSON line (without trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::from("{\"op\":\"place\"");
-        match &self.circuit {
-            CircuitSource::Bundled(name) => {
-                out.push_str(&format!(",\"circuit\":{}", quote(name)));
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |w| {
+            w.key("op").str("place");
+            match &self.circuit {
+                CircuitSource::Bundled(name) => w.key("circuit").str(name),
+                CircuitSource::Inline(text) => w.key("apls").str(text),
             }
-            CircuitSource::Inline(text) => {
-                out.push_str(&format!(",\"apls\":{}", quote(text)));
+            if let Some(seed) = self.seed {
+                w.key("seed").int(seed);
             }
-        }
-        if let Some(seed) = self.seed {
-            out.push_str(&format!(",\"seed\":{seed}"));
-        }
-        if let Some(restarts) = self.restarts {
-            out.push_str(&format!(",\"restarts\":{restarts}"));
-        }
-        if let Some(engines) = &self.engines {
-            let names: Vec<String> = engines.iter().map(|e| quote(e.name())).collect();
-            out.push_str(&format!(",\"engines\":[{}]", names.join(",")));
-        }
-        if let Some(fast) = self.fast {
-            out.push_str(&format!(",\"fast\":{fast}"));
-        }
-        if let Some(w) = self.wirelength_weight {
-            out.push_str(&format!(",\"wirelength_weight\":{w}"));
-        }
-        if let Some(t) = self.hier_anneal_threshold {
-            out.push_str(&format!(",\"hier_anneal_threshold\":{t}"));
-        }
-        if let Some(p) = self.plateau {
-            out.push_str(&format!(",\"plateau\":{p}"));
-        }
-        if let Some(t) = self.threads {
-            out.push_str(&format!(",\"threads\":{t}"));
-        }
-        if let Some(d) = self.deadline_ms {
-            out.push_str(&format!(",\"deadline_ms\":{d}"));
-        }
-        if let Some(s) = self.stream {
-            out.push_str(&format!(",\"stream\":{s}"));
-        }
-        if let Some(id) = self.stream_id {
-            out.push_str(&format!(",\"id\":{id}"));
-        }
-        out.push('}');
+            if let Some(restarts) = self.restarts {
+                w.key("restarts").int(restarts);
+            }
+            if let Some(engines) = &self.engines {
+                w.key("engines").array(Layout::Compact, |w| {
+                    for engine in engines {
+                        w.str(engine.name());
+                    }
+                });
+            }
+            if let Some(fast) = self.fast {
+                w.key("fast").bool(fast);
+            }
+            if let Some(weight) = self.wirelength_weight {
+                w.key("wirelength_weight").f64(weight, Float::Shortest);
+            }
+            if let Some(threshold) = self.hier_anneal_threshold {
+                w.key("hier_anneal_threshold").int(threshold);
+            }
+            if let Some(window) = self.plateau {
+                w.key("plateau").int(window);
+            }
+            if let Some(threads) = self.threads {
+                w.key("threads").int(threads);
+            }
+            if let Some(deadline) = self.deadline_ms {
+                w.key("deadline_ms").int(deadline);
+            }
+            if let Some(stream) = self.stream {
+                w.key("stream").bool(stream);
+            }
+            if let Some(id) = self.stream_id {
+                w.key("id").int(id);
+            }
+        });
         out
     }
 

@@ -2,16 +2,15 @@
 //!
 //! The answer to a request — `ok`, `timeout`, `error` or `retry` — has one
 //! writer, [`render`], for both destinations. A plain envelope is a stream
-//! report frame without its frame tags: a head (see [`Head`]) followed by a
+//! report frame without its frame tags: a head (see [`head`]) followed by a
 //! body both forms share byte for byte. The remaining lines (`ping`,
 //! `stats`, `dump`, `shutdown` and the `accepted`/`queued`/`progress`
 //! frames) have fixed shapes of their own.
 
-use crate::json::quote;
 use crate::metrics::ServiceMetrics;
 use crate::server::{FlightDump, Shared, PROTOCOL_VERSION};
 use crate::sync::poison_recoveries;
-use std::fmt::{self, Write as _};
+use apls_telemetry::json::{self, Float, Layout, Writer};
 
 /// Where an answer goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,27 +44,20 @@ pub(crate) enum Answer<'a> {
     Retry,
 }
 
-/// The leading fields of an answer line. A stream report frame opens with
-/// `"frame":"report","id":CID,` (the client-chosen stream id), a plain line
-/// with nothing; then an answer that carries a job (`ok`, `timeout`) adds
-/// the server job index, as `"job":N,` in a frame and `"id":N,` in a plain
-/// line.
-struct Head {
-    to: Dest,
-    job: Option<u64>,
-}
-
-impl fmt::Display for Head {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if let Dest::Stream(cid) = self.to {
-            write!(f, "\"frame\":\"report\",\"id\":{cid},")?;
-            if let Some(job) = self.job {
-                write!(f, "\"job\":{job},")?;
-            }
-        } else if let Some(job) = self.job {
-            write!(f, "\"id\":{job},")?;
+/// Writes the leading fields of an answer line. A stream report frame opens
+/// with `"frame":"report","id":CID,` (the client-chosen stream id), a plain
+/// line with nothing; then an answer that carries a job (`ok`, `timeout`)
+/// adds the server job index, as `"job":N,` in a frame and `"id":N,` in a
+/// plain line.
+fn head(w: &mut Writer<'_>, to: Dest, job: Option<u64>) {
+    if let Dest::Stream(cid) = to {
+        w.key("frame").str("report");
+        w.key("id").int(cid);
+        if let Some(job) = job {
+            w.key("job").int(job);
         }
-        Ok(())
+    } else if let Some(job) = job {
+        w.key("id").int(job);
     }
 }
 
@@ -73,22 +65,24 @@ impl fmt::Display for Head {
 pub(crate) const PANIC_ERROR: &str =
     "placement worker panicked while solving this job; the service is still up";
 
+/// One compact JSON object line.
+fn line(capacity: usize, members: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::with_capacity(capacity);
+    json::object(&mut out, Layout::Compact, members);
+    out
+}
+
 /// Writes `answer` for `to` and counts its outcome (`errors_total`,
 /// `retries_total`; timeouts are counted by the worker that saw the
 /// deadline pass). Call it only for a line that will be queued on a live
 /// connection, so the counters match what clients receive.
 ///
-/// The `ok` line is one `write!` into one pre-sized `String`: the report
-/// arrives already escaped and is copied, not re-quoted.
+/// The `ok` line is written into one pre-sized `String`: the report arrives
+/// already escaped and is copied, not re-quoted.
 pub(crate) fn render(metrics: &ServiceMetrics, to: Dest, answer: &Answer<'_>) -> String {
-    let job = match *answer {
-        Answer::Ok { job, .. } | Answer::Timeout { job, .. } => Some(job),
-        Answer::Error { .. } | Answer::Retry => None,
-    };
-    let head = Head { to, job };
     match *answer {
         Answer::Ok {
-            job: _,
+            job,
             circuit,
             seed,
             cache_hit,
@@ -96,26 +90,41 @@ pub(crate) fn render(metrics: &ServiceMetrics, to: Dest, answer: &Answer<'_>) ->
             solve_ms,
             total_ms,
             quoted_report,
-        } => {
-            let mut line = String::with_capacity(quoted_report.len() + 256);
-            let _ = write!(
-                line,
-                "{{{head}\"status\":\"ok\",\"circuit\":{},\"seed\":{seed},\"cache_hit\":{cache_hit},\"queue_ms\":{queue_ms:.3},\"solve_ms\":{solve_ms:.3},\"total_ms\":{total_ms:.3},\"report\":{quoted_report}}}",
-                quote(circuit),
-            );
-            line
-        }
-        Answer::Timeout { job: _, circuit, seed, deadline_ms } => format!(
-            "{{{head}\"status\":\"timeout\",\"kind\":\"deadline\",\"circuit\":{},\"seed\":{seed},\"error\":\"deadline of {deadline_ms} ms exceeded\"}}",
-            quote(circuit),
-        ),
+        } => line(quoted_report.len() + 256, |w| {
+            head(w, to, Some(job));
+            w.key("status").str("ok");
+            w.key("circuit").str(circuit);
+            w.key("seed").int(seed);
+            w.key("cache_hit").bool(cache_hit);
+            w.key("queue_ms").f64(queue_ms, Float::Fixed(3));
+            w.key("solve_ms").f64(solve_ms, Float::Fixed(3));
+            w.key("total_ms").f64(total_ms, Float::Fixed(3));
+            w.key("report").raw(quoted_report);
+        }),
+        Answer::Timeout { job, circuit, seed, deadline_ms } => line(160, |w| {
+            head(w, to, Some(job));
+            w.key("status").str("timeout");
+            w.key("kind").str("deadline");
+            w.key("circuit").str(circuit);
+            w.key("seed").int(seed);
+            w.key("error").str(&format!("deadline of {deadline_ms} ms exceeded"));
+        }),
         Answer::Error { kind, message } => {
             metrics.errors_total.inc();
-            format!("{{{head}\"status\":\"error\",\"kind\":{},\"error\":{}}}", quote(kind), quote(message))
+            line(message.len() + 96, |w| {
+                head(w, to, None);
+                w.key("status").str("error");
+                w.key("kind").str(kind);
+                w.key("error").str(message);
+            })
         }
         Answer::Retry => {
             metrics.retries_total.inc();
-            format!("{{{head}\"status\":\"retry\",\"error\":\"job queue full, retry later\"}}")
+            line(96, |w| {
+                head(w, to, None);
+                w.key("status").str("retry");
+                w.key("error").str("job queue full, retry later");
+            })
         }
     }
 }
@@ -130,18 +139,22 @@ pub(crate) const OVERLOADED_LINE: &[u8] =
 pub(crate) const SHUTTING_DOWN: &str = "{\"status\":\"shutting_down\"}";
 
 pub(crate) fn ping() -> String {
-    format!("{{\"status\":\"ok\",\"service\":\"apls\",\"protocol\":{PROTOCOL_VERSION}}}")
+    line(64, |w| {
+        w.key("status").str("ok");
+        w.key("service").str("apls");
+        w.key("protocol").int(PROTOCOL_VERSION);
+    })
 }
 
 /// The answer to a `dump` request that wrote the flight recorder to disk.
 pub(crate) fn dump(dump: &FlightDump) -> String {
-    format!(
-        "{{\"status\":\"ok\",\"events\":{},\"overwritten\":{},\"capacity\":{},\"path\":{}}}",
-        dump.events,
-        dump.overwritten,
-        dump.capacity,
-        quote(&dump.path.display().to_string()),
-    )
+    line(128, |w| {
+        w.key("status").str("ok");
+        w.key("events").int(dump.events);
+        w.key("overwritten").int(dump.overwritten);
+        w.key("capacity").int(dump.capacity);
+        w.key("path").str(&dump.path.display().to_string());
+    })
 }
 
 pub(crate) fn stats(shared: &Shared) -> String {
@@ -149,31 +162,34 @@ pub(crate) fn stats(shared: &Shared) -> String {
     let uptime_seconds = shared.refresh_uptime();
     let (ready, _) = shared.is_ready();
     let metrics = &shared.metrics;
-    format!(
-        "{{\"status\":\"ok\",\"workers\":{},\"queue_capacity\":{},\"cache_capacity\":{},\"jobs_completed\":{},\"cache_hits\":{},\"cache_entries\":{},\"uptime_ms\":{:.0},\"uptime_seconds\":{},\"ready\":{},\"queue_depth\":{},\"in_flight\":{},\"connections\":{},\"telemetry_enabled\":{},\"journal_enabled\":{},\"poison_recoveries\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}},\"metrics\":{}}}",
-        shared.config.workers,
-        shared.config.queue_capacity,
-        shared.config.cache_capacity,
-        metrics.jobs_completed_total.get(),
-        metrics.cache_hits_total.get(),
-        cache_entries,
-        shared.started.elapsed().as_secs_f64() * 1e3,
-        uptime_seconds,
-        ready,
-        metrics.queue_depth.get(),
-        metrics.in_flight.get(),
-        metrics.connections_active.get(),
-        shared.telemetry.is_enabled(),
-        shared.journal.is_some(),
-        poison_recoveries(),
-        metrics.cache_hits_total.get(),
-        metrics.cache_misses_total.get(),
-        cache_stats.insertions,
-        cache_stats.evictions,
-        cache_entries,
-        shared.config.cache_capacity,
-        metrics.registry.snapshot_json(),
-    )
+    let config = &shared.config;
+    line(4096, |w| {
+        w.key("status").str("ok");
+        w.key("workers").int(config.workers);
+        w.key("queue_capacity").int(config.queue_capacity);
+        w.key("cache_capacity").int(config.cache_capacity);
+        w.key("jobs_completed").int(metrics.jobs_completed_total.get());
+        w.key("cache_hits").int(metrics.cache_hits_total.get());
+        w.key("cache_entries").int(cache_entries);
+        w.key("uptime_ms").f64(shared.started.elapsed().as_secs_f64() * 1e3, Float::Fixed(0));
+        w.key("uptime_seconds").int(uptime_seconds);
+        w.key("ready").bool(ready);
+        w.key("queue_depth").int(metrics.queue_depth.get());
+        w.key("in_flight").int(metrics.in_flight.get());
+        w.key("connections").int(metrics.connections_active.get());
+        w.key("telemetry_enabled").bool(shared.telemetry.is_enabled());
+        w.key("journal_enabled").bool(shared.journal.is_some());
+        w.key("poison_recoveries").int(poison_recoveries());
+        w.key("cache").object(Layout::Compact, |w| {
+            w.key("hits").int(metrics.cache_hits_total.get());
+            w.key("misses").int(metrics.cache_misses_total.get());
+            w.key("insertions").int(cache_stats.insertions);
+            w.key("evictions").int(cache_stats.evictions);
+            w.key("entries").int(cache_entries);
+            w.key("capacity").int(config.cache_capacity);
+        });
+        w.key("metrics").object(Layout::Compact, |w| metrics.registry.write_snapshot(w));
+    })
 }
 
 // --- stream frames before the report ------------------------------------
@@ -181,15 +197,26 @@ pub(crate) fn stats(shared: &Shared) -> String {
 // Every frame is one JSON line tagged `"frame"` plus the client-chosen
 // correlation `"id"`; the server job index travels as `"job"`.
 
+/// Writes a frame's tag and correlation id.
+fn frame(w: &mut Writer<'_>, tag: &str, cid: u64) {
+    w.key("frame").str(tag);
+    w.key("id").int(cid);
+}
+
 pub(crate) fn accepted_frame(cid: u64, job: u64, circuit: &str, seed: u64) -> String {
-    format!(
-        "{{\"frame\":\"accepted\",\"id\":{cid},\"job\":{job},\"circuit\":{},\"seed\":{seed}}}",
-        quote(circuit),
-    )
+    line(circuit.len() + 96, |w| {
+        frame(w, "accepted", cid);
+        w.key("job").int(job);
+        w.key("circuit").str(circuit);
+        w.key("seed").int(seed);
+    })
 }
 
 pub(crate) fn queued_frame(cid: u64, depth: u64) -> String {
-    format!("{{\"frame\":\"queued\",\"id\":{cid},\"depth\":{depth}}}")
+    line(64, |w| {
+        frame(w, "queued", cid);
+        w.key("depth").int(depth);
+    })
 }
 
 pub(crate) fn progress_frame(
@@ -200,15 +227,20 @@ pub(crate) fn progress_frame(
     total: usize,
     cost: f64,
 ) -> String {
-    format!(
-        "{{\"frame\":\"progress\",\"id\":{cid},\"engine\":{},\"restart\":{restart},\"completed\":{completed},\"total\":{total},\"cost\":{cost}}}",
-        quote(engine),
-    )
+    line(128, |w| {
+        frame(w, "progress", cid);
+        w.key("engine").str(engine);
+        w.key("restart").int(restart);
+        w.key("completed").int(completed);
+        w.key("total").int(total);
+        w.key("cost").f64(cost, Float::Shortest);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::quote;
 
     /// Every answer for both destinations, then the `ping` and `dump`
     /// answers and the three frames before a report, pinned byte for byte.

@@ -2,6 +2,7 @@
 //! streaming implementations.
 
 use crate::event::TraceEvent;
+use crate::json::{self, Layout};
 use std::fmt;
 use std::io::Write;
 use std::sync::Mutex;
@@ -69,14 +70,15 @@ impl RecordingCollector {
     #[must_use]
     pub fn to_chrome_trace(&self) -> String {
         let events = self.events.lock().expect("recording collector poisoned");
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, event) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&event.to_json_line());
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |w| {
+            w.key("traceEvents").array(Layout::Compact, |w| {
+                for event in events.iter() {
+                    w.object(Layout::Compact, |w| event.write_members(w));
+                }
+            });
+            w.key("displayTimeUnit").str("ms");
+        });
         out
     }
 }

@@ -5,7 +5,7 @@
 //! element stream of a Chrome `traceEvents` array (see
 //! [`crate::RecordingCollector::to_chrome_trace`]).
 
-use std::fmt::Write as _;
+use crate::json::{self, Float, Layout, Writer};
 
 /// An argument value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,28 +20,6 @@ pub enum Value {
     Bool(bool),
     /// String.
     Str(String),
-}
-
-impl Value {
-    /// Appends the value as a JSON fragment.
-    pub fn render(&self, out: &mut String) {
-        match self {
-            Value::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            Value::F64(_) => out.push_str("null"),
-            Value::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Str(s) => quote_into(out, s),
-        }
-    }
 }
 
 impl From<u64> for Value {
@@ -119,101 +97,36 @@ impl TraceEvent {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str("{\"name\":");
-        quote_into(&mut out, &self.name);
-        out.push_str(",\"cat\":");
-        quote_into(&mut out, &self.cat);
-        out.push_str(",\"ph\":");
-        let mut ph = [0u8; 4];
-        quote_into(&mut out, self.ph.encode_utf8(&mut ph));
-        let _ = write!(out, ",\"ts\":{},\"pid\":1,\"tid\":{}", self.ts_us, self.tid);
-        if let Some(dur) = self.dur_us {
-            let _ = write!(out, ",\"dur\":{dur}");
-        }
-        if !self.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (key, value)) in self.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                quote_into(&mut out, key);
-                out.push(':');
-                value.render(&mut out);
-            }
-            out.push('}');
-        }
-        out.push('}');
+        json::object(&mut out, Layout::Compact, |w| self.write_members(w));
         out
     }
-}
 
-/// Appends `s` as a JSON string literal (quotes, escapes). Runs of bytes
-/// that need no escape are copied whole; only ASCII bytes are escaped, so
-/// every run is whole UTF-8.
-pub fn quote_into(out: &mut String, s: &str) {
-    out.reserve(s.len() + 2);
-    out.push('"');
-    let bytes = s.as_bytes();
-    let mut run = 0;
-    loop {
-        let at =
-            scan(bytes, run, |word| below(word, 0x20) | equal(word, b'"') | equal(word, b'\\'));
-        out.push_str(&s[run..at]);
-        let Some(&b) = bytes.get(at) else { break };
-        run = at + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
+    /// Writes the event's members into the open object `w`.
+    pub(crate) fn write_members(&self, w: &mut Writer<'_>) {
+        w.key("name").str(&self.name);
+        w.key("cat").str(&self.cat);
+        w.key("ph").str(self.ph.encode_utf8(&mut [0; 4]));
+        w.key("ts").int(self.ts_us);
+        w.key("pid").int(1);
+        w.key("tid").int(self.tid);
+        if let Some(dur) = self.dur_us {
+            w.key("dur").int(dur);
+        }
+        if !self.args.is_empty() {
+            w.key("args").object(Layout::Compact, |w| {
+                for (key, value) in &self.args {
+                    let w = w.key(key);
+                    match value {
+                        Value::U64(v) => w.int(*v),
+                        Value::I64(v) => w.int(*v),
+                        Value::F64(v) => w.f64(*v, Float::Shortest),
+                        Value::Bool(v) => w.bool(*v),
+                        Value::Str(s) => w.str(s),
+                    }
+                }
+            });
         }
     }
-    out.push('"');
-}
-
-/// The offset of the first `"` or `\` in `bytes` at or after `from`, or
-/// `bytes.len()` when there is none: where a JSON string literal's body
-/// stops being a plain copy.
-#[must_use]
-pub fn find_quote_or_backslash(bytes: &[u8], from: usize) -> usize {
-    scan(bytes, from, |word| equal(word, b'"') | equal(word, b'\\'))
-}
-
-/// `0x01` in every byte lane of a word.
-const LANES: u64 = 0x0101_0101_0101_0101;
-
-/// High bit set in the lanes of `word` that hold `byte`.
-fn equal(word: u64, byte: u8) -> u64 {
-    let x = word ^ (LANES * u64::from(byte));
-    x.wrapping_sub(LANES) & !x & (LANES << 7)
-}
-
-/// High bit set in the lanes of `word` below `limit` (at most `0x80`).
-fn below(word: u64, limit: u8) -> u64 {
-    word.wrapping_sub(LANES * u64::from(limit)) & !word & (LANES << 7)
-}
-
-/// The offset of the first byte at or after `from` that `flags` marks, or
-/// `bytes.len()`, eight bytes per step. `flags` maps eight little-endian
-/// bytes to a word with the high bit of each marked lane set (built from
-/// [`equal`] and [`below`]); a borrow may also mark lanes *above* a marked
-/// one, never below, so the lowest mark is exact.
-#[inline]
-fn scan(bytes: &[u8], from: usize, flags: impl Fn(u64) -> u64) -> usize {
-    let mut i = from;
-    while let Some(chunk) = bytes.get(i..i + 8) {
-        let marks = flags(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
-        if marks != 0 {
-            return i + (marks.trailing_zeros() / 8) as usize;
-        }
-        i += 8;
-    }
-    // the last few bytes one at a time, each in the lowest lane
-    bytes[i..].iter().position(|&b| flags(u64::from(b)) & 0x80 != 0).map_or(bytes.len(), |p| i + p)
 }
 
 #[cfg(test)]
@@ -253,17 +166,5 @@ mod tests {
         assert!(line.contains("a\\\"b\\\\c\\nd"));
         assert!(line.contains("\"x\":null"));
         assert!(!line.contains("dur"));
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        let quoted = |s: &str| {
-            let mut out = String::new();
-            quote_into(&mut out, s);
-            out
-        };
-        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(quoted("\r\t"), "\"\\r\\t\"");
-        assert_eq!(quoted("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -44,6 +44,7 @@
 
 pub mod collector;
 pub mod event;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod summary;

@@ -7,6 +7,7 @@
 //! registration and snapshot time. Snapshots render in `BTreeMap` name order,
 //! so metric JSON is deterministic.
 
+use crate::json::{self, Float, Layout, Writer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -178,38 +179,24 @@ impl Histogram {
         None
     }
 
-    fn render_json(&self, out: &mut String) {
-        let _ = write!(out, "{{\"count\":{},\"sum\":{}", self.count(), json_f64(self.sum()));
-        for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-            let value = match self.quantile(q) {
-                Some(v) => json_f64(v),
-                None => "null".to_string(),
-            };
-            let _ = write!(out, ",\"{label}\":{value}");
-        }
-        out.push_str(",\"buckets\":[");
-        for (i, (bound, count)) in self.buckets().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// Writes the histogram as the next value of `w`: count, sum, the
+    /// p50/p95/p99 estimates (`null` while empty) and the cumulative buckets.
+    fn write_json(&self, w: &mut Writer<'_>) {
+        w.object(Layout::Compact, |w| {
+            w.key("count").int(self.count());
+            w.key("sum").f64(self.sum(), Float::Shortest);
+            for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+                w.key(label).opt(self.quantile(q), |w, v| w.f64(v, Float::Shortest));
             }
-            match bound {
-                Some(b) => {
-                    let _ = write!(out, "{{\"le\":{},\"count\":{count}}}", json_f64(b));
+            w.key("buckets").array(Layout::Compact, |w| {
+                for (bound, count) in self.buckets() {
+                    w.object(Layout::Compact, |w| {
+                        w.key("le").opt(bound, |w, b| w.f64(b, Float::Shortest));
+                        w.key("count").int(count);
+                    });
                 }
-                None => {
-                    let _ = write!(out, "{{\"le\":null,\"count\":{count}}}");
-                }
-            }
-        }
-        out.push_str("]}");
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+            });
+        });
     }
 }
 
@@ -287,58 +274,38 @@ impl MetricsRegistry {
     /// keys in name order.
     #[must_use]
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, c)) in
-            self.counters.lock().expect("metrics registry poisoned").iter().enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::event::quote_into(&mut out, name);
-            let _ = write!(out, ":{}", c.get());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, g)) in
-            self.gauges.lock().expect("metrics registry poisoned").iter().enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::event::quote_into(&mut out, name);
-            let _ = write!(out, ":{}", g.get());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in
-            self.histograms.lock().expect("metrics registry poisoned").iter().enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::event::quote_into(&mut out, name);
-            out.push(':');
-            h.render_json(&mut out);
-        }
-        out.push_str("},\"infos\":{");
-        for (i, (name, labels)) in
-            self.infos.lock().expect("metrics registry poisoned").iter().enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::event::quote_into(&mut out, name);
-            out.push_str(":{");
-            for (j, (k, v)) in labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                crate::event::quote_into(&mut out, k);
-                out.push(':');
-                crate::event::quote_into(&mut out, v);
-            }
-            out.push('}');
-        }
-        out.push_str("}}");
+        let mut out = String::new();
+        json::object(&mut out, Layout::Compact, |w| self.write_snapshot(w));
         out
+    }
+
+    /// Writes the four sections of [`MetricsRegistry::snapshot_json`] as
+    /// members of the open object `w`.
+    pub fn write_snapshot(&self, w: &mut Writer<'_>) {
+        w.key("counters").object(Layout::Compact, |w| {
+            for (name, c) in self.counters.lock().expect("metrics registry poisoned").iter() {
+                w.key(name).int(c.get());
+            }
+        });
+        w.key("gauges").object(Layout::Compact, |w| {
+            for (name, g) in self.gauges.lock().expect("metrics registry poisoned").iter() {
+                w.key(name).int(g.get());
+            }
+        });
+        w.key("histograms").object(Layout::Compact, |w| {
+            for (name, h) in self.histograms.lock().expect("metrics registry poisoned").iter() {
+                h.write_json(w.key(name));
+            }
+        });
+        w.key("infos").object(Layout::Compact, |w| {
+            for (name, labels) in self.infos.lock().expect("metrics registry poisoned").iter() {
+                w.key(name).object(Layout::Compact, |w| {
+                    for (k, v) in labels {
+                        w.key(k).str(v);
+                    }
+                });
+            }
+        });
     }
 
     /// Renders the registry in the Prometheus text exposition format
