@@ -620,6 +620,21 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_weight_encodes_as_null_and_is_refused() {
+        for weight in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut spec = JobSpec::bundled("miller_v2");
+            spec.wirelength_weight = Some(weight);
+            let line = spec.to_json_line();
+            assert_eq!(line, r#"{"op":"place","circuit":"miller_v2","wirelength_weight":null}"#);
+            let json = Json::parse(&line).expect("valid JSON");
+            assert_eq!(
+                JobSpec::from_json(&json).unwrap_err(),
+                "'wirelength_weight' must be a number"
+            );
+        }
+    }
+
+    #[test]
     fn bad_requests_are_rejected_with_messages() {
         for (line, needle) in [
             (r#"{"op":"place"}"#, "needs a circuit"),

@@ -524,6 +524,17 @@ fn parse_optional<T: std::str::FromStr>(
     matches_value.map(|raw| parse_number(Some(raw), what)).transpose()
 }
 
+/// Rejects a weight the cost function cannot use. A local run and `submit`
+/// share the check, so neither runs nor sends a negative, NaN or infinite
+/// weight.
+fn check_wirelength_weight(weight: f64) -> Result<f64, String> {
+    if weight.is_finite() && weight >= 0.0 {
+        Ok(weight)
+    } else {
+        Err("--wirelength-weight must be finite and non-negative".to_string())
+    }
+}
+
 fn write_output(path: &str, content: &str, what: &str) -> Result<(), String> {
     if path == "-" {
         print!("{content}");
@@ -654,11 +665,13 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
 
 fn run_submit(matches: &ArgMatches) -> Result<(), String> {
     let addr = matches.get_one::<String>("addr").expect("defaulted");
-    let mut client =
-        ServiceClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    // connects only once the request is known to be valid
+    let connect =
+        || ServiceClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"));
     let op = matches.get_one::<String>("op").expect("defaulted");
     match op.as_str() {
         "ping" | "stats" | "dump" | "shutdown" => {
+            let mut client = connect()?;
             let response = match op.as_str() {
                 "ping" => client.ping(),
                 "stats" => client.stats(),
@@ -690,7 +703,9 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
     spec.seed = parse_optional(matches.get_one::<String>("seed"), "--seed")?;
     spec.restarts = parse_optional(matches.get_one::<String>("restarts"), "--restarts")?;
     spec.wirelength_weight =
-        parse_optional(matches.get_one::<String>("wirelength-weight"), "--wirelength-weight")?;
+        parse_optional(matches.get_one::<String>("wirelength-weight"), "--wirelength-weight")?
+            .map(check_wirelength_weight)
+            .transpose()?;
     spec.hier_anneal_threshold = parse_optional(
         matches.get_one::<String>("hier-anneal-threshold"),
         "--hier-anneal-threshold",
@@ -711,7 +726,7 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
 
     let retries: Option<u32> = parse_optional(matches.get_one::<String>("retries"), "--retries")?;
     let response = if matches.get_flag("stream") {
-        client.place_streaming(&spec, |frame| match frame {
+        connect()?.place_streaming(&spec, |frame| match frame {
             StreamFrame::Accepted { job, circuit, seed, .. } => {
                 println!("accepted: job {job} circuit={circuit} seed={seed}");
             }
@@ -728,7 +743,7 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
                 let policy = RetryPolicy { max_attempts: attempts, ..RetryPolicy::default() };
                 ServiceClient::place_with_retry(addr.as_str(), &spec, &policy)
             }
-            _ => client.place(&spec),
+            _ => connect()?.place(&spec),
         }
     }
     .map_err(|e| format!("request failed: {e}"))?;
@@ -855,9 +870,7 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
     if hier_anneal_threshold == 0 {
         return Err("--hier-anneal-threshold must be at least 1".to_string());
     }
-    if !wirelength_weight.is_finite() || wirelength_weight < 0.0 {
-        return Err("--wirelength-weight must be finite and non-negative".to_string());
-    }
+    check_wirelength_weight(wirelength_weight)?;
 
     let engine_name = matches.get_one::<String>("engine").expect("defaulted");
     let engines = engines_for(engine_name)?;

@@ -171,3 +171,23 @@ fn inline_and_bundled_sources_share_cache_entries() {
     service.shutdown();
     service.join();
 }
+
+/// `submit` refuses a weight the cost function cannot use before it
+/// connects, with the message a local run gives: the request line it would
+/// send is never written.
+#[test]
+fn submit_refuses_a_non_finite_weight_before_connecting() {
+    for weight in ["nan", "inf", "-1"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_apls"))
+            .args(["submit", "--addr", "127.0.0.1:9", "-c", "miller_opamp_fig6"])
+            .args(["--wirelength-weight", weight])
+            .output()
+            .expect("apls runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{weight}: {stderr}");
+        assert!(
+            stderr.contains("--wirelength-weight must be finite and non-negative"),
+            "{weight}: {stderr}"
+        );
+    }
+}
