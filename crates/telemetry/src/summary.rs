@@ -75,12 +75,15 @@ pub fn phase_note(cat: &str, name: &str) -> Option<&'static str> {
 ///
 /// The caller parses the trace file (any JSON parser works — events are one
 /// object per line) and feeds complete events through
-/// [`TraceSummary::record_complete`] and instant/counter events through
-/// [`TraceSummary::record_instant`].
+/// [`TraceSummary::record_complete`], instant/counter events through
+/// [`TraceSummary::record_instant`], and every numeric argument of either
+/// through [`TraceSummary::record_arg`].
 #[derive(Debug, Default)]
 pub struct TraceSummary {
     phases: BTreeMap<(String, String), PhaseStats>,
     instants: BTreeMap<(String, String), u64>,
+    /// Per phase, each numeric argument summed over the phase's events.
+    args: BTreeMap<(String, String), BTreeMap<String, f64>>,
 }
 
 impl TraceSummary {
@@ -107,6 +110,20 @@ impl TraceSummary {
     /// Records one instant (`'i'`) or counter (`'C'`) event.
     pub fn record_instant(&mut self, cat: &str, name: &str) {
         *self.instants.entry((cat.to_string(), name.to_string())).or_insert(0) += 1;
+    }
+
+    /// Adds one numeric argument of a `(category, name)` event to the
+    /// phase's sum for `key`, so counters such as `early_rejected` or the
+    /// `seqpair/legalise` counts add up over every event of the phase.
+    pub fn record_arg(&mut self, cat: &str, name: &str, key: &str, value: f64) {
+        let phase = self.args.entry((cat.to_string(), name.to_string())).or_default();
+        *phase.entry(key.to_string()).or_insert(0.0) += value;
+    }
+
+    /// The sum of argument `key` over the phase's events, if any carried it.
+    #[must_use]
+    pub fn arg_sum(&self, cat: &str, name: &str, key: &str) -> Option<f64> {
+        self.args.get(&(cat.to_string(), name.to_string()))?.get(key).copied()
     }
 
     /// Number of distinct phases seen.
@@ -173,6 +190,23 @@ impl TraceSummary {
                 }
             }
         }
+        if !self.args.is_empty() {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            let _ = writeln!(out, "event args (summed per phase):");
+            for ((cat, name), sums) in &self.args {
+                let _ = write!(out, "  {cat}/{name}:");
+                for (key, sum) in sums {
+                    if sum.fract() == 0.0 {
+                        let _ = write!(out, " {key}={sum:.0}");
+                    } else {
+                        let _ = write!(out, " {key}={sum:.3}");
+                    }
+                }
+                out.push('\n');
+            }
+        }
         if out.is_empty() {
             out.push_str("(empty trace)\n");
         }
@@ -203,6 +237,25 @@ mod tests {
         let parse_pos = table.find("service/parse").unwrap();
         assert!(anneal_pos < parse_pos, "rows sort by total time:\n{table}");
         assert!(table.contains("service/accept: 2"));
+    }
+
+    #[test]
+    fn numeric_args_sum_per_phase() {
+        let mut summary = TraceSummary::new();
+        summary.record_arg("anneal", "anneal", "early_rejected", 40.0);
+        summary.record_arg("anneal", "anneal", "early_rejected", 2.0);
+        summary.record_arg("anneal", "anneal", "best_cost", 1.25);
+        summary.record_arg("anneal", "anneal", "best_cost", 2.5);
+        summary.record_arg("seqpair", "legalise", "island_shortcuts", 7.0);
+        assert_eq!(summary.arg_sum("anneal", "anneal", "early_rejected"), Some(42.0));
+        assert_eq!(summary.arg_sum("anneal", "anneal", "best_cost"), Some(3.75));
+        assert_eq!(summary.arg_sum("seqpair", "legalise", "island_shortcuts"), Some(7.0));
+        assert_eq!(summary.arg_sum("seqpair", "legalise", "early_rejected"), None);
+        assert_eq!(
+            summary.render(),
+            "event args (summed per phase):\n  anneal/anneal: best_cost=3.750 early_rejected=42\n  \
+             seqpair/legalise: island_shortcuts=7\n"
+        );
     }
 
     #[test]

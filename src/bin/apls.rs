@@ -973,6 +973,13 @@ fn run_trace(matches: &ArgMatches) -> Result<(), String> {
             Some(other) => return Err(format!("unsupported event phase '{other}'")),
             None => return Err("event without a 'ph' field".to_string()),
         }
+        if let Some(Json::Obj(args)) = event.get("args") {
+            for (key, value) in args {
+                if let Some(v) = value.as_f64() {
+                    summary.record_arg(cat, name, key, v);
+                }
+            }
+        }
         events += 1;
         Ok(())
     };
