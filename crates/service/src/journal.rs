@@ -125,30 +125,25 @@ pub(crate) enum JournalRecord<'a> {
 impl JournalRecord<'_> {
     fn render(&self) -> String {
         let mut out = String::new();
-        match *self {
-            JournalRecord::Enqueue { index, seed, circuit_hash, config_fp, spec } => {
-                out.reserve(spec.len() + 128);
-                json::object(&mut out, Layout::Compact, |w| {
-                    w.key("v").int(JOURNAL_VERSION);
+        json::object(&mut out, Layout::Compact, |w| {
+            w.key("v").int(JOURNAL_VERSION);
+            match *self {
+                JournalRecord::Enqueue { index, seed, circuit_hash, config_fp, spec } => {
                     w.key("type").str("enqueue");
                     w.key("index").int(index);
                     w.key("seed").int(seed);
                     w.key("circuit_hash").int(circuit_hash);
                     w.key("config_fp").int(config_fp);
                     w.key("spec").str(spec);
-                });
-            }
-            JournalRecord::Complete { index, report_fp, quoted_report } => {
-                out.reserve(quoted_report.len() + 96);
-                json::object(&mut out, Layout::Compact, |w| {
-                    w.key("v").int(JOURNAL_VERSION);
+                }
+                JournalRecord::Complete { index, report_fp, quoted_report } => {
                     w.key("type").str("complete");
                     w.key("index").int(index);
                     w.key("report_fp").int(report_fp);
                     w.key("report").raw(quoted_report);
-                });
+                }
             }
-        }
+        });
         out.push('\n');
         out
     }

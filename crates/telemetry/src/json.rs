@@ -59,39 +59,10 @@ macro_rules! int {
 }
 int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, i128);
 
-/// Opens an object as the whole of `out`'s next document and lets `members`
-/// write its members.
+/// Appends one object to `out`; `members` writes its members.
 pub fn object(out: &mut String, layout: Layout, members: impl FnOnce(&mut Writer<'_>)) {
-    nest(out, layout, 0, ('{', '}'), members);
-}
-
-/// Opens an array as the whole of `out`'s next document and lets `items`
-/// write its elements.
-pub fn array(out: &mut String, layout: Layout, items: impl FnOnce(&mut Writer<'_>)) {
-    nest(out, layout, 0, ('[', ']'), items);
-}
-
-fn nest(
-    out: &mut String,
-    layout: Layout,
-    depth: usize,
-    (open, close): (char, char),
-    fill: impl FnOnce(&mut Writer<'_>),
-) {
-    out.push(open);
-    let mut w = Writer { out, layout, depth, empty: true, keyed: false };
-    fill(&mut w);
-    if layout == Layout::Indented && !w.empty {
-        w.out.push('\n');
-        indent(w.out, depth);
-    }
-    w.out.push(close);
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
+    // a writer expecting one value, as if after a key
+    Writer { out, layout, depth: 0, empty: true, keyed: true }.object(layout, members);
 }
 
 /// Writes the members of one open object or the elements of one open array.
@@ -104,7 +75,7 @@ fn indent(out: &mut String, depth: usize) {
 pub struct Writer<'a> {
     out: &'a mut String,
     layout: Layout,
-    /// Nesting depth of this container; the document's root is 0.
+    /// Nesting depth of this container's members; the root object's are 1.
     depth: usize,
     /// Nothing written into the container yet.
     empty: bool,
@@ -125,7 +96,7 @@ impl Writer<'_> {
         self.empty = false;
         if self.layout == Layout::Indented {
             self.out.push('\n');
-            indent(self.out, self.depth + 1);
+            self.out.extend(std::iter::repeat_n("  ", self.depth));
         }
     }
 
@@ -198,14 +169,30 @@ impl Writer<'_> {
 
     /// Writes a nested object; `members` writes its members.
     pub fn object(&mut self, layout: Layout, members: impl FnOnce(&mut Writer<'_>)) {
-        let depth = self.depth + 1;
-        nest(self.value(), layout, depth, ('{', '}'), members);
+        self.nest(layout, ['{', '}'], members);
     }
 
     /// Writes a nested array; `items` writes its elements.
     pub fn array(&mut self, layout: Layout, items: impl FnOnce(&mut Writer<'_>)) {
+        self.nest(layout, ['[', ']'], items);
+    }
+
+    fn nest(
+        &mut self,
+        layout: Layout,
+        [open, close]: [char; 2],
+        fill: impl FnOnce(&mut Writer<'_>),
+    ) {
         let depth = self.depth + 1;
-        nest(self.value(), layout, depth, ('[', ']'), items);
+        let out = self.value();
+        out.push(open);
+        let mut w = Writer { out, layout, depth, empty: true, keyed: false };
+        fill(&mut w);
+        if layout == Layout::Indented && !w.empty {
+            w.out.push('\n');
+            w.out.extend(std::iter::repeat_n("  ", depth - 1));
+        }
+        w.out.push(close);
     }
 }
 
@@ -328,32 +315,33 @@ mod tests {
             out,
             "{\n  \"rows\": [\n    {\"x\": 1},\n    {\n      \"y\": 2\n    }\n  ],\n  \"none\": []\n}"
         );
-        let mut top = String::new();
-        array(&mut top, Layout::Compact, |w| {
-            w.raw("\"pre\\\"quoted\"");
-            w.opt(Some(3u64), |w, v| w.int(v));
-            w.opt(None::<u64>, |w, v| w.int(v));
+        let raw_and_opt = written(Layout::Compact, |w| {
+            w.key("raw").raw("\"pre\\\"quoted\"");
+            w.key("some").opt(Some(3u64), Writer::int);
+            w.key("none").opt(None::<u64>, Writer::int);
         });
-        assert_eq!(top, r#"["pre\"quoted",3,null]"#);
+        assert_eq!(raw_and_opt, r#"{"raw":"pre\"quoted","some":3,"none":null}"#);
     }
 
     #[test]
     fn floats_take_their_named_format_and_non_finite_is_null() {
         let floats = |v: f64| {
-            let mut out = String::new();
-            array(&mut out, Layout::Compact, |w| {
-                for format in [Float::Fixed(3), Float::Fixed(0), Float::Rounded, Float::Shortest] {
-                    w.f64(v, format);
-                }
-            });
-            out
+            written(Layout::Compact, |w| {
+                w.key("f").array(Layout::Compact, |w| {
+                    for format in
+                        [Float::Fixed(3), Float::Fixed(0), Float::Rounded, Float::Shortest]
+                    {
+                        w.f64(v, format);
+                    }
+                });
+            })
         };
-        assert_eq!(floats(2.5), "[2.500,2,3,2.5]");
-        assert_eq!(floats(-0.125), "[-0.125,-0,-0,-0.125]");
-        assert_eq!(floats(19.8), "[19.800,20,20,19.8]");
-        assert_eq!(floats(1e-7), "[0.000,0,0,0.0000001]");
+        assert_eq!(floats(2.5), r#"{"f":[2.500,2,3,2.5]}"#);
+        assert_eq!(floats(-0.125), r#"{"f":[-0.125,-0,-0,-0.125]}"#);
+        assert_eq!(floats(19.8), r#"{"f":[19.800,20,20,19.8]}"#);
+        assert_eq!(floats(1e-7), r#"{"f":[0.000,0,0,0.0000001]}"#);
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(floats(v), "[null,null,null,null]");
+            assert_eq!(floats(v), r#"{"f":[null,null,null,null]}"#);
         }
     }
 

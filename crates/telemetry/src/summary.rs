@@ -120,12 +120,6 @@ impl TraceSummary {
         *phase.entry(key.to_string()).or_insert(0.0) += value;
     }
 
-    /// The sum of argument `key` over the phase's events, if any carried it.
-    #[must_use]
-    pub fn arg_sum(&self, cat: &str, name: &str, key: &str) -> Option<f64> {
-        self.args.get(&(cat.to_string(), name.to_string()))?.get(key).copied()
-    }
-
     /// Number of distinct phases seen.
     #[must_use]
     pub fn phase_count(&self) -> usize {
@@ -198,11 +192,7 @@ impl TraceSummary {
             for ((cat, name), sums) in &self.args {
                 let _ = write!(out, "  {cat}/{name}:");
                 for (key, sum) in sums {
-                    if sum.fract() == 0.0 {
-                        let _ = write!(out, " {key}={sum:.0}");
-                    } else {
-                        let _ = write!(out, " {key}={sum:.3}");
-                    }
+                    let _ = write!(out, " {key}={sum}");
                 }
                 out.push('\n');
             }
@@ -247,13 +237,9 @@ mod tests {
         summary.record_arg("anneal", "anneal", "best_cost", 1.25);
         summary.record_arg("anneal", "anneal", "best_cost", 2.5);
         summary.record_arg("seqpair", "legalise", "island_shortcuts", 7.0);
-        assert_eq!(summary.arg_sum("anneal", "anneal", "early_rejected"), Some(42.0));
-        assert_eq!(summary.arg_sum("anneal", "anneal", "best_cost"), Some(3.75));
-        assert_eq!(summary.arg_sum("seqpair", "legalise", "island_shortcuts"), Some(7.0));
-        assert_eq!(summary.arg_sum("seqpair", "legalise", "early_rejected"), None);
         assert_eq!(
             summary.render(),
-            "event args (summed per phase):\n  anneal/anneal: best_cost=3.750 early_rejected=42\n  \
+            "event args (summed per phase):\n  anneal/anneal: best_cost=3.75 early_rejected=42\n  \
              seqpair/legalise: island_shortcuts=7\n"
         );
     }
