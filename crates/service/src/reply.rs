@@ -66,8 +66,8 @@ pub(crate) const PANIC_ERROR: &str =
     "placement worker panicked while solving this job; the service is still up";
 
 /// One compact JSON object line.
-fn line(capacity: usize, members: impl FnOnce(&mut Writer<'_>)) -> String {
-    let mut out = String::with_capacity(capacity);
+fn line(members: impl FnOnce(&mut Writer<'_>)) -> String {
+    let mut out = String::new();
     json::object(&mut out, Layout::Compact, members);
     out
 }
@@ -90,18 +90,22 @@ pub(crate) fn render(metrics: &ServiceMetrics, to: Dest, answer: &Answer<'_>) ->
             solve_ms,
             total_ms,
             quoted_report,
-        } => line(quoted_report.len() + 256, |w| {
-            head(w, to, Some(job));
-            w.key("status").str("ok");
-            w.key("circuit").str(circuit);
-            w.key("seed").int(seed);
-            w.key("cache_hit").bool(cache_hit);
-            w.key("queue_ms").f64(queue_ms, Float::Fixed(3));
-            w.key("solve_ms").f64(solve_ms, Float::Fixed(3));
-            w.key("total_ms").f64(total_ms, Float::Fixed(3));
-            w.key("report").raw(quoted_report);
-        }),
-        Answer::Timeout { job, circuit, seed, deadline_ms } => line(160, |w| {
+        } => {
+            let mut line = String::with_capacity(quoted_report.len() + 256);
+            json::object(&mut line, Layout::Compact, |w| {
+                head(w, to, Some(job));
+                w.key("status").str("ok");
+                w.key("circuit").str(circuit);
+                w.key("seed").int(seed);
+                w.key("cache_hit").bool(cache_hit);
+                w.key("queue_ms").f64(queue_ms, Float::Fixed(3));
+                w.key("solve_ms").f64(solve_ms, Float::Fixed(3));
+                w.key("total_ms").f64(total_ms, Float::Fixed(3));
+                w.key("report").raw(quoted_report);
+            });
+            line
+        }
+        Answer::Timeout { job, circuit, seed, deadline_ms } => line(|w| {
             head(w, to, Some(job));
             w.key("status").str("timeout");
             w.key("kind").str("deadline");
@@ -111,7 +115,7 @@ pub(crate) fn render(metrics: &ServiceMetrics, to: Dest, answer: &Answer<'_>) ->
         }),
         Answer::Error { kind, message } => {
             metrics.errors_total.inc();
-            line(message.len() + 96, |w| {
+            line(|w| {
                 head(w, to, None);
                 w.key("status").str("error");
                 w.key("kind").str(kind);
@@ -120,7 +124,7 @@ pub(crate) fn render(metrics: &ServiceMetrics, to: Dest, answer: &Answer<'_>) ->
         }
         Answer::Retry => {
             metrics.retries_total.inc();
-            line(96, |w| {
+            line(|w| {
                 head(w, to, None);
                 w.key("status").str("retry");
                 w.key("error").str("job queue full, retry later");
@@ -139,7 +143,7 @@ pub(crate) const OVERLOADED_LINE: &[u8] =
 pub(crate) const SHUTTING_DOWN: &str = "{\"status\":\"shutting_down\"}";
 
 pub(crate) fn ping() -> String {
-    line(64, |w| {
+    line(|w| {
         w.key("status").str("ok");
         w.key("service").str("apls");
         w.key("protocol").int(PROTOCOL_VERSION);
@@ -148,7 +152,7 @@ pub(crate) fn ping() -> String {
 
 /// The answer to a `dump` request that wrote the flight recorder to disk.
 pub(crate) fn dump(dump: &FlightDump) -> String {
-    line(128, |w| {
+    line(|w| {
         w.key("status").str("ok");
         w.key("events").int(dump.events);
         w.key("overwritten").int(dump.overwritten);
@@ -163,7 +167,7 @@ pub(crate) fn stats(shared: &Shared) -> String {
     let (ready, _) = shared.is_ready();
     let metrics = &shared.metrics;
     let config = &shared.config;
-    line(4096, |w| {
+    line(|w| {
         w.key("status").str("ok");
         w.key("workers").int(config.workers);
         w.key("queue_capacity").int(config.queue_capacity);
@@ -204,7 +208,7 @@ fn frame(w: &mut Writer<'_>, tag: &str, cid: u64) {
 }
 
 pub(crate) fn accepted_frame(cid: u64, job: u64, circuit: &str, seed: u64) -> String {
-    line(circuit.len() + 96, |w| {
+    line(|w| {
         frame(w, "accepted", cid);
         w.key("job").int(job);
         w.key("circuit").str(circuit);
@@ -213,7 +217,7 @@ pub(crate) fn accepted_frame(cid: u64, job: u64, circuit: &str, seed: u64) -> St
 }
 
 pub(crate) fn queued_frame(cid: u64, depth: u64) -> String {
-    line(64, |w| {
+    line(|w| {
         frame(w, "queued", cid);
         w.key("depth").int(depth);
     })
@@ -227,7 +231,7 @@ pub(crate) fn progress_frame(
     total: usize,
     cost: f64,
 ) -> String {
-    line(128, |w| {
+    line(|w| {
         frame(w, "progress", cid);
         w.key("engine").str(engine);
         w.key("restart").int(restart);

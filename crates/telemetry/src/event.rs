@@ -22,27 +22,51 @@ pub enum Value {
     Str(String),
 }
 
-macro_rules! value_from {
-    ($($t:ty => |$v:ident| $value:expr),* $(,)?) => {
-        $(impl From<$t> for Value {
-            fn from($v: $t) -> Self {
-                $value
-            }
-        })*
-    };
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::U64(v)
+    }
 }
-
-value_from!(
-    u64 => |v| Value::U64(v),
-    u32 => |v| Value::U64(u64::from(v)),
-    usize => |v| Value::U64(v as u64),
-    i64 => |v| Value::I64(v),
-    i32 => |v| Value::I64(i64::from(v)),
-    f64 => |v| Value::F64(v),
-    bool => |v| Value::Bool(v),
-    &str => |v| Value::Str(v.to_string()),
-    String => |v| Value::Str(v),
-);
+impl From<u32> for Value {
+    fn from(v: u32) -> Self {
+        Value::U64(u64::from(v))
+    }
+}
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::U64(v as u64)
+    }
+}
+impl From<i64> for Value {
+    fn from(v: i64) -> Self {
+        Value::I64(v)
+    }
+}
+impl From<i32> for Value {
+    fn from(v: i32) -> Self {
+        Value::I64(i64::from(v))
+    }
+}
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::F64(v)
+    }
+}
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
+    }
+}
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Str(v)
+    }
+}
 
 /// One Chrome `trace_event` record.
 ///
