@@ -143,9 +143,7 @@ impl PortfolioConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (`restarts == 0`, no engines,
-    /// duplicate engines, or a wirelength weight that is not finite and
-    /// non-negative).
+    /// Panics if [`PortfolioConfig::check`] refuses the configuration.
     #[must_use]
     pub fn generations(&self) -> Vec<Vec<RestartTask>> {
         self.validate();
@@ -170,29 +168,55 @@ impl PortfolioConfig {
             .collect()
     }
 
-    /// Checks the configuration invariants.
+    /// Checks every range rule of a job's options: at least one restart, a
+    /// non-empty list of distinct engines, a finite non-negative wirelength
+    /// weight, a hier threshold and a plateau window of at least 1, and a
+    /// finite non-negative improvement threshold. The CLI, `apls submit` and
+    /// the service all apply these rules, and the messages name the fields
+    /// as a `place` request spells them.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message of the first rule the configuration breaks.
+    pub fn check(&self) -> Result<(), String> {
+        if self.restarts == 0 {
+            return Err("'restarts' must be at least 1".to_string());
+        }
+        if self.engines.is_empty() {
+            return Err("'engines' must name at least one engine".to_string());
+        }
+        for (i, engine) in self.engines.iter().enumerate() {
+            if self.engines[..i].contains(engine) {
+                return Err(format!("duplicate engine '{engine}'"));
+            }
+        }
+        if !(self.wirelength_weight.is_finite() && self.wirelength_weight >= 0.0) {
+            return Err("'wirelength_weight' must be finite and non-negative".to_string());
+        }
+        if self.hier_anneal_threshold == 0 {
+            return Err("'hier_anneal_threshold' must be at least 1".to_string());
+        }
+        if let Some(es) = &self.early_stop {
+            if es.window == 0 {
+                return Err("'plateau' must be at least 1".to_string());
+            }
+            if !(es.min_improvement.is_finite() && es.min_improvement >= 0.0) {
+                return Err(
+                    "early-stop improvement threshold must be finite and non-negative".to_string()
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Asserts [`PortfolioConfig::check`].
     ///
     /// # Panics
     ///
-    /// See [`PortfolioConfig::generations`].
+    /// Panics with the check's message if the configuration is invalid.
     pub fn validate(&self) {
-        assert!(self.restarts >= 1, "portfolio needs at least one restart");
-        assert!(!self.engines.is_empty(), "portfolio needs at least one engine");
-        let mut engines = self.engines.clone();
-        engines.sort_by_key(|e| e.lane());
-        engines.dedup();
-        assert_eq!(engines.len(), self.engines.len(), "duplicate engine in portfolio");
-        assert!(
-            self.wirelength_weight.is_finite() && self.wirelength_weight >= 0.0,
-            "wirelength weight must be finite and non-negative"
-        );
-        assert!(self.hier_anneal_threshold >= 1, "hier annealing threshold must be at least 1");
-        if let Some(es) = &self.early_stop {
-            assert!(es.window >= 1, "early-stop window must be at least 1");
-            assert!(
-                es.min_improvement.is_finite() && es.min_improvement >= 0.0,
-                "early-stop improvement threshold must be finite and non-negative"
-            );
+        if let Err(message) = self.check() {
+            panic!("{message}");
         }
     }
 }
@@ -241,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one restart")]
+    #[should_panic(expected = "'restarts' must be at least 1")]
     fn zero_restarts_panic() {
         let _ = PortfolioConfig::new(1).with_restarts(0).generations();
     }

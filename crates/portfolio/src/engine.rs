@@ -107,14 +107,15 @@ impl PortfolioEngine {
     /// Parses a CLI engine name (the inverse of [`PortfolioEngine::name`]).
     #[must_use]
     pub fn from_name(name: &str) -> Option<PortfolioEngine> {
-        match name {
-            "seqpair" => Some(PortfolioEngine::SequencePair),
-            "hbtree" => Some(PortfolioEngine::HbTree),
-            "deterministic" => Some(PortfolioEngine::Deterministic),
-            "hier" => Some(PortfolioEngine::Hier),
-            "tempering" => Some(PortfolioEngine::Tempering),
-            _ => None,
-        }
+        PortfolioEngine::ALL.into_iter().find(|engine| engine.name() == name)
+    }
+
+    /// Every engine name in [`PortfolioEngine::ALL`] order, comma-separated
+    /// (`seqpair, hbtree, …`): the one spelling of the list that help and
+    /// error text quote.
+    #[must_use]
+    pub fn names() -> String {
+        PortfolioEngine::ALL.map(PortfolioEngine::name).join(", ")
     }
 }
 
@@ -324,6 +325,8 @@ mod tests {
             assert_eq!(PortfolioEngine::from_name(engine.name()), Some(engine));
         }
         assert_eq!(PortfolioEngine::from_name("portfolio"), None);
+        // the service's "unknown engine" message quotes this list verbatim
+        assert_eq!(PortfolioEngine::names(), "seqpair, hbtree, deterministic, hier, tempering");
     }
 
     #[test]

@@ -18,6 +18,8 @@ use crate::json::Json;
 use apls_io::canonical_hash;
 use apls_portfolio::{EarlyStop, PortfolioConfig, PortfolioEngine};
 use apls_telemetry::json::{self, Float, Layout};
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Where a job's circuit comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,8 +205,9 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a message when the request is structurally valid JSON but not
-    /// a valid job: missing/conflicting circuit source, out-of-range or
-    /// wrong-typed fields, unknown engine names, duplicate engines.
+    /// a valid job: missing/conflicting circuit source, unknown or
+    /// wrong-typed fields, unknown engine names, or a value
+    /// [`JobSpec::check`] refuses.
     pub fn from_json(json: &Json) -> Result<JobSpec, String> {
         // strict field set: a typo'd option must error, not silently run the
         // job with defaults
@@ -256,29 +259,16 @@ impl JobSpec {
             spec.seed = Some(v.as_u64().ok_or("'seed' must be an unsigned 64-bit integer")?);
         }
         if let Some(v) = json.get("restarts") {
-            let restarts = v.as_usize().ok_or("'restarts' must be a positive integer")?;
-            if restarts == 0 {
-                return Err("'restarts' must be at least 1".to_string());
-            }
-            spec.restarts = Some(restarts);
+            spec.restarts = Some(v.as_usize().ok_or("'restarts' must be a positive integer")?);
         }
         if let Some(v) = json.get("engines") {
             let items = v.as_arr().ok_or("'engines' must be an array of engine names")?;
             let mut engines = Vec::with_capacity(items.len());
             for item in items {
                 let name = item.as_str().ok_or("'engines' entries must be strings")?;
-                let engine = PortfolioEngine::from_name(name).ok_or_else(|| {
-                    format!(
-                        "unknown engine '{name}' (seqpair, hbtree, deterministic, hier, tempering)"
-                    )
-                })?;
-                if engines.contains(&engine) {
-                    return Err(format!("duplicate engine '{name}'"));
-                }
-                engines.push(engine);
-            }
-            if engines.is_empty() {
-                return Err("'engines' must name at least one engine".to_string());
+                engines.push(PortfolioEngine::from_name(name).ok_or_else(|| {
+                    format!("unknown engine '{name}' ({})", PortfolioEngine::names())
+                })?);
             }
             spec.engines = Some(engines);
         }
@@ -286,35 +276,21 @@ impl JobSpec {
             spec.fast = Some(v.as_bool().ok_or("'fast' must be a boolean")?);
         }
         if let Some(v) = json.get("wirelength_weight") {
-            let w = v.as_f64().ok_or("'wirelength_weight' must be a number")?;
-            if !w.is_finite() || w < 0.0 {
-                return Err("'wirelength_weight' must be finite and non-negative".to_string());
-            }
-            spec.wirelength_weight = Some(w);
+            spec.wirelength_weight =
+                Some(v.as_f64().ok_or("'wirelength_weight' must be a number")?);
         }
         if let Some(v) = json.get("hier_anneal_threshold") {
-            let t = v.as_usize().ok_or("'hier_anneal_threshold' must be a positive integer")?;
-            if t == 0 {
-                return Err("'hier_anneal_threshold' must be at least 1".to_string());
-            }
-            spec.hier_anneal_threshold = Some(t);
+            spec.hier_anneal_threshold =
+                Some(v.as_usize().ok_or("'hier_anneal_threshold' must be a positive integer")?);
         }
         if let Some(v) = json.get("plateau") {
-            let p = v.as_usize().ok_or("'plateau' must be a positive integer")?;
-            if p == 0 {
-                return Err("'plateau' must be at least 1".to_string());
-            }
-            spec.plateau = Some(p);
+            spec.plateau = Some(v.as_usize().ok_or("'plateau' must be a positive integer")?);
         }
         if let Some(v) = json.get("threads") {
             spec.threads = Some(v.as_usize().ok_or("'threads' must be an integer")?);
         }
         if let Some(v) = json.get("deadline_ms") {
-            let d = v.as_u64().ok_or("'deadline_ms' must be an unsigned integer")?;
-            if d == 0 {
-                return Err("'deadline_ms' must be at least 1".to_string());
-            }
-            spec.deadline_ms = Some(d);
+            spec.deadline_ms = Some(v.as_u64().ok_or("'deadline_ms' must be an unsigned integer")?);
         }
         if let Some(v) = json.get("stream") {
             spec.stream = Some(v.as_bool().ok_or("'stream' must be a boolean")?);
@@ -322,6 +298,7 @@ impl JobSpec {
         if let Some(v) = json.get("id") {
             spec.stream_id = Some(v.as_u64().ok_or("'id' must be an unsigned 64-bit integer")?);
         }
+        spec.check()?;
         match (spec.stream, spec.stream_id) {
             (Some(true), None) => {
                 return Err("'stream':true needs a client-chosen 'id' to tag frames".to_string())
@@ -334,13 +311,33 @@ impl JobSpec {
         Ok(spec)
     }
 
+    /// Checks the job's range rules: [`PortfolioConfig::check`] on the
+    /// resolved configuration, and a deadline of at least 1 ms. Every way a
+    /// job arrives — a local run, `apls submit`, a `place` request — is
+    /// checked here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message of the first rule the job breaks.
+    pub fn check(&self) -> Result<(), String> {
+        self.resolved_config(0).check()?;
+        if self.deadline_ms == Some(0) {
+            return Err("'deadline_ms' must be at least 1".to_string());
+        }
+        Ok(())
+    }
+
     /// Resolves the spec into a full portfolio configuration rooted at
     /// `seed`. Defaults match [`PortfolioConfig::default`] except `threads`,
     /// which defaults to 1: job-level parallelism belongs to the service's
-    /// worker pool, not to rayon inside one job.
+    /// worker pool, not to rayon inside one job. A thread count above the
+    /// host's core count is cut to it, so a request cannot make a worker
+    /// start more OS threads than there are cores; `0` still means one per
+    /// core, and the count never changes results.
     #[must_use]
     pub fn resolved_config(&self, seed: u64) -> PortfolioConfig {
-        let mut config = PortfolioConfig::new(seed).with_threads(self.threads.unwrap_or(1));
+        let threads = self.threads.map_or(1, |threads| threads.min(available_cores()));
+        let mut config = PortfolioConfig::new(seed).with_threads(threads);
         if let Some(restarts) = self.restarts {
             config = config.with_restarts(restarts);
         }
@@ -394,6 +391,13 @@ impl JobSpec {
     pub fn config_fingerprint(&self) -> u64 {
         canonical_hash(&self.config_canonical())
     }
+}
+
+/// The host's core count, read once: the most rayon threads a job may ask
+/// for.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// A decoded `place` response envelope.
@@ -666,6 +670,17 @@ mod tests {
 
         let different = base.clone().with_restarts(3);
         assert_ne!(base.config_fingerprint(), different.config_fingerprint());
+    }
+
+    #[test]
+    fn threads_are_cut_to_the_core_count() {
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut spec = JobSpec::bundled("miller_v2");
+        assert_eq!(spec.resolved_config(0).threads, 1, "a job defaults to one thread");
+        spec.threads = Some(usize::MAX);
+        assert_eq!(spec.resolved_config(0).threads, cores);
+        spec.threads = Some(0);
+        assert_eq!(spec.resolved_config(0).threads, 0, "0 still means one per core");
     }
 
     #[test]

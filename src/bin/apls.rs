@@ -24,12 +24,12 @@
 use analog_layout_synthesis::circuit::benchmarks::{self, GeneratorConfig};
 use analog_layout_synthesis::io::{parse_circuit, serialize_circuit};
 use analog_layout_synthesis::portfolio::{
-    run_portfolio_with, EarlyStop, PortfolioConfig, PortfolioEngine, RunContext,
+    run_portfolio_with, PortfolioConfig, PortfolioEngine, RunContext,
 };
 use analog_layout_synthesis::service::json::Json;
 use analog_layout_synthesis::service::{
-    FaultPlan, JobSpec, JournalConfig, PlacementService, RetryPolicy, ServiceClient, ServiceConfig,
-    StreamFrame,
+    CircuitSource, FaultPlan, JobSpec, JournalConfig, PlacementService, RetryPolicy, ServiceClient,
+    ServiceConfig, StreamFrame,
 };
 use analog_layout_synthesis::telemetry::{
     RecordingCollector, StreamCollector, Telemetry, TraceSummary,
@@ -39,7 +39,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 fn cli() -> Command {
-    Command::new("apls")
+    let command = Command::new("apls")
         .about("Analog placement portfolio runner (DATE 2009 survey reproduction)")
         .version(env!("CARGO_PKG_VERSION"))
         .arg(
@@ -49,66 +49,8 @@ fn cli() -> Command {
                 .value_name("NAME")
                 .default_value("miller_opamp_fig6")
                 .help("Benchmark circuit to place (see --list)"),
-        )
-        .arg(
-            Arg::new("engine")
-                .long("engine")
-                .short('e')
-                .value_name("ENGINE")
-                .default_value("portfolio")
-                .help("portfolio, seqpair, hbtree, deterministic, hier, or tempering"),
-        )
-        .arg(
-            Arg::new("restarts")
-                .long("restarts")
-                .short('k')
-                .value_name("K")
-                .default_value("8")
-                .help("Annealing restarts per stochastic engine"),
-        )
-        .arg(
-            Arg::new("seed")
-                .long("seed")
-                .short('s')
-                .value_name("SEED")
-                .default_value("1")
-                .help("Root seed; every restart derives its own seed from it"),
-        )
-        .arg(
-            Arg::new("threads")
-                .long("threads")
-                .short('t')
-                .value_name("N")
-                .default_value("0")
-                .help("Worker threads (0 = one per core); never changes results"),
-        )
-        .arg(
-            Arg::new("wirelength-weight")
-                .long("wirelength-weight")
-                .short('w')
-                .value_name("W")
-                .default_value("0.5")
-                .help("Weight of the wirelength term in the cost"),
-        )
-        .arg(
-            Arg::new("hier-anneal-threshold")
-                .long("hier-anneal-threshold")
-                .value_name("N")
-                .default_value("5")
-                .help("hier engine: anneal hierarchy nodes with more than N modules"),
-        )
-        .arg(
-            Arg::new("plateau")
-                .long("plateau")
-                .value_name("WINDOW")
-                .help("Stop early after WINDOW generations without improvement"),
-        )
-        .arg(
-            Arg::new("fast")
-                .long("fast")
-                .action(ArgAction::SetTrue)
-                .help("Use the short smoke-test annealing schedule"),
-        )
+        );
+    job_args(command)
         .arg(
             Arg::new("json")
                 .long("json")
@@ -139,6 +81,78 @@ fn cli() -> Command {
         .subcommand(convert_command())
         .subcommand(gen_command())
         .subcommand(trace_command())
+}
+
+/// The job options, stated once: the local run and `submit` both take them,
+/// and [`job_spec`] reads them. An option left out takes the portfolio
+/// default, except the seed and the thread count, which differ between a
+/// local run and a job sent to the service.
+fn job_args(command: Command) -> Command {
+    let defaults = PortfolioConfig::default();
+    command
+        .arg(
+            Arg::new("engine")
+                .long("engine")
+                .short('e')
+                .value_name("ENGINE")
+                .default_value("portfolio")
+                .help(format!("portfolio (all engines), or one of: {}", PortfolioEngine::names())),
+        )
+        .arg(
+            Arg::new("restarts")
+                .long("restarts")
+                .short('k')
+                .value_name("K")
+                .help(format!(
+                    "Annealing restarts per stochastic engine [default: {}]",
+                    defaults.restarts
+                )),
+        )
+        .arg(
+            Arg::new("seed")
+                .long("seed")
+                .short('s')
+                .value_name("SEED")
+                .help("Root seed; every restart derives its own seed from it [default: 1; submit: the service derives one from the job index]"),
+        )
+        .arg(
+            Arg::new("threads")
+                .long("threads")
+                .short('t')
+                .value_name("N")
+                .help("Worker threads inside the job (0 = one per core; more than the cores are cut to the core count); never changes results [default: 0; submit: 1]"),
+        )
+        .arg(
+            Arg::new("wirelength-weight")
+                .long("wirelength-weight")
+                .short('w')
+                .value_name("W")
+                .help(format!(
+                    "Weight of the wirelength term in the cost [default: {}]",
+                    defaults.wirelength_weight
+                )),
+        )
+        .arg(
+            Arg::new("hier-anneal-threshold")
+                .long("hier-anneal-threshold")
+                .value_name("N")
+                .help(format!(
+                    "hier engine: anneal hierarchy nodes with more than N modules [default: {}]",
+                    defaults.hier_anneal_threshold
+                )),
+        )
+        .arg(
+            Arg::new("plateau")
+                .long("plateau")
+                .value_name("WINDOW")
+                .help("Stop early after WINDOW generations without improvement"),
+        )
+        .arg(
+            Arg::new("fast")
+                .long("fast")
+                .action(ArgAction::SetTrue)
+                .help("Use the short smoke-test annealing schedule"),
+        )
 }
 
 fn serve_command() -> Command {
@@ -245,7 +259,7 @@ fn serve_command() -> Command {
 }
 
 fn submit_command() -> Command {
-    Command::new("submit")
+    let command = Command::new("submit")
         .about("Submit one request to a running placement service")
         .arg(
             Arg::new("addr")
@@ -277,58 +291,6 @@ fn submit_command() -> Command {
                 .help("Inline circuit: a .apls file to embed in the request"),
         )
         .arg(
-            Arg::new("seed").long("seed").short('s').value_name("SEED").help(
-                "Pin the job's root seed (otherwise the service derives one from the job index)",
-            ),
-        )
-        .arg(
-            Arg::new("restarts")
-                .long("restarts")
-                .short('k')
-                .value_name("K")
-                .help("Annealing restarts per stochastic engine"),
-        )
-        .arg(
-            Arg::new("engine")
-                .long("engine")
-                .short('e')
-                .value_name("ENGINE")
-                .default_value("portfolio")
-                .help("portfolio, seqpair, hbtree, deterministic, hier, or tempering"),
-        )
-        .arg(
-            Arg::new("wirelength-weight")
-                .long("wirelength-weight")
-                .short('w')
-                .value_name("W")
-                .help("Weight of the wirelength term in the cost"),
-        )
-        .arg(
-            Arg::new("hier-anneal-threshold")
-                .long("hier-anneal-threshold")
-                .value_name("N")
-                .help("hier engine: anneal hierarchy nodes with more than N modules"),
-        )
-        .arg(
-            Arg::new("plateau")
-                .long("plateau")
-                .value_name("WINDOW")
-                .help("Stop early after WINDOW generations without improvement"),
-        )
-        .arg(
-            Arg::new("threads")
-                .long("threads")
-                .short('t')
-                .value_name("N")
-                .help("Rayon threads inside the job (service default: 1)"),
-        )
-        .arg(
-            Arg::new("fast")
-                .long("fast")
-                .action(ArgAction::SetTrue)
-                .help("Use the short smoke-test annealing schedule"),
-        )
-        .arg(
             Arg::new("deadline-ms")
                 .long("deadline-ms")
                 .value_name("MS")
@@ -351,7 +313,8 @@ fn submit_command() -> Command {
                 .long("stream")
                 .action(ArgAction::SetTrue)
                 .help("Stream tagged progress frames (accepted, queued, per-restart progress) while the job runs; the final report is byte-identical"),
-        )
+        );
+    job_args(command)
 }
 
 fn convert_command() -> Command {
@@ -524,17 +487,6 @@ fn parse_optional<T: std::str::FromStr>(
     matches_value.map(|raw| parse_number(Some(raw), what)).transpose()
 }
 
-/// Rejects a weight the cost function cannot use. A local run and `submit`
-/// share the check, so neither runs nor sends a negative, NaN or infinite
-/// weight.
-fn check_wirelength_weight(weight: f64) -> Result<f64, String> {
-    if weight.is_finite() && weight >= 0.0 {
-        Ok(weight)
-    } else {
-        Err("--wirelength-weight must be finite and non-negative".to_string())
-    }
-}
-
 fn write_output(path: &str, content: &str, what: &str) -> Result<(), String> {
     if path == "-" {
         print!("{content}");
@@ -546,13 +498,39 @@ fn write_output(path: &str, content: &str, what: &str) -> Result<(), String> {
     }
 }
 
-fn engines_for(engine_name: &str) -> Result<Vec<PortfolioEngine>, String> {
-    match engine_name {
-        "portfolio" => Ok(PortfolioEngine::ALL.to_vec()),
-        other => Ok(vec![PortfolioEngine::from_name(other).ok_or_else(|| {
-            format!("unknown engine '{other}' (portfolio, seqpair, hbtree, deterministic, hier, tempering)")
+/// Reads the job options of [`job_args`] (and `submit`'s `--deadline-ms`,
+/// absent on the local command) into a job for `circuit`, and checks it
+/// with [`JobSpec::check`]: the rules the service applies to a `place`
+/// request, with the same messages.
+fn job_spec(matches: &ArgMatches, circuit: CircuitSource) -> Result<JobSpec, String> {
+    let engines = match matches.get_one::<String>("engine").expect("defaulted").as_str() {
+        "portfolio" => None,
+        name => Some(vec![PortfolioEngine::from_name(name).ok_or_else(|| {
+            format!("unknown engine '{name}' (portfolio, {})", PortfolioEngine::names())
         })?]),
-    }
+    };
+    let spec = JobSpec {
+        circuit,
+        seed: parse_optional(matches.get_one::<String>("seed"), "--seed")?,
+        restarts: parse_optional(matches.get_one::<String>("restarts"), "--restarts")?,
+        engines,
+        fast: matches.get_flag("fast").then_some(true),
+        wirelength_weight: parse_optional(
+            matches.get_one::<String>("wirelength-weight"),
+            "--wirelength-weight",
+        )?,
+        hier_anneal_threshold: parse_optional(
+            matches.get_one::<String>("hier-anneal-threshold"),
+            "--hier-anneal-threshold",
+        )?,
+        plateau: parse_optional(matches.get_one::<String>("plateau"), "--plateau")?,
+        threads: parse_optional(matches.get_one::<String>("threads"), "--threads")?,
+        deadline_ms: parse_optional(matches.get_one::<String>("deadline-ms"), "--deadline-ms")?,
+        stream: None,
+        stream_id: None,
+    };
+    spec.check()?;
+    Ok(spec)
 }
 
 fn run_serve(matches: &ArgMatches) -> Result<(), String> {
@@ -686,46 +664,30 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
         other => return Err(format!("unknown op '{other}' (place, ping, stats, dump, shutdown)")),
     }
 
-    let mut spec = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("file")) {
+    let circuit = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("file")) {
         (Some(_), Some(_)) => return Err("--circuit and --file are mutually exclusive".to_string()),
-        (Some(name), None) => JobSpec::bundled(name.clone()),
+        (Some(name), None) => CircuitSource::Bundled(name.clone()),
         (None, Some(path)) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             // fail fast with a positioned message instead of shipping junk
             parse_circuit(&text).map_err(|e| format!("{path}:{e}"))?;
-            JobSpec::inline(text)
+            CircuitSource::Inline(text)
         }
         (None, None) => {
             return Err("submit needs a circuit: --circuit NAME or --file FILE.apls".to_string())
         }
     };
-    spec.seed = parse_optional(matches.get_one::<String>("seed"), "--seed")?;
-    spec.restarts = parse_optional(matches.get_one::<String>("restarts"), "--restarts")?;
-    spec.wirelength_weight =
-        parse_optional(matches.get_one::<String>("wirelength-weight"), "--wirelength-weight")?
-            .map(check_wirelength_weight)
-            .transpose()?;
-    spec.hier_anneal_threshold = parse_optional(
-        matches.get_one::<String>("hier-anneal-threshold"),
-        "--hier-anneal-threshold",
-    )?;
-    spec.plateau = parse_optional(matches.get_one::<String>("plateau"), "--plateau")?;
-    spec.threads = parse_optional(matches.get_one::<String>("threads"), "--threads")?;
-    spec.deadline_ms = parse_optional(matches.get_one::<String>("deadline-ms"), "--deadline-ms")?;
-    if spec.deadline_ms == Some(0) {
-        return Err("--deadline-ms must be at least 1".to_string());
-    }
-    if matches.get_flag("fast") {
-        spec.fast = Some(true);
-    }
-    let engine_name = matches.get_one::<String>("engine").expect("defaulted");
-    if engine_name != "portfolio" {
-        spec.engines = Some(engines_for(engine_name)?);
+    let spec = job_spec(matches, circuit)?;
+    let stream = matches.get_flag("stream");
+    let retries: Option<u32> = parse_optional(matches.get_one::<String>("retries"), "--retries")?;
+    match retries {
+        Some(_) if stream => return Err("--retries cannot be combined with --stream".to_string()),
+        Some(0) => return Err("--retries must be at least 1".to_string()),
+        _ => {}
     }
 
-    let retries: Option<u32> = parse_optional(matches.get_one::<String>("retries"), "--retries")?;
-    let response = if matches.get_flag("stream") {
+    let response = if stream {
         connect()?.place_streaming(&spec, |frame| match frame {
             StreamFrame::Accepted { job, circuit, seed, .. } => {
                 println!("accepted: job {job} circuit={circuit} seed={seed}");
@@ -738,7 +700,6 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
         })
     } else {
         match retries {
-            Some(0) => return Err("--retries must be at least 1".to_string()),
             Some(attempts) if attempts > 1 => {
                 let policy = RetryPolicy { max_attempts: attempts, ..RetryPolicy::default() };
                 ServiceClient::place_with_retry(addr.as_str(), &spec, &policy)
@@ -855,40 +816,10 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
         format!("unknown circuit '{circuit_name}' (available: {})", benchmarks::names().join(", "))
     })?;
 
-    let restarts: usize = parse_number(matches.get_one::<String>("restarts"), "--restarts")?;
-    let seed: u64 = parse_number(matches.get_one::<String>("seed"), "--seed")?;
-    let threads: usize = parse_number(matches.get_one::<String>("threads"), "--threads")?;
-    let wirelength_weight: f64 =
-        parse_number(matches.get_one::<String>("wirelength-weight"), "--wirelength-weight")?;
-    let hier_anneal_threshold: usize = parse_number(
-        matches.get_one::<String>("hier-anneal-threshold"),
-        "--hier-anneal-threshold",
-    )?;
-    if restarts == 0 {
-        return Err("--restarts must be at least 1".to_string());
-    }
-    if hier_anneal_threshold == 0 {
-        return Err("--hier-anneal-threshold must be at least 1".to_string());
-    }
-    check_wirelength_weight(wirelength_weight)?;
-
-    let engine_name = matches.get_one::<String>("engine").expect("defaulted");
-    let engines = engines_for(engine_name)?;
-
-    let mut config = PortfolioConfig::new(seed)
-        .with_restarts(restarts)
-        .with_engines(engines)
-        .with_threads(threads)
-        .with_fast_schedule(matches.get_flag("fast"))
-        .with_wirelength_weight(wirelength_weight)
-        .with_hier_anneal_threshold(hier_anneal_threshold);
-    if matches.get_one::<String>("plateau").is_some() {
-        let window: usize = parse_number(matches.get_one::<String>("plateau"), "--plateau")?;
-        if window == 0 {
-            return Err("--plateau must be at least 1".to_string());
-        }
-        config = config.with_early_stop(EarlyStop::after(window));
-    }
+    let mut spec = job_spec(matches, CircuitSource::Bundled(circuit_name.clone()))?;
+    // a local run's own defaults: root seed 1, one thread per core
+    spec.threads.get_or_insert(0);
+    let config = spec.resolved_config(spec.seed.unwrap_or(1));
 
     let trace_path = matches.get_one::<String>("trace");
     let recorder = trace_path.map(|_| Arc::new(RecordingCollector::new()));

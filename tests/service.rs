@@ -172,22 +172,93 @@ fn inline_and_bundled_sources_share_cache_entries() {
     service.join();
 }
 
-/// `submit` refuses a weight the cost function cannot use before it
-/// connects, with the message a local run gives: the request line it would
-/// send is never written.
+/// Runs `apls` with `args` and returns its exit code and stderr.
+fn apls(args: &[&str]) -> (Option<i32>, String) {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_apls"))
+        .args(args)
+        .output()
+        .expect("apls runs");
+    (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+/// Every range rule of a job is one rule, whichever way the job arrives: a
+/// `place` request is refused by `JobSpec::from_json`, `apls submit` exits 2
+/// before it connects (the address is a closed port, so a connection
+/// attempt would say "cannot connect" instead), and a local run exits 2, all
+/// with the service's wording.
 #[test]
-fn submit_refuses_a_non_finite_weight_before_connecting() {
-    for weight in ["nan", "inf", "-1"] {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_apls"))
-            .args(["submit", "--addr", "127.0.0.1:9", "-c", "miller_opamp_fig6"])
-            .args(["--wirelength-weight", weight])
-            .output()
-            .expect("apls runs");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{weight}: {stderr}");
-        assert!(
-            stderr.contains("--wirelength-weight must be finite and non-negative"),
-            "{weight}: {stderr}"
-        );
+fn every_job_rule_refuses_alike_on_the_wire_in_submit_and_in_a_local_run() {
+    // (CLI options, none where the CLI cannot say it; the request field with
+    // the same value; whether a local run takes the options; the message)
+    let rows: [(&[&str], Option<&str>, bool, &str); 11] = [
+        (&["--restarts", "0"], Some(r#""restarts":0"#), true, "'restarts' must be at least 1"),
+        (&["--plateau", "0"], Some(r#""plateau":0"#), true, "'plateau' must be at least 1"),
+        (
+            &["--hier-anneal-threshold", "0"],
+            Some(r#""hier_anneal_threshold":0"#),
+            true,
+            "'hier_anneal_threshold' must be at least 1",
+        ),
+        // a deadline is a service matter: the local run has no such option
+        (
+            &["--deadline-ms", "0"],
+            Some(r#""deadline_ms":0"#),
+            false,
+            "'deadline_ms' must be at least 1",
+        ),
+        // JSON has no NaN literal: a NaN weight goes out as null, which the
+        // decoder refuses as not a number (see the protocol unit tests)
+        (&["-w", "nan"], None, true, "'wirelength_weight' must be finite and non-negative"),
+        (
+            &["-w", "inf"],
+            Some(r#""wirelength_weight":1e999"#),
+            true,
+            "'wirelength_weight' must be finite and non-negative",
+        ),
+        (
+            &["-w", "-1"],
+            Some(r#""wirelength_weight":-1"#),
+            true,
+            "'wirelength_weight' must be finite and non-negative",
+        ),
+        // the CLI also accepts "portfolio", so its list of names is longer
+        (&["-e", "warp"], Some(r#""engines":["warp"]"#), true, "unknown engine 'warp'"),
+        // the CLI names one engine or all of them, so only a request can
+        // repeat one
+        (&[], Some(r#""engines":["hier","hier"]"#), false, "duplicate engine 'hier'"),
+        // client-side rules of `submit` alone
+        (
+            &["--stream", "--retries", "2"],
+            None,
+            false,
+            "--retries cannot be combined with --stream",
+        ),
+        (&["--retries", "0"], None, false, "--retries must be at least 1"),
+    ];
+    for (args, request, local, message) in rows {
+        if let Some(field) = request {
+            let line = format!(r#"{{"op":"place","circuit":"miller_opamp_fig6",{field}}}"#);
+            let err = JobSpec::from_json(&Json::parse(&line).expect("valid JSON")).unwrap_err();
+            assert!(err.contains(message), "{line}: {err}");
+        }
+
+        if args.is_empty() {
+            continue;
+        }
+        let submit =
+            [&["submit", "--addr", "127.0.0.1:9", "-c", "miller_opamp_fig6"], args].concat();
+        let (code, stderr) = apls(&submit);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+
+        if local {
+            let (code, stderr) = apls(&[&["-c", "miller_opamp_fig6", "--fast"], args].concat());
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(message), "{args:?}: {stderr}");
+        }
     }
+
+    let mut spec = JobSpec::bundled("miller_opamp_fig6");
+    spec.wirelength_weight = Some(f64::NAN);
+    assert_eq!(spec.check().unwrap_err(), "'wirelength_weight' must be finite and non-negative");
 }
