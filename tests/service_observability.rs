@@ -52,6 +52,79 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
     (status, body)
 }
 
+/// Sends `request` in one write and returns every byte the server sends
+/// back before it closes the connection. A reset after the answer (the
+/// server closed with request bytes still unread) ends the read like a
+/// close does; the bytes received before it are kept.
+fn http_raw(addr: SocketAddr, request: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("metrics listener accepts");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout sets");
+    stream.write_all(request).expect("request writes");
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => raw.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset && !raw.is_empty() => break,
+            Err(e) => panic!("response read failed after {} bytes: {e}", raw.len()),
+        }
+    }
+    raw
+}
+
+#[test]
+fn endpoint_responses_are_pinned_byte_for_byte() {
+    let service = PlacementService::start(ServiceConfig {
+        workers: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let addr = service.metrics_addr().expect("metrics listener bound");
+    let get = |path: &str| {
+        let request = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
+        String::from_utf8(http_raw(addr, request.as_bytes())).expect("UTF-8 response")
+    };
+    let text = "Content-Type: text/plain; charset=utf-8\r\n";
+    assert_eq!(
+        get("/healthz"),
+        format!("HTTP/1.1 200 OK\r\n{text}Content-Length: 3\r\nConnection: close\r\n\r\nok\n")
+    );
+    assert_eq!(
+        get("/readyz"),
+        format!("HTTP/1.1 200 OK\r\n{text}Content-Length: 6\r\nConnection: close\r\n\r\nready\n")
+    );
+    assert_eq!(
+        get("/nope"),
+        format!(
+            "HTTP/1.1 404 Not Found\r\n{text}Content-Length: 10\r\nConnection: close\r\n\r\nnot found\n"
+        )
+    );
+    let post = http_raw(addr, b"POST / HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n");
+    assert_eq!(
+        String::from_utf8(post).expect("UTF-8 response"),
+        format!(
+            "HTTP/1.1 400 Bad Request\r\n{text}Content-Length: 12\r\nConnection: close\r\n\r\nbad request\n"
+        )
+    );
+
+    // the exposition's numbers move, so pin its head and its framing
+    let metrics = get("/metrics");
+    let (head, body) = metrics.split_once("\r\n\r\n").expect("head and body");
+    let mut head_lines = head.split("\r\n");
+    assert_eq!(head_lines.next(), Some("HTTP/1.1 200 OK"));
+    assert_eq!(head_lines.next(), Some("Content-Type: text/plain; version=0.0.4; charset=utf-8"));
+    assert_eq!(head_lines.next(), Some(format!("Content-Length: {}", body.len()).as_str()));
+    assert_eq!(head_lines.next(), Some("Connection: close"));
+    assert_eq!(head_lines.next(), None);
+    assert!(body.starts_with("# "), "{body}");
+    assert!(body.contains("apls_build_info{"), "{body}");
+
+    service.shutdown();
+    service.join();
+}
+
 /// Every complete line of a flight-recorder file must round-trip through the
 /// service's own JSON parser; a final torn line (no trailing newline) is
 /// tolerated because a hard kill can cut the last write short.
