@@ -1,98 +1,55 @@
-//! The observability HTTP sidecar: a tiny std-only HTTP/1.1 listener
-//! serving Prometheus text-format `/metrics`, liveness (`/healthz`) and
-//! readiness (`/readyz`).
+//! The observability endpoints: Prometheus text-format `/metrics`, liveness
+//! (`/healthz`) and readiness (`/readyz`), answered on the metrics listener's
+//! connections by the reactor ([`crate::reactor`]).
 //!
 //! Deliberately minimal — GET only, one request per connection,
 //! `Connection: close` — because its sole clients are scrapers and load
 //! balancers, and because the job protocol (JSON lines over TCP) must stay
-//! the only stateful surface. The sidecar thread polls the shared shutdown
-//! flag between accepts so `PlacementService::join` terminates it without a
-//! dedicated wake channel.
+//! the only stateful surface. This module holds no socket: it parses the
+//! request line the reactor framed, routes it and formats the response.
 
+use crate::reply::OVERLOADED_LINE;
 use crate::server::Shared;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// How long the sidecar sleeps between accept attempts; bounds both idle CPU
-/// and shutdown latency.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
-
-/// Largest request head the sidecar will buffer before answering 400.
-const MAX_HEAD_BYTES: usize = 8 * 1024;
+/// Largest request head the reactor buffers on a metrics connection before
+/// answering 400.
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// Prometheus metric-name prefix for everything in the registry.
 const METRIC_PREFIX: &str = "apls_";
 
-/// Spawns the sidecar thread serving `listener` until shutdown.
-pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> JoinHandle<()> {
-    std::thread::spawn(move || serve(&listener, &shared))
-}
+const TEXT: &str = "text/plain; charset=utf-8";
 
-fn serve(listener: &TcpListener, shared: &Arc<Shared>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => handle_request(stream, shared),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
-        }
-    }
-}
-
-/// Serves exactly one request on `stream`. All errors are swallowed: a
-/// half-open scraper must never disturb the daemon.
-fn handle_request(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let Some(path) = read_request_path(&mut stream) else {
-        respond(&mut stream, 400, "text/plain; charset=utf-8", "bad request\n");
-        return;
+/// The response to one request line; `None` stands for a head over
+/// [`MAX_HEAD_BYTES`] or one that is not UTF-8.
+pub(crate) fn answer(request_line: Option<&str>, shared: &Shared) -> String {
+    let Some(path) = request_line.and_then(request_path) else {
+        return response(400, TEXT, "bad request\n");
     };
-    match path.as_str() {
+    match path {
         "/metrics" => {
             shared.refresh_uptime();
             let body = shared.metrics.registry.render_prometheus(METRIC_PREFIX);
-            respond(&mut stream, 200, "text/plain; version=0.0.4; charset=utf-8", &body);
+            response(200, "text/plain; version=0.0.4; charset=utf-8", &body)
         }
-        "/healthz" => respond(&mut stream, 200, "text/plain; charset=utf-8", "ok\n"),
+        "/healthz" => response(200, TEXT, "ok\n"),
         "/readyz" => {
             let (ready, reason) = shared.is_ready();
-            let status = if ready { 200 } else { 503 };
-            respond(&mut stream, status, "text/plain; charset=utf-8", &format!("{reason}\n"));
+            response(if ready { 200 } else { 503 }, TEXT, &format!("{reason}\n"))
         }
-        _ => respond(&mut stream, 404, "text/plain; charset=utf-8", "not found\n"),
+        _ => response(404, TEXT, "not found\n"),
     }
 }
 
-/// Reads the request head and extracts the path of a `GET <path> HTTP/1.x`
-/// request line. Returns `None` for anything else.
-fn read_request_path(stream: &mut TcpStream) -> Option<String> {
-    let mut head = Vec::new();
-    let mut chunk = [0u8; 1024];
-    // Read until the end of the request line; scrapers send tiny heads, so a
-    // couple of reads suffice. Stop early once a full line is buffered.
-    while !head.contains(&b'\n') {
-        if head.len() > MAX_HEAD_BYTES {
-            return None;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => head.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
-        }
-    }
-    let head = String::from_utf8_lossy(&head);
-    let line = head.lines().next()?;
+/// The refusal for a metrics connection beyond the connection limit: a 503
+/// carrying the job protocol's refusal line.
+pub(crate) fn overloaded() -> Vec<u8> {
+    response(503, "application/json", &String::from_utf8_lossy(OVERLOADED_LINE)).into_bytes()
+}
+
+/// The path of a `GET <path> HTTP/1.x` request line, query stripped; `None`
+/// for anything else.
+fn request_path(line: &str) -> Option<&str> {
     let mut parts = line.split_whitespace();
     let method = parts.next()?;
     let path = parts.next()?;
@@ -100,11 +57,11 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
     if method != "GET" || !version.starts_with("HTTP/1.") {
         return None;
     }
-    // Scrapers may append query strings; the sidecar ignores them.
-    Some(path.split('?').next().unwrap_or(path).to_string())
+    // Scrapers may append query strings; the endpoints ignore them.
+    path.split('?').next()
 }
 
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
+fn response(status: u16, content_type: &str, body: &str) -> String {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -112,10 +69,32 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         503 => "Service Unavailable",
         _ => "OK",
     };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
-    );
-    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes()));
-    let _ = stream.flush();
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{request_path, response};
+
+    #[test]
+    fn only_http1_gets_yield_a_path_and_queries_are_stripped() {
+        assert_eq!(request_path("GET /metrics HTTP/1.1\r"), Some("/metrics"));
+        assert_eq!(request_path("GET /readyz?verbose=1 HTTP/1.0"), Some("/readyz"));
+        assert_eq!(request_path("POST / HTTP/1.1"), None);
+        assert_eq!(request_path("GET / HTTP/2"), None);
+        assert_eq!(request_path("GET /healthz"), None);
+        assert_eq!(request_path(""), None);
+    }
+
+    #[test]
+    fn a_response_carries_its_status_type_length_and_close() {
+        assert_eq!(
+            response(503, "text/plain; charset=utf-8", "recovery replay in progress\n"),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 28\r\nConnection: close\r\n\r\nrecovery replay in progress\n"
+        );
+    }
 }

@@ -1,11 +1,11 @@
-//! The service core: one reactor thread owns the listener and every
+//! The service core: one reactor thread owns the listeners and every
 //! connection behind a readiness poller (epoll on Linux, `poll(2)` on other
 //! Unixes — see [`crate::poller`]). Non-Unix targets have no poller, so the
 //! service does not run there.
 //!
 //! ```text
 //!            ┌───────────────── reactor thread ─────────────────┐
-//!  TCP ──────► poller: listener + self-pipe + every connection  │
+//!  TCP ──────► poller: listeners + self-pipe + every connection │
 //!  clients   │ nonblocking reads ─ line framing ─ dispatch      │
 //!            │ per-connection write buffers ─ interest-based    │
 //!            │ backpressure ─ completion queue drain            │
@@ -23,12 +23,17 @@
 //! registered only while a buffer is non-empty; a slow reader stalls its own
 //! connection (reads pause past the high-water mark), never the reactor.
 //!
+//! A second, optional listener takes HTTP scrapes: the first line framed on
+//! such a connection is answered by [`crate::http`], then it closes. Those
+//! connections share the job connections' slots, limit and nonblocking reads.
+//!
 //! Everything behind the protocol — admission under the enqueue lock,
 //! derived seeds, cache, journal, deadlines, fault injection — lives in
 //! [`crate::server`] ([`admit_place`] and the worker pool), and every line
 //! written back comes from [`crate::reply`]; this module only frames lines,
 //! dispatches ops and moves bytes.
 
+use crate::http::{self, MAX_HEAD_BYTES};
 use crate::json::Json;
 pub(crate) use crate::poller::WakeSender;
 use crate::poller::{new_poller, Interest, PollEvent, Poller, WakePipe};
@@ -47,8 +52,10 @@ use std::time::Instant;
 const LISTENER: usize = 0;
 /// Poller token of the wake pipe's read end.
 const WAKE: usize = 1;
+/// Poller token of the metrics listener, registered only when one is bound.
+const METRICS: usize = 2;
 /// First connection token; connection at slot `s` gets token `CONN_BASE + s`.
-const CONN_BASE: usize = 2;
+const CONN_BASE: usize = 3;
 
 /// Reads pause once a connection's outbound buffer exceeds this, resuming
 /// when the peer drains it: a slow reader stalls itself, not the service.
@@ -82,6 +89,12 @@ fn next_line_end(buf: &[u8], scanned: &mut usize) -> Option<usize> {
 /// One reactor-owned connection.
 struct Conn {
     stream: TcpStream,
+    /// Accepted on the metrics listener: its first line is an HTTP request
+    /// line, answered by [`http::answer`], and no request is dispatched.
+    http: bool,
+    /// The longest request line the peer may send: an HTTP head is capped
+    /// far below a job request.
+    max_line: usize,
     /// Bytes received but not yet framed into lines.
     read_buf: Vec<u8>,
     /// Length of the prefix of `read_buf` already searched for a newline
@@ -171,32 +184,40 @@ struct Reactor {
     pending: HashMap<u64, PendingJob>,
     /// Every connection's reads land here first (allocated once).
     read_chunk: Box<[u8]>,
+    /// Listeners registered with the poller (none once draining).
+    listeners: i64,
     live: usize,
     accepted: u64,
     draining: bool,
 }
 
-/// A nonblocking listener and the self-pipe, both registered with a fresh
-/// poller: everything the reactor needs before it can run.
+/// The nonblocking job listener, the optional metrics listener and the
+/// self-pipe, all registered with a fresh poller: everything the reactor
+/// needs before it can run.
 pub(crate) struct Listening {
     listener: TcpListener,
+    metrics: Option<TcpListener>,
     poller: Box<dyn Poller>,
     pipe: WakePipe,
 }
 
 impl Listening {
-    /// Builds the poller and the self-pipe and registers both fds.
+    /// Builds the poller and the self-pipe and registers every fd.
     ///
     /// # Errors
     ///
     /// Propagates poller, pipe and registration failures (fd exhaustion).
-    pub(crate) fn new(listener: TcpListener) -> io::Result<Listening> {
+    pub(crate) fn new(listener: TcpListener, metrics: Option<TcpListener>) -> io::Result<Self> {
         let mut poller = new_poller()?;
         let pipe = WakePipe::new()?;
         listener.set_nonblocking(true)?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        if let Some(metrics) = &metrics {
+            metrics.set_nonblocking(true)?;
+            poller.register(metrics.as_raw_fd(), METRICS, Interest::READ)?;
+        }
         poller.register(pipe.fd(), WAKE, Interest::READ)?;
-        Ok(Listening { listener, poller, pipe })
+        Ok(Listening { listener, metrics, poller, pipe })
     }
 
     /// A waker for other threads: interrupts the reactor's readiness poll.
@@ -212,8 +233,9 @@ impl Listening {
 
 /// Runs the service core on the current thread until shutdown.
 pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
-    let Listening { listener, poller, pipe } = listening;
-    shared.metrics.poller_registered_fds.set(2);
+    let Listening { listener, metrics, poller, pipe } = listening;
+    let listeners = 1 + i64::from(metrics.is_some());
+    shared.metrics.poller_registered_fds.set(1 + listeners);
     apls_telemetry::event!(
         shared.telemetry,
         "service",
@@ -231,6 +253,7 @@ pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
         dirty: Vec::new(),
         pending: HashMap::new(),
         read_chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+        listeners,
         live: 0,
         accepted: 0,
         draining: false,
@@ -240,7 +263,10 @@ pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
     loop {
         if reactor.shared.shutdown.load(std::sync::atomic::Ordering::SeqCst) && !reactor.draining {
             reactor.draining = true;
-            let _ = reactor.poller.deregister(listener.as_raw_fd());
+            reactor.listeners = 0;
+            for listener in std::iter::once(&listener).chain(&metrics) {
+                let _ = reactor.poller.deregister(listener.as_raw_fd());
+            }
             // every idle connection should flush and close now
             for slot in 0..reactor.conns.len() {
                 if reactor.conns[slot].is_some() {
@@ -266,7 +292,8 @@ pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
         reactor.shared.metrics.poll_wait_ms.observe((work_start - poll_start).as_secs_f64() * 1e3);
         for event in &events {
             match event.token {
-                LISTENER => reactor.accept_burst(&listener),
+                LISTENER => reactor.accept_burst(&listener, false),
+                METRICS => reactor.accept_burst(metrics.as_ref().expect("metrics listener"), true),
                 WAKE => pipe.drain(),
                 token => {
                     let slot = token - CONN_BASE;
@@ -311,12 +338,13 @@ impl Reactor {
     }
 
     fn update_fd_gauge(&self) {
-        let fixed = if self.draining { 1 } else { 2 }; // wake pipe (+ listener)
-        self.shared.metrics.poller_registered_fds.set(fixed + self.live as i64);
+        // the wake pipe, the listeners and every connection
+        self.shared.metrics.poller_registered_fds.set(1 + self.listeners + self.live as i64);
     }
 
-    /// Accepts until the listener would block.
-    fn accept_burst(&mut self, listener: &TcpListener) {
+    /// Accepts until the listener would block; `http` marks the metrics
+    /// listener.
+    fn accept_burst(&mut self, listener: &TcpListener, http: bool) {
         if self.draining {
             return;
         }
@@ -336,13 +364,15 @@ impl Reactor {
                 // freshly accepted socket: the refusal fits the empty kernel
                 // buffer, so a nonblocking write is effectively reliable
                 let _ = stream.set_nonblocking(true);
-                let _ = stream.write_all(OVERLOADED_LINE);
+                let refusal = if http { http::overloaded() } else { OVERLOADED_LINE.to_vec() };
+                let _ = stream.write_all(&refusal);
                 continue; // dropping the stream closes it
             }
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
             let _ = stream.set_nodelay(true);
+            let max_line = if http { MAX_HEAD_BYTES } else { self.shared.config.max_request_bytes };
             let slot = match self.free.pop() {
                 Some(slot) => slot,
                 None => {
@@ -358,6 +388,8 @@ impl Reactor {
             self.gens[slot] += 1;
             self.conns[slot] = Some(Conn {
                 stream,
+                http,
+                max_line,
                 read_buf: Vec::new(),
                 scanned: 0,
                 write_buf: Vec::new(),
@@ -397,7 +429,7 @@ impl Reactor {
                     }
                     Ok(n) => {
                         conn.read_buf.extend_from_slice(&chunk[..n]);
-                        if conn.read_buf.len() > self.shared.config.max_request_bytes {
+                        if conn.read_buf.len() > conn.max_line {
                             break; // oversized: process_lines answers + closes
                         }
                     }
@@ -414,7 +446,8 @@ impl Reactor {
         self.mark_dirty(slot);
     }
 
-    /// Frames and dispatches every complete line buffered on `slot`.
+    /// Frames and dispatches every complete line buffered on `slot`; on an
+    /// HTTP connection, answers the first line instead.
     ///
     /// Each line is dispatched as a trimmed slice of the connection's read
     /// buffer, which is taken out of the connection meanwhile (dispatching
@@ -425,7 +458,7 @@ impl Reactor {
         let mut buf = std::mem::take(&mut conn.read_buf);
         let mut scanned = conn.scanned;
         let mut consumed = 0;
-        let max_request = self.shared.config.max_request_bytes;
+        let (http, cap) = (conn.http, conn.max_line);
         while let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) {
             if conn.blocked || conn.close_after_flush || self.draining {
                 break;
@@ -434,17 +467,21 @@ impl Reactor {
                 break; // finish writing before parsing more requests
             }
             let Some(end) = next_line_end(&buf, &mut scanned) else {
-                if buf.len() - consumed > max_request {
+                if buf.len() - consumed > cap {
                     // a peer streaming bytes without newlines can never
                     // make the daemon buffer more than the request cap
-                    self.overlong_request(slot, max_request);
+                    self.overlong_request(slot, cap);
                 }
                 break;
             };
             let line = &buf[consumed..end];
             consumed = end + 1;
-            if line.len() > max_request {
-                self.overlong_request(slot, max_request);
+            if line.len() > cap {
+                self.overlong_request(slot, cap);
+                break;
+            }
+            if http {
+                self.answer_http(slot, std::str::from_utf8(line).ok());
                 break;
             }
             let Ok(text) = std::str::from_utf8(line) else {
@@ -466,9 +503,26 @@ impl Reactor {
     }
 
     /// Answers an over-limit request line and schedules the close.
-    fn overlong_request(&mut self, slot: usize, max_request: usize) {
-        let message = format!("request exceeds {max_request} bytes, closing connection");
+    fn overlong_request(&mut self, slot: usize, cap: usize) {
+        if self.conns.get(slot).and_then(Option::as_ref).is_some_and(|conn| conn.http) {
+            self.answer_http(slot, None);
+            return;
+        }
+        let message = format!("request exceeds {cap} bytes, closing connection");
         self.refuse(slot, "request_too_large", &message);
+    }
+
+    /// Answers an HTTP request line (`None`: over the head cap or not
+    /// UTF-8) and closes the connection once the answer is flushed. A scrape
+    /// is not a protocol request: it counts in no request or error total.
+    fn answer_http(&mut self, slot: usize, request_line: Option<&str>) {
+        let response = http::answer(request_line, &self.shared);
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+            // no flush mark: `flush_ms` times protocol replies only
+            conn.write_buf.extend_from_slice(response.as_bytes());
+            conn.abs_queued += response.len() as u64;
+            conn.close_after_flush = true;
+        }
     }
 
     /// Answers a request line that cannot be read with an error and closes

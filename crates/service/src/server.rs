@@ -110,9 +110,9 @@ pub struct ServiceConfig {
     /// Deterministic fault injection (tests/CI only; the CLI additionally
     /// requires the `APLS_FAULT_INJECTION=1` environment guard).
     pub fault_plan: Option<FaultPlan>,
-    /// Optional HTTP sidecar address (`host:port`) exposing Prometheus
-    /// `/metrics`, `/healthz` and `/readyz`. `None` (the default) serves no
-    /// HTTP endpoint.
+    /// Optional address (`host:port`) of a second listener, served by the
+    /// reactor, exposing Prometheus `/metrics`, `/healthz` and `/readyz`
+    /// over HTTP. `None` (the default) serves no HTTP endpoint.
     pub metrics_addr: Option<String>,
     /// Flight-recorder ring capacity in events; `0` disables the recorder.
     /// The default keeps a small always-on ring so every daemon can produce
@@ -247,7 +247,7 @@ pub(crate) enum JobMsg {
 /// The reactor's inbound queue of job messages, shared with every worker:
 /// workers never touch connection sockets, they hand each message to the
 /// reactor thread that owns them. Pushing wakes the reactor out of its
-/// readiness poll via the self-pipe.
+/// readiness poll via the self-pipe, the reactor's only waker.
 pub(crate) struct CompletionQueue {
     queue: Mutex<VecDeque<(u64, JobMsg)>>,
     wake: WakeSender,
@@ -274,7 +274,7 @@ struct EnqueueSlot {
     tx: SyncSender<Job>,
 }
 
-/// State shared by the reactor, the workers and the metrics sidecar.
+/// State shared by the reactor and the workers.
 pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     seeds: SeedStream,
@@ -293,9 +293,6 @@ pub(crate) struct Shared {
     /// True while the journal-recovery replay thread is still re-enqueueing
     /// pre-crash jobs; `/readyz` answers 503 until this clears.
     pub(crate) recovery_pending: AtomicBool,
-    /// Self-pipe sender: wakes the reactor out of its readiness wait on
-    /// shutdown.
-    wake: WakeSender,
     /// Where workers push job messages for the reactor.
     pub(crate) completions: CompletionQueue,
 }
@@ -413,7 +410,6 @@ pub struct PlacementService {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
     recovery: Option<JoinHandle<()>>,
-    metrics_server: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -453,19 +449,12 @@ impl PlacementService {
         assert!(config.queue_capacity >= 1, "service needs a queue depth of at least 1");
         let listener = TcpListener::bind((config.host.as_str(), config.port))?;
         let local_addr = listener.local_addr()?;
-        // The poller, the self-pipe and their registrations come up before
-        // any thread is spawned, so a failure fails the start.
-        let listening = Listening::new(listener)?;
-        // Bind the observability sidecar before spawning anything so a bad
-        // --metrics-addr fails the whole start instead of leaking threads.
-        let metrics_listener = match &config.metrics_addr {
-            Some(addr) => Some(TcpListener::bind(addr.as_str())?),
-            None => None,
-        };
-        let metrics_addr = match &metrics_listener {
-            Some(listener) => Some(listener.local_addr()?),
-            None => None,
-        };
+        let metrics_listener = config.metrics_addr.as_deref().map(TcpListener::bind).transpose()?;
+        let metrics_addr = metrics_listener.as_ref().map(TcpListener::local_addr).transpose()?;
+        // The listeners, the poller, the self-pipe and their registrations
+        // come up before any thread is spawned, so a failure (a bad
+        // --metrics-addr included) fails the start.
+        let listening = Listening::new(listener, metrics_listener)?;
 
         // The always-on flight recorder: a bounded ring of service/reactor
         // events teed under whatever collector the caller installed, plus an
@@ -513,7 +502,6 @@ impl PlacementService {
             metrics: ServiceMetrics::new(),
             recorder,
             recovery_pending: AtomicBool::new(false),
-            wake: listening.waker(),
             completions: CompletionQueue {
                 queue: Mutex::new(VecDeque::new()),
                 wake: listening.waker(),
@@ -558,15 +546,12 @@ impl PlacementService {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || crate::reactor::run(listening, &shared))
         };
-        let metrics_server =
-            metrics_listener.map(|listener| crate::http::spawn(listener, Arc::clone(&shared)));
         Ok(PlacementService {
             local_addr,
             metrics_addr,
             shared,
             reactor: Some(reactor),
             recovery,
-            metrics_server,
             workers,
         })
     }
@@ -605,9 +590,6 @@ impl PlacementService {
         }
         if let Some(recovery) = self.recovery.take() {
             let _ = recovery.join();
-        }
-        if let Some(metrics_server) = self.metrics_server.take() {
-            let _ = metrics_server.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -708,7 +690,7 @@ pub(crate) fn initiate_shutdown(shared: &Shared) {
     // Dropping the only SyncSender lets the workers drain the queue and exit.
     lock_or_recover(&shared.enqueue).take();
     // The self-pipe pops the reactor out of its readiness wait immediately.
-    shared.wake.wake();
+    shared.completions.wake.wake();
 }
 
 fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {

@@ -242,7 +242,7 @@ fn serve_command() -> Command {
             Arg::new("metrics-addr")
                 .long("metrics-addr")
                 .value_name("HOST:PORT")
-                .help("Serve Prometheus /metrics, /healthz and /readyz on a sidecar HTTP listener (port 0 = ephemeral, printed at startup)"),
+                .help("Serve Prometheus /metrics, /healthz and /readyz on a second listener, over HTTP (port 0 = ephemeral, printed at startup)"),
         )
         .arg(
             Arg::new("flight-recorder")
@@ -856,13 +856,7 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
     }
 
     if let Some(path) = matches.get_one::<String>("json") {
-        let json = report.to_json();
-        if path == "-" {
-            print!("{json}");
-        } else {
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("report written to {path}");
-        }
+        write_output(path, &report.to_json(), "report")?;
     }
     if let Some(path) = matches.get_one::<String>("svg") {
         let svg =

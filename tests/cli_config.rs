@@ -93,6 +93,20 @@ fn the_local_run_defaults_are_pinned() {
     assert_eq!(config_digest(&local_report(&[])), DEFAULTS_ONLY);
 }
 
+/// A job option given twice is refused before anything runs, rather than
+/// the last occurrence silently winning.
+#[test]
+fn a_repeated_job_option_is_refused_before_the_run() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_apls"))
+        .args(["-k", "0", "-k", "1", "-e", "hier", "-e", "deterministic", "--fast"])
+        .output()
+        .expect("apls runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("the argument '--restarts' cannot be used multiple times"), "{stderr}");
+    assert!(output.stdout.is_empty(), "{}", String::from_utf8_lossy(&output.stdout));
+}
+
 /// Captured from `apls -c comparator_v2 -k 2 -s 7 -w 0.7
 /// --hier-anneal-threshold 4 --plateau 1 --fast`.
 const EVERY_OPTION: &str = "\

@@ -11,6 +11,7 @@ use analog_layout_synthesis::service::{
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// A fresh flight-recorder path under a per-test temp directory.
@@ -120,6 +121,120 @@ fn endpoint_responses_are_pinned_byte_for_byte() {
     assert_eq!(head_lines.next(), None);
     assert!(body.starts_with("# "), "{body}");
     assert!(body.contains("apls_build_info{"), "{body}");
+
+    service.shutdown();
+    service.join();
+}
+
+/// A GET whose reads give up after `timeout`: `Err` when no complete
+/// answer arrives in time, else its status.
+fn http_get_within(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<u16> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.write_all(format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())?;
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw)?;
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| std::io::Error::other(format!("no status line in {raw:?}")))
+}
+
+/// One peer dribbling a request head with no newline must not hold up any
+/// other scrape, any job request or the shutdown: every connection is the
+/// reactor's, and none of them is read with a blocking call.
+#[test]
+fn a_slow_metrics_peer_wedges_no_scrape_no_job_and_no_shutdown() {
+    let service = PlacementService::start(ServiceConfig {
+        workers: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let metrics_addr = service.metrics_addr().expect("metrics listener bound");
+
+    // one byte every 200 ms, never a newline; it stops after 10 s (or as
+    // soon as the test ends), so a failing run still finishes
+    let mut slow = TcpStream::connect(metrics_addr).expect("slow peer connects");
+    let (stop, stopped) = mpsc::channel::<()>();
+    let dribbler = std::thread::spawn(move || {
+        let end = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < end && slow.write_all(b"G").is_ok() {
+            if stopped.recv_timeout(Duration::from_millis(200)) != Err(RecvTimeoutError::Timeout) {
+                break;
+            }
+        }
+    });
+    std::thread::sleep(Duration::from_millis(500)); // the slow peer is mid-head
+
+    for path in ["/healthz", "/metrics"] {
+        let status = http_get_within(metrics_addr, path, Duration::from_secs(1))
+            .unwrap_or_else(|e| panic!("{path} got no answer within 1 s beside a slow peer: {e}"));
+        assert_eq!(status, 200, "{path}");
+    }
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
+    let pong = client.ping().expect("ping answers beside a slow peer");
+    assert!(pong.contains("\"status\":\"ok\""), "{pong}");
+
+    service.shutdown();
+    let (joined, join_done) = mpsc::channel();
+    std::thread::spawn(move || {
+        service.join();
+        let _ = joined.send(());
+    });
+    let join = join_done.recv_timeout(Duration::from_secs(2));
+    drop(stop);
+    dribbler.join().expect("dribbler exits");
+    assert!(join.is_ok(), "shutdown + join took over 2 s while a slow peer held a connection");
+}
+
+#[test]
+fn a_metrics_peer_beyond_the_connection_limit_gets_503() {
+    let service = PlacementService::start(ServiceConfig {
+        max_connections: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let metrics_addr = service.metrics_addr().expect("metrics listener bound");
+    let mut holder = ServiceClient::connect(service.local_addr()).expect("connects");
+    // the job connection holds the one slot before the scrape arrives
+    assert!(holder.ping().expect("serves").contains("\"status\":\"ok\""));
+
+    let raw = http_raw(metrics_addr, b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n");
+    let raw = String::from_utf8(raw).expect("UTF-8 response");
+    let refusal = "{\"status\":\"error\",\"kind\":\"overloaded\",\"error\":\"connection limit reached, retry later\"}\n";
+    assert_eq!(
+        raw,
+        format!(
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{refusal}",
+            refusal.len()
+        )
+    );
+
+    holder.shutdown().expect("acknowledged");
+    service.join();
+}
+
+#[test]
+fn an_oversized_request_head_gets_400_and_the_connection_closes() {
+    let service = PlacementService::start(ServiceConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let metrics_addr = service.metrics_addr().expect("metrics listener bound");
+    let request = format!("GET /{} HTTP/1.1\r\nHost: test\r\n\r\n", "a".repeat(9 * 1024));
+    // http_raw returns only once the server has closed the connection
+    let raw = String::from_utf8(http_raw(metrics_addr, request.as_bytes())).expect("UTF-8");
+    assert!(raw.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{raw}");
+    assert!(raw.ends_with("\r\n\r\nbad request\n"), "{raw}");
+
+    // a scrape is not a protocol request
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("\"requests_total\":1,"), "{stats}");
+    assert!(stats.contains("\"errors_total\":0,"), "{stats}");
 
     service.shutdown();
     service.join();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Prometheus text-format exposition scraped from `/metrics`.
 
-Checks the contract the sidecar promises scrapers (DESIGN.md §14):
+Checks the contract the metrics endpoint promises scrapers (DESIGN.md §14):
 
 * every sample line parses as `name[{labels}] value` with a float value;
 * every sample's metric family carries a `# TYPE` declaration, and sample
