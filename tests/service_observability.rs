@@ -154,7 +154,8 @@ fn a_slow_metrics_peer_wedges_no_scrape_no_job_and_no_shutdown() {
     let metrics_addr = service.metrics_addr().expect("metrics listener bound");
 
     // one byte every 200 ms, never a newline; it stops after 10 s (or as
-    // soon as the test ends), so a failing run still finishes
+    // soon as the test ends), so a failing run still finishes. It connects
+    // first, so the listener accepts it before every client below.
     let mut slow = TcpStream::connect(metrics_addr).expect("slow peer connects");
     let (stop, stopped) = mpsc::channel::<()>();
     let dribbler = std::thread::spawn(move || {
@@ -165,7 +166,6 @@ fn a_slow_metrics_peer_wedges_no_scrape_no_job_and_no_shutdown() {
             }
         }
     });
-    std::thread::sleep(Duration::from_millis(500)); // the slow peer is mid-head
 
     for path in ["/healthz", "/metrics"] {
         let status = http_get_within(metrics_addr, path, Duration::from_secs(1))
