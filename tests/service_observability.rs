@@ -8,6 +8,7 @@ use analog_layout_synthesis::service::json::Json;
 use analog_layout_synthesis::service::{
     FaultPlan, JobSpec, PlacementService, ServiceClient, ServiceConfig,
 };
+use std::collections::HashMap;
 use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -291,6 +292,87 @@ fn metrics_sidecar_serves_exposition_health_and_readiness() {
     let stats = client.stats().expect("stats");
     assert!(stats.contains("\"ready\":true"), "{stats}");
     assert!(stats.contains("\"uptime_seconds\":"), "{stats}");
+
+    service.shutdown();
+    service.join();
+}
+
+/// `stats` and `/metrics` render one registry. With no traffic between the
+/// two but the scrape itself, every counter and gauge of the `stats`
+/// snapshot is the same-named `apls_` sample of the scrape, and the members
+/// `stats` keeps beside the snapshot for older readers equal their registry
+/// twins.
+#[test]
+fn stats_and_metrics_render_one_snapshot() {
+    let service = PlacementService::start(ServiceConfig {
+        workers: 1,
+        cache_capacity: 1,
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let sidecar = service.metrics_addr().expect("metrics listener bound");
+    let mut client = ServiceClient::connect(service.local_addr()).expect("connects");
+    let job = |name| JobSpec::bundled(name).with_seed(7).with_restarts(1).with_fast(true);
+    // two solves into a one-entry cache, so the second evicts the first,
+    // then one hit on the entry left
+    for (name, hit) in
+        [("miller_opamp_fig6", false), ("comparator_v2", false), ("comparator_v2", true)]
+    {
+        let response = client.place(&job(name)).expect("round-trips");
+        assert!(response.is_ok() && response.cache_hit == hit, "{name}: {response:?}");
+    }
+
+    let stats = Json::parse(&client.stats().expect("stats")).expect("stats is JSON");
+    let (status, body) = http_get(sidecar, "/metrics");
+    assert_eq!(status, 200);
+    let scraped: HashMap<&str, i64> = body
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.split_once(' '))
+        .filter_map(|(name, value)| Some((name, value.parse().ok()?)))
+        .collect();
+
+    let Json::Obj(top) = &stats else { panic!("stats is an object: {stats:?}") };
+    let keys: Vec<&str> = top.iter().map(|(key, _)| key.as_str()).collect();
+    assert_eq!(keys, ["status", "ready", "jobs_completed", "cache_hits", "cache", "metrics"]);
+
+    let metrics = stats.get("metrics").expect("snapshot");
+    let mut snapshot = HashMap::new();
+    for section in ["counters", "gauges"] {
+        let Some(Json::Obj(series)) = metrics.get(section) else { panic!("no {section}") };
+        for (name, value) in series {
+            let Json::Num(text) = value else { panic!("{name} is not a number: {value:?}") };
+            let value: i64 = text.parse().expect("integer sample");
+            let sample = *scraped
+                .get(format!("apls_{name}").as_str())
+                .unwrap_or_else(|| panic!("/metrics lacks apls_{name}:\n{body}"));
+            // The scrape is itself reactor traffic: its connection is live
+            // and registered while the exposition renders, and accepting and
+            // reading it wakes the reactor.
+            let slack = match name.as_str() {
+                "uptime_seconds" => -1..=1,
+                "connections_active" | "poller_registered_fds" => 0..=1,
+                "readiness_wakeups_total" => 0..=i64::MAX,
+                _ => 0..=0,
+            };
+            assert!(slack.contains(&(sample - value)), "{name}: stats {value}, scrape {sample}");
+            snapshot.insert(name.as_str(), value);
+        }
+    }
+    let series = |name: &str| *snapshot.get(name).unwrap_or_else(|| panic!("no series {name}"));
+    assert_eq!(series("cache_insertions_total"), 2);
+    assert_eq!(series("cache_evictions_total"), 1);
+    assert_eq!(series("cache_entries"), 1);
+    assert_eq!(series("ready"), 1);
+
+    // the compatibility members are the registry's figures
+    let count = |member: Option<&Json>| member.and_then(Json::as_u64).expect("a count") as i64;
+    assert_eq!(stats.get("ready").and_then(Json::as_bool), Some(series("ready") == 1));
+    assert_eq!(count(stats.get("jobs_completed")), series("jobs_completed_total"));
+    assert_eq!(count(stats.get("cache_hits")), series("cache_hits_total"));
+    let insertions = stats.get("cache").and_then(|cache| cache.get("insertions"));
+    assert_eq!(count(insertions), series("cache_insertions_total"));
 
     service.shutdown();
     service.join();
