@@ -14,16 +14,15 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Lifetime counters of one cache instance, reported by the daemon's
-/// `stats` command. Hits and misses are counted per job by the service's
-/// metrics registry, not per probe here: a solved job is probed twice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Entries stored (new keys and refreshes; the no-op inserts of a
-    /// zero-capacity cache are not counted).
-    pub insertions: u64,
-    /// Entries evicted to make room for a new key.
-    pub evictions: u64,
+/// What one [`LruCache::insert`] did, for the caller's counters: the cache
+/// keeps none of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Inserted {
+    /// The entry was stored, as a new key or a refresh (`false` only for a
+    /// zero-capacity cache).
+    pub stored: bool,
+    /// The least-recently-used entry was evicted to make room.
+    pub evicted: bool,
 }
 
 /// A least-recently-used cache with a fixed entry capacity.
@@ -34,7 +33,6 @@ pub struct CacheStats {
 pub struct LruCache<K, V> {
     capacity: usize,
     tick: u64,
-    stats: CacheStats,
     map: HashMap<K, (u64, V)>,
 }
 
@@ -42,12 +40,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache that holds at most `capacity` entries.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        LruCache {
-            capacity,
-            tick: 0,
-            stats: CacheStats::default(),
-            map: HashMap::with_capacity(capacity.min(1024)),
-        }
+        LruCache { capacity, tick: 0, map: HashMap::with_capacity(capacity.min(1024)) }
     }
 
     /// Looks a key up, marking it most-recently-used on a hit.
@@ -80,21 +73,22 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used one
     /// when full.
-    pub fn insert(&mut self, key: K, value: V) {
+    pub fn insert(&mut self, key: K, value: V) -> Inserted {
         if self.capacity == 0 {
-            return;
+            return Inserted { stored: false, evicted: false };
         }
         self.tick += 1;
+        let mut evicted = false;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             if let Some(oldest) =
                 self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k.clone())
             {
                 self.map.remove(&oldest);
-                self.stats.evictions += 1;
+                evicted = true;
             }
         }
-        self.stats.insertions += 1;
         self.map.insert(key, (self.tick, value));
+        Inserted { stored: true, evicted }
     }
 
     /// Number of cached entries.
@@ -113,12 +107,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Lifetime insertion/eviction counters.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -165,7 +153,7 @@ mod tests {
         cache.insert(1, "a");
         assert_eq!(cache.get_checked(&1, |v| *v == "b"), None);
         assert_eq!(cache.get_checked(&1, |v| *v == "a"), Some(&"a"));
-        assert_eq!(cache.stats(), CacheStats { insertions: 1, evictions: 0 });
+        assert_eq!(cache.len(), 1, "a rejected match leaves the entry in place");
     }
 
     #[test]
@@ -179,21 +167,24 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = LruCache::new(0);
-        cache.insert(1, "a");
+        let inserted = cache.insert(1, "a");
+        assert_eq!(inserted, Inserted { stored: false, evicted: false }, "counts neither");
         assert_eq!(cache.get(&1), None);
         assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats { insertions: 0, evictions: 0 });
     }
 
     #[test]
-    fn stats_count_insertions_and_evictions() {
+    fn insert_reports_each_insertion_and_eviction() {
+        let stored = Inserted { stored: true, evicted: false };
         let mut cache = LruCache::new(2);
-        cache.insert(1, "a");
-        cache.insert(2, "b");
+        assert_eq!(cache.insert(1, "a"), stored);
+        assert_eq!(cache.insert(2, "b"), stored);
         assert_eq!(cache.get(&1), Some(&"a")); // hit
         assert_eq!(cache.get(&3), None); // miss
-        cache.insert(3, "c"); // evicts 2
+        assert_eq!(cache.insert(3, "c"), Inserted { stored: true, evicted: true }); // evicts 2
         assert_eq!(cache.get(&2), None); // miss
-        assert_eq!(cache.stats(), CacheStats { insertions: 3, evictions: 1 });
+                                         // a refresh is an insertion and evicts nothing
+        assert_eq!(cache.insert(3, "c2"), stored);
+        assert_eq!(cache.len(), 2);
     }
 }

@@ -21,6 +21,7 @@ use crate::protocol::CircuitSource;
 use crate::sync::lock_or_recover;
 use apls_circuit::benchmarks::{self, BenchmarkCircuit};
 use apls_io::{canonical_hash, serialize_circuit};
+use apls_telemetry::Counter;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A circuit together with its canonical `.apls` text and that text's hash.
@@ -57,13 +58,16 @@ fn bundled(name: &str) -> Option<Canonical> {
 /// Resolves circuit sources, interning inline circuits by canonical text.
 pub(crate) struct Interner {
     inline: Mutex<LruCache<Arc<str>, Canonical>>,
+    /// The service's `poison_recoveries_total`.
+    recoveries: Counter,
 }
 
 impl Interner {
     /// An intern table holding at most `capacity` inline circuits (`0`
-    /// parses every inline request).
-    pub(crate) fn new(capacity: usize) -> Interner {
-        Interner { inline: Mutex::new(LruCache::new(capacity)) }
+    /// parses every inline request), counting lock recoveries in
+    /// `recoveries`.
+    pub(crate) fn new(capacity: usize, recoveries: Counter) -> Interner {
+        Interner { inline: Mutex::new(LruCache::new(capacity)), recoveries }
     }
 
     /// The canonical form of a request's circuit, or the client-facing
@@ -74,14 +78,16 @@ impl Interner {
                 format!("unknown circuit '{name}' (available: {})", benchmarks::names().join(", "))
             }),
             CircuitSource::Inline(text) => {
-                if let Some(canonical) = lock_or_recover(&self.inline).get(text.as_str()) {
+                if let Some(canonical) =
+                    lock_or_recover(&self.inline, &self.recoveries).get(text.as_str())
+                {
                     return Ok(canonical.clone());
                 }
                 // parse outside the lock: a large circuit takes milliseconds
                 let circuit = apls_io::parse_circuit(text)
                     .map_err(|e| format!("invalid inline circuit: {e}"))?;
                 let canonical = Canonical::of(circuit);
-                lock_or_recover(&self.inline)
+                lock_or_recover(&self.inline, &self.recoveries)
                     .insert(Arc::clone(&canonical.text), canonical.clone());
                 Ok(canonical)
             }
@@ -93,9 +99,16 @@ impl Interner {
 mod tests {
     use super::*;
 
+    fn interner(capacity: usize) -> Interner {
+        Interner::new(
+            capacity,
+            apls_telemetry::MetricsRegistry::new().counter("poison_recoveries_total"),
+        )
+    }
+
     #[test]
     fn bundled_circuits_resolve_once_per_process() {
-        let interner = Interner::new(4);
+        let interner = interner(4);
         let source = CircuitSource::Bundled("miller_v2".to_string());
         let first = interner.resolve(&source).expect("bundled");
         let second = interner.resolve(&source).expect("bundled");
@@ -107,15 +120,14 @@ mod tests {
 
     #[test]
     fn unknown_names_list_the_bundled_ones() {
-        let err = Interner::new(4)
-            .resolve(&CircuitSource::Bundled("nope".to_string()))
-            .expect_err("unknown");
+        let err =
+            interner(4).resolve(&CircuitSource::Bundled("nope".to_string())).expect_err("unknown");
         assert!(err.starts_with("unknown circuit 'nope' (available: miller_opamp_fig6"), "{err}");
     }
 
     #[test]
     fn canonical_inline_text_is_interned_by_its_bytes() {
-        let interner = Interner::new(4);
+        let interner = interner(4);
         let text = serialize_circuit(&benchmarks::comparator_v2());
         let first = interner.resolve(&CircuitSource::Inline(text.clone())).expect("parses");
         let second = interner.resolve(&CircuitSource::Inline(text.clone())).expect("interned");
@@ -129,7 +141,7 @@ mod tests {
 
     #[test]
     fn non_canonical_inline_text_resolves_to_the_canonical_form() {
-        let interner = Interner::new(4);
+        let interner = interner(4);
         let canonical = serialize_circuit(&benchmarks::comparator_v2());
         let noisy = format!("# hand-edited copy\n\n{}", canonical.replace(" rotate", "  rotate"));
         assert_ne!(noisy, canonical);
@@ -142,7 +154,7 @@ mod tests {
 
     #[test]
     fn a_zero_capacity_table_still_resolves_and_bad_text_reports_its_position() {
-        let interner = Interner::new(0);
+        let interner = interner(0);
         let text = serialize_circuit(&benchmarks::miller_v2());
         let a = interner.resolve(&CircuitSource::Inline(text.clone())).expect("parses");
         let b = interner.resolve(&CircuitSource::Inline(text)).expect("parses again");

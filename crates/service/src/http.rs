@@ -28,7 +28,7 @@ pub(crate) fn answer(request_line: Option<&str>, shared: &Shared) -> String {
     };
     match path {
         "/metrics" => {
-            shared.refresh_uptime();
+            shared.refresh_gauges();
             let body = shared.metrics.registry.render_prometheus(METRIC_PREFIX);
             response(200, "text/plain; version=0.0.4; charset=utf-8", &body)
         }

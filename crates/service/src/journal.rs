@@ -41,6 +41,7 @@ use crate::json::Json;
 use crate::protocol::JobSpec;
 use crate::sync::lock_or_recover;
 use apls_telemetry::json::{self, Layout};
+use apls_telemetry::Counter;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
@@ -191,16 +192,20 @@ pub(crate) struct Journal {
     sync: SyncPolicy,
     fault: Option<Arc<FaultPlan>>,
     stop_flusher: Arc<AtomicBool>,
+    /// The service's `poison_recoveries_total`.
+    recoveries: Counter,
 }
 
 impl Journal {
     /// Opens (creating if missing) the journal at `config.path`, replaying
     /// any existing records into a [`Recovery`].
     ///
-    /// `fault` injects deterministic append failures (tests/CI only).
+    /// `fault` injects deterministic append failures (tests/CI only);
+    /// `recoveries` counts poisoned-lock recoveries.
     pub(crate) fn open(
         config: &JournalConfig,
         fault: Option<Arc<FaultPlan>>,
+        recoveries: Counter,
     ) -> std::io::Result<(Journal, Recovery)> {
         let mut text = String::new();
         match File::open(&config.path) {
@@ -218,10 +223,11 @@ impl Journal {
         if let SyncPolicy::Batched { interval } = config.sync {
             let inner = Arc::clone(&inner);
             let stop = Arc::clone(&stop_flusher);
+            let recoveries = recoveries.clone();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(interval);
-                    let mut guard = lock_or_recover(&inner);
+                    let mut guard = lock_or_recover(&inner, &recoveries);
                     if guard.dirty {
                         let _ = guard.file.sync_data();
                         guard.dirty = false;
@@ -229,7 +235,7 @@ impl Journal {
                 }
             });
         }
-        Ok((Journal { inner, sync: config.sync, fault, stop_flusher }, recovery))
+        Ok((Journal { inner, sync: config.sync, fault, stop_flusher, recoveries }, recovery))
     }
 
     /// Appends one record, fsync'ing per the configured policy.
@@ -241,7 +247,7 @@ impl Journal {
     /// non-durable operation rather than failing the job.
     pub(crate) fn append(&self, record: &JournalRecord<'_>) -> std::io::Result<()> {
         let line = record.render();
-        let mut guard = lock_or_recover(&self.inner);
+        let mut guard = lock_or_recover(&self.inner, &self.recoveries);
         let seq = guard.seq;
         guard.seq += 1;
         if self.fault.as_ref().is_some_and(|plan| plan.fail_journal_record(seq)) {
@@ -259,7 +265,7 @@ impl Journal {
 
     /// Forces everything written so far to disk (graceful shutdown).
     pub(crate) fn sync(&self) {
-        let mut guard = lock_or_recover(&self.inner);
+        let mut guard = lock_or_recover(&self.inner, &self.recoveries);
         let _ = guard.file.sync_data();
         guard.dirty = false;
     }
@@ -358,6 +364,15 @@ mod tests {
     use crate::json::quote;
     use crate::protocol::CircuitSource;
 
+    /// Opens a journal whose lock recoveries are counted nowhere else.
+    fn open(
+        config: &JournalConfig,
+        fault: Option<Arc<FaultPlan>>,
+    ) -> std::io::Result<(Journal, Recovery)> {
+        let recoveries = apls_telemetry::MetricsRegistry::new().counter("poison_recoveries_total");
+        Journal::open(config, fault, recoveries)
+    }
+
     fn tempfile(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
         path.push(format!("apls-journal-test-{name}-{}", std::process::id()));
@@ -375,7 +390,7 @@ mod tests {
         let config = JournalConfig::new(&path);
         let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
         {
-            let (journal, recovery) = Journal::open(&config, None).expect("opens");
+            let (journal, recovery) = open(&config, None).expect("opens");
             assert_eq!(recovery.next_index, 0);
             assert!(recovery.jobs.is_empty());
             journal
@@ -404,7 +419,7 @@ mod tests {
                 })
                 .expect("appends");
         }
-        let (_journal, recovery) = Journal::open(&config, None).expect("re-opens");
+        let (_journal, recovery) = open(&config, None).expect("re-opens");
         assert_eq!(recovery.next_index, 2);
         assert_eq!(recovery.torn_lines, 0);
         assert_eq!(recovery.jobs.len(), 2);
@@ -502,7 +517,7 @@ mod tests {
         )
         .unwrap();
         {
-            let (journal, recovery) = Journal::open(&config, None).expect("opens");
+            let (journal, recovery) = open(&config, None).expect("opens");
             assert_eq!(recovery.next_index, 5);
             let spec = JobSpec::bundled("miller_v2").with_seed(13).to_json_line();
             journal
@@ -515,7 +530,7 @@ mod tests {
                 })
                 .expect("appends");
         }
-        let (_journal, recovery) = Journal::open(&config, None).expect("re-opens");
+        let (_journal, recovery) = open(&config, None).expect("re-opens");
         let indices: Vec<u64> = recovery.jobs.iter().map(|job| job.index).collect();
         assert_eq!(indices, [3, 5]);
         assert!(recovery.jobs.iter().all(|job| job.report.is_none()));
@@ -530,7 +545,7 @@ mod tests {
         let mut text = enqueue_record(0, 7, &spec);
         text.push_str("{\"v\":1,\"type\":\"enqueue\",\"index\":1,\"se"); // torn mid-append
         std::fs::write(&path, &text).unwrap();
-        let (_journal, recovery) = Journal::open(&JournalConfig::new(&path), None).expect("opens");
+        let (_journal, recovery) = open(&JournalConfig::new(&path), None).expect("opens");
         assert_eq!(recovery.jobs.len(), 1);
         assert_eq!(recovery.next_index, 1);
         assert_eq!(recovery.torn_lines, 1);
@@ -541,7 +556,7 @@ mod tests {
     fn injected_write_failure_is_an_error_but_later_appends_work() {
         let path = tempfile("fault");
         let fault = Arc::new(FaultPlan::new().with_journal_fail(0));
-        let (journal, _) = Journal::open(&JournalConfig::new(&path), Some(fault)).expect("opens");
+        let (journal, _) = open(&JournalConfig::new(&path), Some(fault)).expect("opens");
         let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
         let record = JournalRecord::Enqueue {
             index: 0,
@@ -553,7 +568,7 @@ mod tests {
         assert!(journal.append(&record).is_err(), "record 0 fails by plan");
         assert!(journal.append(&record).is_ok(), "record 1 appends normally");
         drop(journal);
-        let (_journal, recovery) = Journal::open(&JournalConfig::new(&path), None).unwrap();
+        let (_journal, recovery) = open(&JournalConfig::new(&path), None).unwrap();
         assert_eq!(recovery.jobs.len(), 1, "only the surviving record replays");
         let _ = std::fs::remove_file(&path);
     }
@@ -564,7 +579,7 @@ mod tests {
         let config = JournalConfig::new(&path).with_batched_sync(Duration::from_millis(5));
         let spec = JobSpec::bundled("miller_v2").with_seed(7).to_json_line();
         {
-            let (journal, _) = Journal::open(&config, None).expect("opens");
+            let (journal, _) = open(&config, None).expect("opens");
             journal
                 .append(&JournalRecord::Enqueue {
                     index: 0,
@@ -575,7 +590,7 @@ mod tests {
                 })
                 .expect("appends");
         }
-        let (_journal, recovery) = Journal::open(&config, None).expect("re-opens");
+        let (_journal, recovery) = open(&config, None).expect("re-opens");
         assert_eq!(recovery.jobs.len(), 1);
         let _ = std::fs::remove_file(&path);
     }

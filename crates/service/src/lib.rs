@@ -121,7 +121,6 @@ mod reply;
 mod server;
 pub mod sync;
 
-pub use cache::CacheStats;
 pub use client::{RetryPolicy, ServiceClient};
 pub use fault::FaultPlan;
 pub use journal::{JournalConfig, SyncPolicy};
@@ -130,4 +129,4 @@ pub use server::{
     PlacementService, ServiceConfig, DEFAULT_FLIGHT_RECORDER_CAPACITY, JOB_SEED_LANE,
     PROTOCOL_VERSION,
 };
-pub use sync::{lock_or_recover, poison_recoveries};
+pub use sync::lock_or_recover;

@@ -1,10 +1,12 @@
-//! Service-level metrics: counters, gauges and latency histograms behind
-//! the daemon's enriched `stats` command.
+//! Service-level metrics: counters, gauges and latency histograms.
 //!
-//! Everything lives in one [`MetricsRegistry`] so the `stats` response can
-//! embed a single deterministic-order snapshot. The handles below are
-//! pre-resolved at service start so the hot request path never takes the
-//! registry lock.
+//! One [`MetricsRegistry`] holds every figure the daemon reports: the
+//! `stats` reply embeds its snapshot, `/metrics` renders it and `apls top`
+//! reads the snapshot. The handles below are pre-resolved at service start
+//! so the hot request path never takes the registry lock. The static
+//! configuration is published as gauges set once at start (`workers`,
+//! `queue_capacity`, `cache_capacity`, `journal_enabled`,
+//! `telemetry_enabled`), which need no handle.
 
 use apls_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_MS_BOUNDS};
 
@@ -20,15 +22,25 @@ pub(crate) struct ServiceMetrics {
     /// Requests answered with an error envelope.
     pub errors_total: Counter,
     /// Jobs answered with a report, whether solved or served from the cache
-    /// (the `stats` reply's `jobs_completed`).
+    /// (also the `stats` reply's `jobs_completed`).
     pub jobs_completed_total: Counter,
-    /// Jobs served from the result cache, at admission or after dequeue (the
-    /// `stats` reply's `cache_hits`).
+    /// Jobs served from the result cache, at admission or after dequeue (also
+    /// the `stats` reply's `cache_hits`).
     pub cache_hits_total: Counter,
     /// Jobs that found no cached report and went on to a worker's solve,
-    /// counted once per job where the worker's re-probe misses (the `stats`
-    /// reply's `cache.misses`).
+    /// counted once per job where the worker's re-probe misses.
     pub cache_misses_total: Counter,
+    /// Reports stored in the result cache, new keys and refreshes, by a
+    /// worker's solve or the recovery restore (also the `stats` reply's
+    /// `cache.insertions`).
+    pub cache_insertions_total: Counter,
+    /// Result-cache entries evicted to make room for a new key.
+    pub cache_evictions_total: Counter,
+    /// Result-cache entries held, set at each insertion.
+    pub cache_entries: Gauge,
+    /// Poisoned locks recovered (see [`crate::sync::lock_or_recover`]); a
+    /// non-zero value means a panic struck while service state was locked.
+    pub poison_recoveries_total: Counter,
     /// Jobs currently waiting in the bounded queue.
     pub queue_depth: Gauge,
     /// Jobs currently being solved by a worker.
@@ -69,6 +81,9 @@ pub(crate) struct ServiceMetrics {
     pub write_buffer_high_water: Gauge,
     /// Seconds since the service started (refreshed at snapshot/scrape time).
     pub uptime_seconds: Gauge,
+    /// `1` when `/readyz` would answer 200, else `0` (refreshed at
+    /// snapshot/scrape time).
+    pub ready: Gauge,
     /// Flight-recorder dumps written to disk (panic, fault trip, or `dump`).
     pub flight_dumps_total: Counter,
     /// Time from request accept (line parsed) to the admission decision —
@@ -100,6 +115,10 @@ impl ServiceMetrics {
             jobs_completed_total: registry.counter("jobs_completed_total"),
             cache_hits_total: registry.counter("cache_hits_total"),
             cache_misses_total: registry.counter("cache_misses_total"),
+            cache_insertions_total: registry.counter("cache_insertions_total"),
+            cache_evictions_total: registry.counter("cache_evictions_total"),
+            cache_entries: registry.gauge("cache_entries"),
+            poison_recoveries_total: registry.counter("poison_recoveries_total"),
             queue_depth: registry.gauge("queue_depth"),
             in_flight: registry.gauge("in_flight_jobs"),
             connections_active: registry.gauge("connections_active"),
@@ -118,6 +137,7 @@ impl ServiceMetrics {
             write_buffer_bytes: registry.gauge("write_buffer_bytes"),
             write_buffer_high_water: registry.gauge("write_buffer_high_water_bytes"),
             uptime_seconds: registry.gauge("uptime_seconds"),
+            ready: registry.gauge("ready"),
             flight_dumps_total: registry.counter("flight_dumps_total"),
             admit_ms: registry.histogram("admit_ms", LATENCY_MS_BOUNDS),
             queue_ms: registry.histogram("queue_ms", LATENCY_MS_BOUNDS),

@@ -9,7 +9,6 @@
 
 use crate::metrics::ServiceMetrics;
 use crate::server::{FlightDump, Shared, PROTOCOL_VERSION};
-use crate::sync::poison_recoveries;
 use apls_telemetry::json::{self, Float, Layout, Writer};
 
 /// Where an answer goes.
@@ -161,36 +160,20 @@ pub(crate) fn dump(dump: &FlightDump) -> String {
     })
 }
 
+/// The answer to `stats`: the registry snapshot under `metrics`, after the
+/// members older readers parse, each read from the same series as its
+/// twin in the snapshot (`ready`, `jobs_completed_total`,
+/// `cache_hits_total`, `cache_insertions_total`).
 pub(crate) fn stats(shared: &Shared) -> String {
-    let (cache_stats, cache_entries) = shared.cache_stats();
-    let uptime_seconds = shared.refresh_uptime();
-    let (ready, _) = shared.is_ready();
+    shared.refresh_gauges();
     let metrics = &shared.metrics;
-    let config = &shared.config;
     line(|w| {
         w.key("status").str("ok");
-        w.key("workers").int(config.workers);
-        w.key("queue_capacity").int(config.queue_capacity);
-        w.key("cache_capacity").int(config.cache_capacity);
+        w.key("ready").bool(metrics.ready.get() == 1);
         w.key("jobs_completed").int(metrics.jobs_completed_total.get());
         w.key("cache_hits").int(metrics.cache_hits_total.get());
-        w.key("cache_entries").int(cache_entries);
-        w.key("uptime_ms").f64(shared.started.elapsed().as_secs_f64() * 1e3, Float::Fixed(0));
-        w.key("uptime_seconds").int(uptime_seconds);
-        w.key("ready").bool(ready);
-        w.key("queue_depth").int(metrics.queue_depth.get());
-        w.key("in_flight").int(metrics.in_flight.get());
-        w.key("connections").int(metrics.connections_active.get());
-        w.key("telemetry_enabled").bool(shared.telemetry.is_enabled());
-        w.key("journal_enabled").bool(shared.journal.is_some());
-        w.key("poison_recoveries").int(poison_recoveries());
         w.key("cache").object(Layout::Compact, |w| {
-            w.key("hits").int(metrics.cache_hits_total.get());
-            w.key("misses").int(metrics.cache_misses_total.get());
-            w.key("insertions").int(cache_stats.insertions);
-            w.key("evictions").int(cache_stats.evictions);
-            w.key("entries").int(cache_entries);
-            w.key("capacity").int(config.cache_capacity);
+            w.key("insertions").int(metrics.cache_insertions_total.get());
         });
         w.key("metrics").object(Layout::Compact, |w| metrics.registry.write_snapshot(w));
     })

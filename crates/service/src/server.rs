@@ -34,7 +34,7 @@
 //! panics, forced-slow solves, journal write failures and connection drops
 //! at pinned points for testing.
 
-use crate::cache::{CacheStats, LruCache};
+use crate::cache::LruCache;
 use crate::canonical::{Canonical, Interner};
 use crate::fault::FaultPlan;
 use crate::journal::{Journal, JournalConfig, JournalRecord, Recovery};
@@ -49,14 +49,14 @@ use apls_io::canonical_hash;
 use apls_portfolio::{
     run_portfolio_with, CancelToken, PortfolioConfig, RestartObserver, RestartRecord, RunContext,
 };
-use apls_telemetry::{FlightRecorder, Telemetry};
+use apls_telemetry::{Counter, FlightRecorder, Telemetry};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -185,11 +185,11 @@ impl CachedReport {
 /// text `circuit`. An entry under the same key but for different text (a
 /// circuit-hash collision) counts as a miss.
 fn probe(
-    cache: &Mutex<LruCache<CacheKey, CachedReport>>,
+    cache: &mut LruCache<CacheKey, CachedReport>,
     key: &CacheKey,
     circuit: &Arc<str>,
 ) -> Option<CachedReport> {
-    lock_or_recover(cache)
+    cache
         .get_checked(key, |entry| Arc::ptr_eq(&entry.circuit, circuit) || entry.circuit == *circuit)
         .cloned()
 }
@@ -251,17 +251,19 @@ pub(crate) enum JobMsg {
 pub(crate) struct CompletionQueue {
     queue: Mutex<VecDeque<(u64, JobMsg)>>,
     wake: WakeSender,
+    /// The service's `poison_recoveries_total`.
+    recoveries: Counter,
 }
 
 impl CompletionQueue {
     fn push(&self, index: u64, msg: JobMsg) {
-        lock_or_recover(&self.queue).push_back((index, msg));
+        lock_or_recover(&self.queue, &self.recoveries).push_back((index, msg));
         self.wake.wake();
     }
 
     /// Takes everything queued so far (reactor thread only).
     pub(crate) fn drain(&self) -> Vec<(u64, JobMsg)> {
-        lock_or_recover(&self.queue).drain(..).collect()
+        lock_or_recover(&self.queue, &self.recoveries).drain(..).collect()
     }
 }
 
@@ -278,7 +280,7 @@ struct EnqueueSlot {
 pub(crate) struct Shared {
     pub(crate) config: ServiceConfig,
     seeds: SeedStream,
-    pub(crate) started: Instant,
+    started: Instant,
     pub(crate) shutdown: AtomicBool,
     cache: Mutex<LruCache<CacheKey, CachedReport>>,
     /// Resolves request circuits to their memoised canonical form.
@@ -298,6 +300,26 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Locks `mutex` with [`lock_or_recover`], counting a recovery in
+    /// `poison_recoveries_total`.
+    fn lock<'a, T>(&self, mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
+        lock_or_recover(mutex, &self.metrics.poison_recoveries_total)
+    }
+
+    /// Stores a finished report in the result cache, counting what the
+    /// insertion did and setting the entry gauge under the cache lock.
+    fn cache_report(&self, key: CacheKey, entry: CachedReport) {
+        let mut cache = self.lock(&self.cache);
+        let inserted = cache.insert(key, entry);
+        if inserted.stored {
+            self.metrics.cache_insertions_total.inc();
+        }
+        if inserted.evicted {
+            self.metrics.cache_evictions_total.inc();
+        }
+        self.metrics.cache_entries.set(cache.len() as i64);
+    }
+
     /// Appends a journal record, degrading to non-durable on failure: the
     /// job is answered either way, the failure is counted and traced, and
     /// the flight recorder captures the moments leading up to it.
@@ -361,19 +383,12 @@ impl Shared {
         (true, "ready")
     }
 
-    /// The result cache's insertion/eviction counters and its entry count,
-    /// read together.
-    pub(crate) fn cache_stats(&self) -> (CacheStats, usize) {
-        let cache = lock_or_recover(&self.cache);
-        (cache.stats(), cache.len())
-    }
-
-    /// Uptime in whole seconds, refreshing the gauge as a side effect so
-    /// both `stats` snapshots and `/metrics` scrapes see a current value.
-    pub(crate) fn refresh_uptime(&self) -> u64 {
-        let uptime = self.started.elapsed().as_secs();
-        self.metrics.uptime_seconds.set(uptime as i64);
-        uptime
+    /// Sets the gauges that are read, not counted: `uptime_seconds` and
+    /// `ready`. Called before every `stats` reply and every scrape, so both
+    /// render current values.
+    pub(crate) fn refresh_gauges(&self) {
+        self.metrics.uptime_seconds.set(self.started.elapsed().as_secs() as i64);
+        self.metrics.ready.set(i64::from(self.is_ready().0));
     }
 }
 
@@ -476,10 +491,12 @@ impl PlacementService {
             None => telemetry,
         };
 
+        let metrics = ServiceMetrics::new();
         let fault = config.fault_plan.clone().filter(|p| !p.is_empty()).map(Arc::new);
         let (journal, recovered) = match &config.journal {
             Some(journal_config) => {
-                let (journal, recovery) = Journal::open(journal_config, fault.clone())?;
+                let recoveries = metrics.poison_recoveries_total.clone();
+                let (journal, recovery) = Journal::open(journal_config, fault.clone(), recoveries)?;
                 (Some(journal), Some(recovery))
             }
             None => (None, None),
@@ -494,20 +511,32 @@ impl PlacementService {
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            circuits: Interner::new(config.cache_capacity),
+            circuits: Interner::new(config.cache_capacity, metrics.poison_recoveries_total.clone()),
             enqueue: Mutex::new(Some(EnqueueSlot { next_index, tx })),
             journal,
             fault,
             telemetry,
-            metrics: ServiceMetrics::new(),
             recorder,
             recovery_pending: AtomicBool::new(false),
             completions: CompletionQueue {
                 queue: Mutex::new(VecDeque::new()),
                 wake: listening.waker(),
+                recoveries: metrics.poison_recoveries_total.clone(),
             },
+            metrics,
             config,
         });
+        // The static configuration, published once beside the live series.
+        let statics = [
+            ("workers", shared.config.workers as i64),
+            ("queue_capacity", shared.config.queue_capacity as i64),
+            ("cache_capacity", shared.config.cache_capacity as i64),
+            ("journal_enabled", i64::from(shared.journal.is_some())),
+            ("telemetry_enabled", i64::from(shared.telemetry.is_enabled())),
+        ];
+        for (name, value) in statics {
+            shared.metrics.registry.gauge(name).set(value);
+        }
         shared.metrics.registry.set_info(
             "build_info",
             &[
@@ -643,7 +672,7 @@ fn replay_recovered_jobs(
         match job.report {
             Some(report) => {
                 let entry = CachedReport::new(Arc::clone(&canonical.text), &report);
-                lock_or_recover(&shared.cache).insert(cache_key, entry);
+                shared.cache_report(cache_key, entry);
                 shared.metrics.jobs_recovered_total.inc();
             }
             None => {
@@ -688,7 +717,7 @@ pub(crate) fn initiate_shutdown(shared: &Shared) {
         return;
     }
     // Dropping the only SyncSender lets the workers drain the queue and exit.
-    lock_or_recover(&shared.enqueue).take();
+    shared.lock(&shared.enqueue).take();
     // The self-pipe pops the reactor out of its readiness wait immediately.
     shared.completions.wake.wake();
 }
@@ -698,7 +727,7 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared) {
         // Holding the lock while waiting is fine: the holder takes the next
         // job and releases before solving, so dequeueing is serialised but
         // solving is parallel.
-        let job = match lock_or_recover(rx).recv() {
+        let job = match shared.lock(rx).recv() {
             Ok(job) => job,
             Err(_) => break, // queue closed and drained: shutdown
         };
@@ -768,7 +797,8 @@ fn execute_job(
     queue_ms: f64,
 ) -> Result<(CachedReport, bool), JobFailure> {
     // Re-check the cache after dequeue: back-to-back identical misses dedupe.
-    if let Some(entry) = probe(&shared.cache, &job.cache_key, &job.canonical.text) {
+    let cached = probe(&mut shared.lock(&shared.cache), &job.cache_key, &job.canonical.text);
+    if let Some(entry) = cached {
         shared.metrics.cache_hits_total.inc();
         return Ok((entry, true));
     }
@@ -812,7 +842,7 @@ fn execute_job(
         Ok(Ok(report)) => {
             let entry =
                 CachedReport::new(Arc::clone(&job.canonical.text), &report.to_json_deterministic());
-            lock_or_recover(&shared.cache).insert(job.cache_key.clone(), entry.clone());
+            shared.cache_report(job.cache_key.clone(), entry.clone());
             Ok((entry, false))
         }
     }
@@ -859,7 +889,7 @@ pub(crate) fn admit_place(
     let config_canonical = spec.config_canonical();
     let deadline_ms = spec.deadline_ms;
 
-    let mut guard = lock_or_recover(&shared.enqueue);
+    let mut guard = shared.lock(&shared.enqueue);
     let Some(slot) = guard.as_mut() else {
         return Admission::ShuttingDown;
     };
@@ -891,7 +921,8 @@ pub(crate) fn admit_place(
     // even when the queue is full of multi-second solves. Hits still consume
     // a job index, exactly as enqueued jobs do, so derived seeds stay
     // replay-stable either way.
-    if let Some(entry) = probe(&shared.cache, &cache_key, &canonical.text) {
+    let cached = probe(&mut shared.lock(&shared.cache), &cache_key, &canonical.text);
+    if let Some(entry) = cached {
         slot.next_index += 1;
         if let Some(record) = &enqueue_record {
             shared.journal_append(record);
@@ -936,36 +967,34 @@ pub(crate) fn admit_place(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Inserted;
 
     /// Two different canonical circuit texts forced onto one circuit hash
     /// must never be served each other's reports, and the probes must leave
-    /// the entry count and insertion counters alone.
+    /// the entry count alone.
     #[test]
     fn a_circuit_hash_collision_is_a_miss_not_a_cross_served_report() {
-        let cache = Mutex::new(LruCache::new(8));
+        let mut cache = LruCache::new(8);
         let text_a: Arc<str> = "apls 1\ncircuit \"a\"\n".into();
         let text_b: Arc<str> = "apls 1\ncircuit \"b\"\n".into();
         let key = CacheKey { circuit_hash: 42, config: "restarts=1".to_string(), seed: 7 };
 
         let entry_a = CachedReport::new(Arc::clone(&text_a), "{\"report\":\"a\"}");
-        lock_or_recover(&cache).insert(key.clone(), entry_a);
-        let hit = probe(&cache, &key, &text_a).expect("same text hits");
+        assert_eq!(cache.insert(key.clone(), entry_a), Inserted { stored: true, evicted: false });
+        let hit = probe(&mut cache, &key, &text_a).expect("same text hits");
         assert_eq!(&*hit.quoted, quote("{\"report\":\"a\"}"));
         assert_eq!(hit.report_fp, canonical_hash("{\"report\":\"a\"}"));
         // a byte-equal copy in a different allocation hits too
         let copy_a: Arc<str> = String::from(&*text_a).into();
-        assert!(probe(&cache, &key, &copy_a).is_some());
-        assert!(probe(&cache, &key, &text_b).is_none(), "b must not get a's report");
+        assert!(probe(&mut cache, &key, &copy_a).is_some());
+        assert!(probe(&mut cache, &key, &text_b).is_none(), "b must not get a's report");
 
         // b solved and inserted under the same key takes the entry over
         let entry_b = CachedReport::new(Arc::clone(&text_b), "{\"report\":\"b\"}");
-        lock_or_recover(&cache).insert(key.clone(), entry_b);
-        let hit = probe(&cache, &key, &text_b).expect("b hits its own report");
+        assert_eq!(cache.insert(key.clone(), entry_b), Inserted { stored: true, evicted: false });
+        let hit = probe(&mut cache, &key, &text_b).expect("b hits its own report");
         assert_eq!(&*hit.quoted, quote("{\"report\":\"b\"}"));
-        assert!(probe(&cache, &key, &text_a).is_none(), "a must not get b's report");
-
-        let stats = lock_or_recover(&cache).stats();
-        assert_eq!(stats, CacheStats { insertions: 2, evictions: 0 });
-        assert_eq!(lock_or_recover(&cache).len(), 1);
+        assert!(probe(&mut cache, &key, &text_a).is_none(), "a must not get b's report");
+        assert_eq!(cache.len(), 1);
     }
 }

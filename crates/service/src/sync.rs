@@ -7,43 +7,35 @@
 //! structurally valid across a panic: each critical section either completes
 //! its mutation or leaves a value that is merely stale, never torn. So the
 //! right recovery is to take the poisoned guard and keep going, counting the
-//! event so `stats` can report that a panic happened.
+//! event in the service's `poison_recoveries_total` series so `stats` and
+//! `/metrics` can report that a panic happened.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use apls_telemetry::Counter;
 use std::sync::{Mutex, MutexGuard};
 
-/// How many poisoned locks have been recovered process-wide (reported by the
-/// daemon's `stats` command; a non-zero value means a worker panicked while
-/// holding service state and the service kept going).
-static POISON_RECOVERIES: AtomicU64 = AtomicU64::new(0);
-
-/// Locks `mutex`, recovering (and counting) a poisoned guard instead of
-/// propagating the panic of whoever poisoned it.
-pub fn lock_or_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `mutex`, recovering a poisoned guard instead of propagating the
+/// panic of whoever poisoned it, and counting each recovery in
+/// `recoveries`.
+pub fn lock_or_recover<'a, T>(mutex: &'a Mutex<T>, recoveries: &Counter) -> MutexGuard<'a, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => {
-            POISON_RECOVERIES.fetch_add(1, Ordering::Relaxed);
+            recoveries.inc();
             poisoned.into_inner()
         }
     }
 }
 
-/// Lifetime count of poisoned-lock recoveries in this process.
-#[must_use]
-pub fn poison_recoveries() -> u64 {
-    POISON_RECOVERIES.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apls_telemetry::MetricsRegistry;
     use std::sync::Arc;
 
     #[test]
     fn recovers_a_poisoned_lock_and_counts_it() {
+        let recoveries = MetricsRegistry::new().counter("poison_recoveries_total");
         let mutex = Arc::new(Mutex::new(7u64));
-        let before = poison_recoveries();
         let poisoner = Arc::clone(&mutex);
         let _ = std::thread::spawn(move || {
             let _guard = poisoner.lock().unwrap();
@@ -51,10 +43,10 @@ mod tests {
         })
         .join();
         assert!(mutex.lock().is_err(), "lock is poisoned");
-        assert_eq!(*lock_or_recover(&mutex), 7, "value survives the poisoning");
-        assert!(poison_recoveries() > before);
+        assert_eq!(*lock_or_recover(&mutex, &recoveries), 7, "value survives the poisoning");
+        assert_eq!(recoveries.get(), 1);
         // the guard works normally after recovery
-        *lock_or_recover(&mutex) = 8;
-        assert_eq!(*lock_or_recover(&mutex), 8);
+        *lock_or_recover(&mutex, &recoveries) = 8;
+        assert_eq!(*lock_or_recover(&mutex, &recoveries), 8);
     }
 }

@@ -942,52 +942,49 @@ fn run_trace(matches: &ArgMatches) -> Result<(), String> {
 /// One dashboard frame rendered from a parsed `stats` reply.
 fn render_top(addr: &str, stats: &Json) -> String {
     use std::fmt::Write as _;
-    let num = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
+    let metrics = stats.get("metrics");
+    let series = |section: &str, name: &str| {
+        metrics.and_then(|m| m.get(section)).and_then(|s| s.get(name)).and_then(Json::as_u64)
+    };
+    let c = |name: &str| series("counters", name).unwrap_or(0);
+    let g = |name: &str| series("gauges", name).unwrap_or(0);
     let mut out = String::new();
-    let ready = stats.get("ready").and_then(Json::as_bool).unwrap_or(false);
     let _ = writeln!(
         out,
         "apls top — {addr}  workers={} uptime={}s  {}",
-        num("workers"),
-        num("uptime_seconds"),
-        if ready { "READY" } else { "NOT READY" },
+        g("workers"),
+        g("uptime_seconds"),
+        if g("ready") == 1 { "READY" } else { "NOT READY" },
     );
     let _ = writeln!(
         out,
         "jobs {}  queue {}/{}  in-flight {}  connections {}",
-        num("jobs_completed"),
-        num("queue_depth"),
-        num("queue_capacity"),
-        num("in_flight"),
-        num("connections"),
+        c("jobs_completed_total"),
+        g("queue_depth"),
+        g("queue_capacity"),
+        g("in_flight_jobs"),
+        g("connections_active"),
     );
-    if let Some(cache) = stats.get("cache") {
-        let c = |key: &str| cache.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "cache {}/{} entries  hits {}  misses {}  evictions {}",
-            c("entries"),
-            c("capacity"),
-            c("hits"),
-            c("misses"),
-            c("evictions"),
-        );
-    }
-    let metrics = stats.get("metrics");
-    if let Some(counters) = metrics.and_then(|m| m.get("counters")) {
-        let c = |key: &str| counters.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "requests {}  errors {}  retries {}  timeouts {}  frames {}  stalls {}  dumps {}",
-            c("requests_total"),
-            c("errors_total"),
-            c("retries_total"),
-            c("timeouts_total"),
-            c("frames_sent_total"),
-            c("reactor_stalls_total"),
-            c("flight_dumps_total"),
-        );
-    }
+    let _ = writeln!(
+        out,
+        "cache {}/{} entries  hits {}  misses {}  evictions {}",
+        g("cache_entries"),
+        g("cache_capacity"),
+        c("cache_hits_total"),
+        c("cache_misses_total"),
+        c("cache_evictions_total"),
+    );
+    let _ = writeln!(
+        out,
+        "requests {}  errors {}  retries {}  timeouts {}  frames {}  stalls {}  dumps {}",
+        c("requests_total"),
+        c("errors_total"),
+        c("retries_total"),
+        c("timeouts_total"),
+        c("frames_sent_total"),
+        c("reactor_stalls_total"),
+        c("flight_dumps_total"),
+    );
     if let Some(hists) = metrics.and_then(|m| m.get("histograms")) {
         let _ = writeln!(
             out,

@@ -163,9 +163,13 @@ fn inline_and_bundled_sources_share_cache_entries() {
     // worker re-checked it; one insertion: resolving inline circuits adds no
     // cache insertions
     let stats = Json::parse(&client.stats().expect("stats")).expect("stats parse");
-    let cache = stats.get("cache").expect("cache stats");
-    let count = |field: &str| cache.get(field).and_then(Json::as_u64).expect(field);
-    assert_eq!((count("hits"), count("misses"), count("insertions")), (3, 1, 1), "{stats:?}");
+    let counters = stats.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+    let count = |field: &str| counters.get(field).and_then(Json::as_u64).expect(field);
+    assert_eq!(
+        (count("cache_hits_total"), count("cache_misses_total"), count("cache_insertions_total")),
+        (3, 1, 1),
+        "{stats:?}"
+    );
     assert_eq!(stats.get("cache_hits").and_then(Json::as_u64), Some(3));
 
     service.shutdown();

@@ -70,7 +70,7 @@ fn event_loop_holds_256_connections_with_interleaved_streaming() {
     }
 
     let stats = clients[0].stats().expect("stats");
-    assert_eq!(metric(&stats, "connections"), HELD as i64);
+    assert_eq!(metric(&stats, "connections_active"), HELD as i64);
     assert_eq!(
         metric(&stats, "poller_registered_fds"),
         2 + HELD as i64,

@@ -412,7 +412,7 @@ fn readyz_goes_unready_while_the_queue_sits_at_high_water() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = stats_client.stats().expect("stats");
-        if stats.contains("\"in_flight\":1") {
+        if stats.contains("\"in_flight_jobs\":1") {
             break;
         }
         assert!(Instant::now() < deadline, "job 1 never reached a worker: {stats}");
