@@ -95,9 +95,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Root of the service seed stream for jobs without a pinned seed.
     pub seed: u64,
-    /// Test/bench hook: artificial extra latency per computed (non-cached)
-    /// job, simulating heavier circuits than the suite can afford to run.
-    pub job_delay: Option<Duration>,
     /// Concurrent connections served at once (default 1024).
     pub max_connections: usize,
     /// Largest accepted request line (default 16 MiB); an oversized line is answered with
@@ -136,7 +133,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             cache_capacity: 128,
             seed: 1,
-            job_delay: None,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             max_request_bytes: DEFAULT_MAX_REQUEST_BYTES,
             journal: None,
@@ -809,9 +805,6 @@ fn execute_job(
     }
     if let Some(ms) = shared.fault.as_ref().and_then(|plan| plan.slow_solve_ms(job.index)) {
         std::thread::sleep(Duration::from_millis(ms));
-    }
-    if let Some(delay) = shared.config.job_delay {
-        std::thread::sleep(delay);
     }
     let solved = catch_unwind(AssertUnwindSafe(|| {
         if shared.fault.as_ref().is_some_and(|plan| plan.panic_on_job(job.index)) {

@@ -2,8 +2,14 @@
 //! that drains queued work, derived-seed replayability, and protocol errors.
 
 use apls_portfolio::PortfolioEngine;
-use apls_service::{JobSpec, PlacementService, ServiceClient, ServiceConfig};
+use apls_service::{FaultPlan, JobSpec, PlacementService, ServiceClient, ServiceConfig};
+use std::ops::Range;
 use std::time::Duration;
+
+/// A fault plan that slows the solve of each job in `jobs` by `ms`.
+fn slow_jobs(jobs: Range<u64>, ms: u64) -> FaultPlan {
+    jobs.fold(FaultPlan::new(), |plan, job| plan.with_slow_solve(job, ms))
+}
 
 /// A cheap job: single deterministic-engine run of the 9-module Miller
 /// op-amp.
@@ -16,14 +22,15 @@ fn cheap_spec() -> JobSpec {
 
 #[test]
 fn full_queue_answers_retry() {
-    // One worker, queue depth 1, and an artificial 400 ms solve time: the
-    // first job occupies the worker, the second fills the queue, the rest of
-    // the burst must be told to retry.
+    // One worker, queue depth 1, and an artificial 400 ms solve time for
+    // every job the burst can admit (indices 0-5): the first job occupies
+    // the worker, the second fills the queue, the rest of the burst must be
+    // told to retry.
     let service = PlacementService::start(ServiceConfig {
         workers: 1,
         queue_capacity: 1,
         cache_capacity: 0,
-        job_delay: Some(Duration::from_millis(400)),
+        fault_plan: Some(slow_jobs(0..6, 400)),
         ..ServiceConfig::default()
     })
     .expect("service starts");
@@ -60,7 +67,7 @@ fn shutdown_drains_queued_jobs() {
     let service = PlacementService::start(ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        job_delay: Some(Duration::from_millis(150)),
+        fault_plan: Some(slow_jobs(0..3, 150)),
         ..ServiceConfig::default()
     })
     .expect("service starts");

@@ -227,12 +227,6 @@ fn serve_command() -> Command {
                 .help("Concurrent connections served at once; beyond this, new connections get an error line (default 1024)"),
         )
         .arg(
-            Arg::new("job-delay-ms")
-                .long("job-delay-ms")
-                .value_name("MS")
-                .help("Testing: add MS milliseconds of artificial latency to every computed (non-cached) job"),
-        )
-        .arg(
             Arg::new("fault-plan")
                 .long("fault-plan")
                 .value_name("FILE")
@@ -584,11 +578,6 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
         queue_capacity,
         cache_capacity: parse_number(matches.get_one::<String>("cache"), "--cache")?,
         seed: parse_number(matches.get_one::<String>("seed"), "--seed")?,
-        job_delay: parse_optional::<u64>(
-            matches.get_one::<String>("job-delay-ms"),
-            "--job-delay-ms",
-        )?
-        .map(std::time::Duration::from_millis),
         max_connections: parse_optional(
             matches.get_one::<String>("max-connections"),
             "--max-connections",

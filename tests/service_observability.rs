@@ -386,7 +386,7 @@ fn readyz_goes_unready_while_the_queue_sits_at_high_water() {
         workers: 1,
         queue_capacity: 1,
         cache_capacity: 0,
-        job_delay: Some(Duration::from_millis(800)),
+        fault_plan: Some(FaultPlan::new().with_slow_solve(0, 800).with_slow_solve(1, 800)),
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..ServiceConfig::default()
     })

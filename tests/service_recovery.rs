@@ -257,22 +257,18 @@ fn sigkill_mid_queue_loses_no_accepted_job() {
     let reference =
         reference_run(&[quick_a.clone(), quick_b.clone(), doomed_c.clone(), doomed_d.clone()]);
 
-    // first life: a real daemon process, artificially slow (400ms/job) so
-    // the kill lands mid-solve with one job still queued
+    // first life: a real daemon process, artificially slow (400ms for each
+    // of jobs 0-3) so the kill lands mid-solve with one job still queued
+    let plan = journal.dir.join("slow.json");
+    let slow_solves = (0..4).map(|job| format!(r#"{{"job":{job},"ms":400}}"#));
+    let slow_solves = slow_solves.collect::<Vec<_>>().join(",");
+    std::fs::write(&plan, format!(r#"{{"slow_solves":[{slow_solves}]}}"#)).expect("plan writes");
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_apls"))
-        .args([
-            "serve",
-            "--host",
-            "127.0.0.1",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--job-delay-ms",
-            "400",
-            "--journal",
-        ])
+        .args(["serve", "--host", "127.0.0.1", "--port", "0", "--workers", "1", "--journal"])
         .arg(&journal.path)
+        .arg("--fault-plan")
+        .arg(&plan)
+        .env("APLS_FAULT_INJECTION", "1")
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("daemon spawns");
