@@ -242,8 +242,12 @@ pub(crate) enum JobMsg {
 
 /// The reactor's inbound queue of job messages, shared with every worker:
 /// workers never touch connection sockets, they hand each message to the
-/// reactor thread that owns them. Pushing wakes the reactor out of its
-/// readiness poll via the self-pipe, the reactor's only waker.
+/// reactor thread that owns them. A push into an empty queue wakes the
+/// reactor out of its readiness poll via the self-pipe, the reactor's only
+/// waker. A push behind queued messages needs no byte of its own: the
+/// reactor drains the pipe before it drains the queue, so the byte that
+/// announced the first message is still unread, or its drain is still to
+/// come and takes this message too.
 pub(crate) struct CompletionQueue {
     queue: Mutex<VecDeque<(u64, JobMsg)>>,
     wake: WakeSender,
@@ -253,8 +257,15 @@ pub(crate) struct CompletionQueue {
 
 impl CompletionQueue {
     fn push(&self, index: u64, msg: JobMsg) {
-        lock_or_recover(&self.queue, &self.recoveries).push_back((index, msg));
-        self.wake.wake();
+        let was_empty = {
+            let mut queue = lock_or_recover(&self.queue, &self.recoveries);
+            let was_empty = queue.is_empty();
+            queue.push_back((index, msg));
+            was_empty
+        };
+        if was_empty {
+            self.wake.wake();
+        }
     }
 
     /// Takes everything queued so far (reactor thread only).
@@ -989,5 +1000,24 @@ mod tests {
         assert_eq!(&*hit.quoted, quote("{\"report\":\"b\"}"));
         assert!(probe(&mut cache, &key, &text_a).is_none(), "a must not get b's report");
         assert_eq!(cache.len(), 1);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_push_wakes_the_reactor_only_when_the_queue_was_empty() {
+        let pipe = crate::poller::WakePipe::new().expect("pipe");
+        let completions = CompletionQueue {
+            queue: Mutex::new(VecDeque::new()),
+            wake: pipe.sender(),
+            recoveries: apls_telemetry::MetricsRegistry::new().counter("poison_recoveries_total"),
+        };
+        let done =
+            || JobMsg::Done { outcome: Err(JobFailure::Timeout), queue_ms: 0.0, solve_ms: 0.0 };
+        completions.push(0, done());
+        completions.push(1, done());
+        assert_eq!(pipe.drain(), 1, "a second push before a drain writes no byte");
+        assert_eq!(completions.drain().len(), 2);
+        completions.push(2, done());
+        assert_eq!(pipe.drain(), 1, "a push after a drain writes one");
     }
 }
