@@ -20,6 +20,10 @@
 //! apls convert --in custom.apls --out -       # parse + canonicalise
 //! apls gen --modules 200 --seed 9 --out big.apls
 //! ```
+//!
+//! Exit status: 0 on success, 2 when the command line or a job option is
+//! refused, and 1 when connecting, a request, a service answer (`retry`,
+//! `timeout`, `error`), a file or a local run fails.
 
 use analog_layout_synthesis::circuit::benchmarks::{self, GeneratorConfig};
 use analog_layout_synthesis::io::{parse_circuit, serialize_circuit};
@@ -481,12 +485,40 @@ fn parse_optional<T: std::str::FromStr>(
     matches_value.map(|raw| parse_number(Some(raw), what)).transpose()
 }
 
-fn write_output(path: &str, content: &str, what: &str) -> Result<(), String> {
+/// Why a command failed. It picks the exit code, so a script can tell a
+/// refused command line from a failed run.
+#[derive(Debug)]
+enum Failure {
+    /// The command line or a job option was refused: exit 2.
+    Refused(String),
+    /// Connecting, a request, a service answer, a file or the run itself
+    /// failed: exit 1.
+    Failed(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Refused(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Failure {
+        Failure::Refused(message.to_string())
+    }
+}
+
+/// A [`Failure::Failed`] carrying `message`.
+fn failed(message: impl Into<String>) -> Failure {
+    Failure::Failed(message.into())
+}
+
+fn write_output(path: &str, content: &str, what: &str) -> Result<(), Failure> {
     if path == "-" {
         print!("{content}");
         Ok(())
     } else {
-        std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, content).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
         println!("{what} written to {path}");
         Ok(())
     }
@@ -527,7 +559,7 @@ fn job_spec(matches: &ArgMatches, circuit: CircuitSource) -> Result<JobSpec, Str
     Ok(spec)
 }
 
-fn run_serve(matches: &ArgMatches) -> Result<(), String> {
+fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
     let workers: usize = parse_number(matches.get_one::<String>("workers"), "--workers")?;
     let workers = if workers == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -536,7 +568,7 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
     };
     let queue_capacity: usize = parse_number(matches.get_one::<String>("queue"), "--queue")?;
     if queue_capacity == 0 {
-        return Err("--queue must be at least 1".to_string());
+        return Err("--queue must be at least 1".into());
     }
     let journal = match matches.get_one::<String>("journal") {
         Some(path) => {
@@ -551,7 +583,7 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
         }
         None => {
             if matches.get_one::<String>("journal-sync-ms").is_some() {
-                return Err("--journal-sync-ms requires --journal FILE".to_string());
+                return Err("--journal-sync-ms requires --journal FILE".into());
             }
             None
         }
@@ -562,11 +594,10 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
             // keeps a copy-pasted test command line from hurting production
             if std::env::var("APLS_FAULT_INJECTION").as_deref() != Ok("1") {
                 return Err(
-                    "--fault-plan is a test harness; set APLS_FAULT_INJECTION=1 to confirm"
-                        .to_string(),
+                    "--fault-plan is a test harness; set APLS_FAULT_INJECTION=1 to confirm".into(),
                 );
             }
-            Some(FaultPlan::load(std::path::Path::new(path))?)
+            Some(FaultPlan::load(std::path::Path::new(path)).map_err(failed)?)
         }
         None => None,
     };
@@ -595,7 +626,7 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
         flight_recorder_path: matches.get_one::<String>("flight-recorder").map(Into::into),
     };
     if config.max_connections == 0 {
-        return Err("--max-connections must be at least 1".to_string());
+        return Err("--max-connections must be at least 1".into());
     }
     let workers = config.workers;
     let queue = config.queue_capacity;
@@ -609,14 +640,14 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
     let telemetry = match matches.get_one::<String>("trace") {
         Some(path) => {
             let file = std::fs::File::create(path)
-                .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
+                .map_err(|e| failed(format!("cannot create trace file {path}: {e}")))?;
             println!("streaming trace events to {path}");
             Telemetry::with_collector(Arc::new(StreamCollector::new(Box::new(file))))
         }
         None => Telemetry::disabled(),
     };
     let service = PlacementService::start_with_telemetry(config, telemetry)
-        .map_err(|e| format!("cannot start service: {e}"))?;
+        .map_err(|e| failed(format!("cannot start service: {e}")))?;
     println!(
         "apls service listening on {} ({workers} worker(s), queue {queue}, cache {cache}{journal_note}{fault_note})",
         service.local_addr()
@@ -630,11 +661,12 @@ fn run_serve(matches: &ArgMatches) -> Result<(), String> {
     Ok(())
 }
 
-fn run_submit(matches: &ArgMatches) -> Result<(), String> {
+fn run_submit(matches: &ArgMatches) -> Result<(), Failure> {
     let addr = matches.get_one::<String>("addr").expect("defaulted");
     // connects only once the request is known to be valid
-    let connect =
-        || ServiceClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"));
+    let connect = || {
+        ServiceClient::connect(addr).map_err(|e| failed(format!("cannot connect to {addr}: {e}")))
+    };
     let op = matches.get_one::<String>("op").expect("defaulted");
     match op.as_str() {
         "ping" | "stats" | "dump" | "shutdown" => {
@@ -645,34 +677,36 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
                 "dump" => client.dump(),
                 _ => client.shutdown(),
             }
-            .map_err(|e| format!("request failed: {e}"))?;
+            .map_err(|e| failed(format!("request failed: {e}")))?;
             println!("{response}");
             return Ok(());
         }
         "place" => {}
-        other => return Err(format!("unknown op '{other}' (place, ping, stats, dump, shutdown)")),
+        other => {
+            return Err(format!("unknown op '{other}' (place, ping, stats, dump, shutdown)").into())
+        }
     }
 
     let circuit = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("file")) {
-        (Some(_), Some(_)) => return Err("--circuit and --file are mutually exclusive".to_string()),
+        (Some(_), Some(_)) => return Err("--circuit and --file are mutually exclusive".into()),
         (Some(name), None) => CircuitSource::Bundled(name.clone()),
         (None, Some(path)) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
             // fail fast with a positioned message instead of shipping junk
-            parse_circuit(&text).map_err(|e| format!("{path}:{e}"))?;
+            parse_circuit(&text).map_err(|e| failed(format!("{path}:{e}")))?;
             CircuitSource::Inline(text)
         }
         (None, None) => {
-            return Err("submit needs a circuit: --circuit NAME or --file FILE.apls".to_string())
+            return Err("submit needs a circuit: --circuit NAME or --file FILE.apls".into())
         }
     };
     let spec = job_spec(matches, circuit)?;
     let stream = matches.get_flag("stream");
     let retries: Option<u32> = parse_optional(matches.get_one::<String>("retries"), "--retries")?;
     match retries {
-        Some(_) if stream => return Err("--retries cannot be combined with --stream".to_string()),
-        Some(0) => return Err("--retries must be at least 1".to_string()),
+        Some(_) if stream => return Err("--retries cannot be combined with --stream".into()),
+        Some(0) => return Err("--retries must be at least 1".into()),
         _ => {}
     }
 
@@ -696,7 +730,7 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
             _ => connect()?.place(&spec),
         }
     }
-    .map_err(|e| format!("request failed: {e}"))?;
+    .map_err(|e| failed(format!("request failed: {e}")))?;
     match response.status.as_str() {
         "ok" => {
             let attempts_note = if response.attempts > 1 {
@@ -715,48 +749,52 @@ fn run_submit(matches: &ArgMatches) -> Result<(), String> {
                 response.total_ms.unwrap_or(0.0),
             );
             if let Some(path) = matches.get_one::<String>("json") {
-                let report = response.report.as_deref().ok_or("response carried no report")?;
+                let report = response
+                    .report
+                    .as_deref()
+                    .ok_or_else(|| failed("response carried no report"))?;
                 write_output(path, report, "report")?;
             }
             Ok(())
         }
-        "retry" => Err(format!(
+        "retry" => Err(failed(format!(
             "service busy: {} (resubmit later)",
             response.error.as_deref().unwrap_or("queue full")
-        )),
-        "timeout" => Err(format!(
+        ))),
+        "timeout" => Err(failed(format!(
             "job timed out: {}",
             response.error.as_deref().unwrap_or("deadline exceeded")
-        )),
-        _ => {
-            Err(format!("service error: {}", response.error.as_deref().unwrap_or("unknown error")))
-        }
+        ))),
+        _ => Err(failed(format!(
+            "service error: {}",
+            response.error.as_deref().unwrap_or("unknown error")
+        ))),
     }
 }
 
-fn run_convert(matches: &ArgMatches) -> Result<(), String> {
+fn run_convert(matches: &ArgMatches) -> Result<(), Failure> {
     let circuit = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("in")) {
-        (Some(_), Some(_)) => return Err("--circuit and --in are mutually exclusive".to_string()),
+        (Some(_), Some(_)) => return Err("--circuit and --in are mutually exclusive".into()),
         (Some(name), None) => benchmarks::by_name(name).ok_or_else(|| {
             format!("unknown circuit '{name}' (available: {})", benchmarks::names().join(", "))
         })?,
         (None, Some(path)) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            parse_circuit(&text).map_err(|e| format!("{path}:{e}"))?
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+            parse_circuit(&text).map_err(|e| failed(format!("{path}:{e}")))?
         }
         (None, None) => {
-            return Err("convert needs an input: --circuit NAME or --in FILE.apls".to_string())
+            return Err("convert needs an input: --circuit NAME or --in FILE.apls".into())
         }
     };
     let out = matches.get_one::<String>("out").expect("defaulted");
     write_output(out, &serialize_circuit(&circuit), &format!("circuit '{}'", circuit.name))
 }
 
-fn run_gen(matches: &ArgMatches) -> Result<(), String> {
+fn run_gen(matches: &ArgMatches) -> Result<(), Failure> {
     let module_count: usize = parse_number(matches.get_one::<String>("modules"), "--modules")?;
     if module_count == 0 {
-        return Err("--modules must be at least 1".to_string());
+        return Err("--modules must be at least 1".into());
     }
     let config = GeneratorConfig {
         module_count,
@@ -777,7 +815,7 @@ fn run_gen(matches: &ArgMatches) -> Result<(), String> {
         max_edge: parse_number(matches.get_one::<String>("max-edge"), "--max-edge")?,
     };
     if config.min_edge < 1 || config.max_edge <= config.min_edge {
-        return Err("edge lengths must satisfy 1 <= --min-edge < --max-edge".to_string());
+        return Err("edge lengths must satisfy 1 <= --min-edge < --max-edge".into());
     }
     let name = matches.get_one::<String>("name").expect("defaulted");
     let circuit = benchmarks::generate(name, config);
@@ -785,7 +823,7 @@ fn run_gen(matches: &ArgMatches) -> Result<(), String> {
     write_output(out, &serialize_circuit(&circuit), &format!("circuit '{name}'"))
 }
 
-fn run_default(matches: &ArgMatches) -> Result<(), String> {
+fn run_default(matches: &ArgMatches) -> Result<(), Failure> {
     if matches.get_flag("list") {
         println!("bundled benchmark circuits:");
         for name in benchmarks::names() {
@@ -850,7 +888,7 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
     if let Some(path) = matches.get_one::<String>("svg") {
         let svg =
             analog_layout_synthesis::portfolio::svg::render_svg(&circuit, &report.best().placement);
-        std::fs::write(path, svg).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, svg).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
         println!("winning placement written to {path}");
     }
     if let (Some(path), Some(recorder)) = (trace_path, recorder) {
@@ -861,16 +899,22 @@ fn run_default(matches: &ArgMatches) -> Result<(), String> {
         } else {
             recorder.to_json_lines()
         };
-        std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, body).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
         println!("trace ({} event(s)) written to {path}", recorder.len());
     }
     Ok(())
 }
 
-fn run_trace(matches: &ArgMatches) -> Result<(), String> {
+fn run_trace(matches: &ArgMatches) -> Result<(), Failure> {
     let path = matches
         .get_one::<String>("file")
         .ok_or("trace needs a file: apls trace --file out.jsonl")?;
+    summarise_trace(path).map_err(failed)
+}
+
+/// Reads a trace file (one event per line, or one Chrome trace document)
+/// and prints its per-phase summary.
+fn summarise_trace(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut summary = TraceSummary::new();
     let mut events = 0usize;
@@ -1003,7 +1047,7 @@ fn render_top(addr: &str, stats: &Json) -> String {
     out
 }
 
-fn run_top(matches: &ArgMatches) -> Result<(), String> {
+fn run_top(matches: &ArgMatches) -> Result<(), Failure> {
     let addr = matches.get_one::<String>("addr").expect("defaulted");
     let interval_ms: u64 = parse_number(matches.get_one::<String>("interval-ms"), "--interval-ms")?;
     let iterations: u64 = parse_number(matches.get_one::<String>("iterations"), "--iterations")?;
@@ -1018,7 +1062,8 @@ fn run_top(matches: &ArgMatches) -> Result<(), String> {
                 let stats =
                     Json::parse(&line).map_err(|e| format!("bad stats reply from {addr}: {e}"))?;
                 Ok(render_top(addr, &stats))
-            })?;
+            })
+            .map_err(failed)?;
         if clear {
             // ANSI clear-screen + home, like watch(1)
             print!("\u{1b}[2J\u{1b}[H");
@@ -1034,7 +1079,7 @@ fn run_top(matches: &ArgMatches) -> Result<(), String> {
     }
 }
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), Failure> {
     let matches = cli().get_matches();
     match matches.subcommand() {
         Some(("serve", sub)) => run_serve(sub),
@@ -1048,11 +1093,11 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::from(2)
-        }
-    }
+    let (message, code) = match run() {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Refused(message)) => (message, 2),
+        Err(Failure::Failed(message)) => (message, 1),
+    };
+    eprintln!("error: {message}");
+    ExitCode::from(code)
 }

@@ -262,6 +262,12 @@ fn every_job_rule_refuses_alike_on_the_wire_in_submit_and_in_a_local_run() {
         }
     }
 
+    // the same submit with every option valid gets as far as connecting,
+    // and a failed connection is a failed run, not a refused command line
+    let (code, stderr) = apls(&["submit", "--addr", "127.0.0.1:9", "-c", "miller_opamp_fig6"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("cannot connect to 127.0.0.1:9"), "{stderr}");
+
     let mut spec = JobSpec::bundled("miller_opamp_fig6");
     spec.wirelength_weight = Some(f64::NAN);
     assert_eq!(spec.check().unwrap_err(), "'wirelength_weight' must be finite and non-negative");
