@@ -183,8 +183,7 @@ mod tests {
         assert_eq!(cache.get(&3), None); // miss
         assert_eq!(cache.insert(3, "c"), Inserted { stored: true, evicted: true }); // evicts 2
         assert_eq!(cache.get(&2), None); // miss
-                                         // a refresh is an insertion and evicts nothing
-        assert_eq!(cache.insert(3, "c2"), stored);
+        assert_eq!(cache.insert(3, "c2"), stored, "a refresh is an insertion and evicts nothing");
         assert_eq!(cache.len(), 2);
     }
 }
