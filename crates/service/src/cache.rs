@@ -14,12 +14,10 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// What one [`LruCache::insert`] did, for the caller's counters: the cache
-/// keeps none of its own.
+/// What one [`LruCache::insert`] did, for the caller's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Inserted {
-    /// The entry was stored, as a new key or a refresh (`false` only for a
-    /// zero-capacity cache).
+    /// Stored as a new key or a refresh (`false` only at zero capacity).
     pub stored: bool,
     /// The least-recently-used entry was evicted to make room.
     pub evicted: bool,
@@ -101,12 +99,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// The configured entry capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 

@@ -64,8 +64,7 @@ pub(crate) struct Interner {
 
 impl Interner {
     /// An intern table holding at most `capacity` inline circuits (`0`
-    /// parses every inline request), counting lock recoveries in
-    /// `recoveries`.
+    /// parses every inline request).
     pub(crate) fn new(capacity: usize, recoveries: Counter) -> Interner {
         Interner { inline: Mutex::new(LruCache::new(capacity)), recoveries }
     }
@@ -78,17 +77,15 @@ impl Interner {
                 format!("unknown circuit '{name}' (available: {})", benchmarks::names().join(", "))
             }),
             CircuitSource::Inline(text) => {
-                if let Some(canonical) =
-                    lock_or_recover(&self.inline, &self.recoveries).get(text.as_str())
-                {
+                let inline = || lock_or_recover(&self.inline, &self.recoveries);
+                if let Some(canonical) = inline().get(text.as_str()) {
                     return Ok(canonical.clone());
                 }
                 // parse outside the lock: a large circuit takes milliseconds
                 let circuit = apls_io::parse_circuit(text)
                     .map_err(|e| format!("invalid inline circuit: {e}"))?;
                 let canonical = Canonical::of(circuit);
-                lock_or_recover(&self.inline, &self.recoveries)
-                    .insert(Arc::clone(&canonical.text), canonical.clone());
+                inline().insert(Arc::clone(&canonical.text), canonical.clone());
                 Ok(canonical)
             }
         }

@@ -1,12 +1,9 @@
 //! Service-level metrics: counters, gauges and latency histograms.
 //!
-//! One [`MetricsRegistry`] holds every figure the daemon reports: the
-//! `stats` reply embeds its snapshot, `/metrics` renders it and `apls top`
-//! reads the snapshot. The handles below are pre-resolved at service start
-//! so the hot request path never takes the registry lock. The static
-//! configuration is published as gauges set once at start (`workers`,
-//! `queue_capacity`, `cache_capacity`, `journal_enabled`,
-//! `telemetry_enabled`), which need no handle.
+//! One [`MetricsRegistry`] holds every figure the daemon reports: `stats`
+//! embeds its snapshot and `/metrics` renders it. The handles below are
+//! pre-resolved at service start so the hot request path never takes the
+//! registry lock; the static configuration is gauges set once at start.
 
 use apls_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_MS_BOUNDS};
 
@@ -30,16 +27,13 @@ pub(crate) struct ServiceMetrics {
     /// Jobs that found no cached report and went on to a worker's solve,
     /// counted once per job where the worker's re-probe misses.
     pub cache_misses_total: Counter,
-    /// Reports stored in the result cache, new keys and refreshes, by a
-    /// worker's solve or the recovery restore (also the `stats` reply's
-    /// `cache.insertions`).
+    /// Reports stored in the result cache, new keys and refreshes.
     pub cache_insertions_total: Counter,
     /// Result-cache entries evicted to make room for a new key.
     pub cache_evictions_total: Counter,
     /// Result-cache entries held, set at each insertion.
     pub cache_entries: Gauge,
-    /// Poisoned locks recovered (see [`crate::sync::lock_or_recover`]); a
-    /// non-zero value means a panic struck while service state was locked.
+    /// Poisoned locks recovered by [`crate::sync::lock_or_recover`].
     pub poison_recoveries_total: Counter,
     /// Jobs currently waiting in the bounded queue.
     pub queue_depth: Gauge,
@@ -81,8 +75,7 @@ pub(crate) struct ServiceMetrics {
     pub write_buffer_high_water: Gauge,
     /// Seconds since the service started (refreshed at snapshot/scrape time).
     pub uptime_seconds: Gauge,
-    /// `1` when `/readyz` would answer 200, else `0` (refreshed at
-    /// snapshot/scrape time).
+    /// `1` when `/readyz` would answer 200, else `0` (refreshed likewise).
     pub ready: Gauge,
     /// Flight-recorder dumps written to disk (panic, fault trip, or `dump`).
     pub flight_dumps_total: Counter,

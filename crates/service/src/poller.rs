@@ -201,18 +201,15 @@ mod imp {
         }
 
         /// Consumes every pending wake byte (level-triggered pollers would
-        /// otherwise spin on the readable pipe) and returns how many there
-        /// were.
-        pub(crate) fn drain(&self) -> usize {
+        /// otherwise spin on the readable pipe).
+        pub(crate) fn drain(&self) {
             let mut buf = [0u8; 64];
-            let mut drained = 0;
             loop {
                 // SAFETY: buf is a valid writable buffer of the given length.
                 let n = unsafe { read(self.rx.0, buf.as_mut_ptr().cast::<c_void>(), buf.len()) };
                 if n <= 0 {
-                    return drained; // empty (EAGAIN) or closed — either way, drained
+                    break; // empty (EAGAIN) or closed — either way, drained
                 }
-                drained += n as usize;
             }
         }
     }

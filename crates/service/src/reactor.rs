@@ -294,9 +294,7 @@ pub(crate) fn run(listening: Listening, shared: &Arc<Shared>) {
             match event.token {
                 LISTENER => reactor.accept_burst(&listener, false),
                 METRICS => reactor.accept_burst(metrics.as_ref().expect("metrics listener"), true),
-                WAKE => {
-                    pipe.drain();
-                }
+                WAKE => pipe.drain(),
                 token => {
                     let slot = token - CONN_BASE;
                     if event.readable || event.hangup {

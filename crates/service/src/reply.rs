@@ -160,10 +160,8 @@ pub(crate) fn dump(dump: &FlightDump) -> String {
     })
 }
 
-/// The answer to `stats`: the registry snapshot under `metrics`, after the
-/// members older readers parse, each read from the same series as its
-/// twin in the snapshot (`ready`, `jobs_completed_total`,
-/// `cache_hits_total`, `cache_insertions_total`).
+/// The registry snapshot under `metrics`, after four members older readers
+/// parse, each read from its twin in the snapshot.
 pub(crate) fn stats(shared: &Shared) -> String {
     shared.refresh_gauges();
     let metrics = &shared.metrics;

@@ -22,7 +22,7 @@
 //! ```
 //!
 //! Exit status: 0 on success, 2 when the command line or a job option is
-//! refused, and 1 when connecting, a request, a service answer (`retry`,
+//! refused, 1 when connecting, a request, a service answer (`retry`,
 //! `timeout`, `error`), a file or a local run fails.
 
 use analog_layout_synthesis::circuit::benchmarks::{self, GeneratorConfig};
@@ -485,42 +485,20 @@ fn parse_optional<T: std::str::FromStr>(
     matches_value.map(|raw| parse_number(Some(raw), what)).transpose()
 }
 
-/// Why a command failed. It picks the exit code, so a script can tell a
-/// refused command line from a failed run.
-#[derive(Debug)]
-enum Failure {
-    /// The command line or a job option was refused: exit 2.
-    Refused(String),
-    /// Connecting, a request, a service answer, a file or the run itself
-    /// failed: exit 1.
-    Failed(String),
+/// Reports a failed run (connecting, a request, a service answer, a file
+/// or the run itself) and exits 1. A refused command line or job option is
+/// returned as an error instead, and [`main`] exits 2.
+fn fail(message: String) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1)
 }
 
-impl From<String> for Failure {
-    fn from(message: String) -> Failure {
-        Failure::Refused(message)
-    }
-}
-
-impl From<&str> for Failure {
-    fn from(message: &str) -> Failure {
-        Failure::Refused(message.to_string())
-    }
-}
-
-/// A [`Failure::Failed`] carrying `message`.
-fn failed(message: impl Into<String>) -> Failure {
-    Failure::Failed(message.into())
-}
-
-fn write_output(path: &str, content: &str, what: &str) -> Result<(), Failure> {
+fn write_output(path: &str, content: &str, what: &str) {
     if path == "-" {
         print!("{content}");
-        Ok(())
     } else {
-        std::fs::write(path, content).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+        std::fs::write(path, content).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         println!("{what} written to {path}");
-        Ok(())
     }
 }
 
@@ -559,7 +537,7 @@ fn job_spec(matches: &ArgMatches, circuit: CircuitSource) -> Result<JobSpec, Str
     Ok(spec)
 }
 
-fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_serve(matches: &ArgMatches) -> Result<(), String> {
     let workers: usize = parse_number(matches.get_one::<String>("workers"), "--workers")?;
     let workers = if workers == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -568,7 +546,7 @@ fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
     };
     let queue_capacity: usize = parse_number(matches.get_one::<String>("queue"), "--queue")?;
     if queue_capacity == 0 {
-        return Err("--queue must be at least 1".into());
+        return Err("--queue must be at least 1".to_string());
     }
     let journal = match matches.get_one::<String>("journal") {
         Some(path) => {
@@ -583,7 +561,7 @@ fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
         }
         None => {
             if matches.get_one::<String>("journal-sync-ms").is_some() {
-                return Err("--journal-sync-ms requires --journal FILE".into());
+                return Err("--journal-sync-ms requires --journal FILE".to_string());
             }
             None
         }
@@ -594,10 +572,11 @@ fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
             // keeps a copy-pasted test command line from hurting production
             if std::env::var("APLS_FAULT_INJECTION").as_deref() != Ok("1") {
                 return Err(
-                    "--fault-plan is a test harness; set APLS_FAULT_INJECTION=1 to confirm".into(),
+                    "--fault-plan is a test harness; set APLS_FAULT_INJECTION=1 to confirm"
+                        .to_string(),
                 );
             }
-            Some(FaultPlan::load(std::path::Path::new(path)).map_err(failed)?)
+            Some(FaultPlan::load(std::path::Path::new(path)).unwrap_or_else(|e| fail(e)))
         }
         None => None,
     };
@@ -626,7 +605,7 @@ fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
         flight_recorder_path: matches.get_one::<String>("flight-recorder").map(Into::into),
     };
     if config.max_connections == 0 {
-        return Err("--max-connections must be at least 1".into());
+        return Err("--max-connections must be at least 1".to_string());
     }
     let workers = config.workers;
     let queue = config.queue_capacity;
@@ -640,14 +619,14 @@ fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
     let telemetry = match matches.get_one::<String>("trace") {
         Some(path) => {
             let file = std::fs::File::create(path)
-                .map_err(|e| failed(format!("cannot create trace file {path}: {e}")))?;
+                .unwrap_or_else(|e| fail(format!("cannot create trace file {path}: {e}")));
             println!("streaming trace events to {path}");
             Telemetry::with_collector(Arc::new(StreamCollector::new(Box::new(file))))
         }
         None => Telemetry::disabled(),
     };
     let service = PlacementService::start_with_telemetry(config, telemetry)
-        .map_err(|e| failed(format!("cannot start service: {e}")))?;
+        .unwrap_or_else(|e| fail(format!("cannot start service: {e}")));
     println!(
         "apls service listening on {} ({workers} worker(s), queue {queue}, cache {cache}{journal_note}{fault_note})",
         service.local_addr()
@@ -661,57 +640,56 @@ fn run_serve(matches: &ArgMatches) -> Result<(), Failure> {
     Ok(())
 }
 
-fn run_submit(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_submit(matches: &ArgMatches) -> Result<(), String> {
     let addr = matches.get_one::<String>("addr").expect("defaulted");
     // connects only once the request is known to be valid
     let connect = || {
-        ServiceClient::connect(addr).map_err(|e| failed(format!("cannot connect to {addr}: {e}")))
+        ServiceClient::connect(addr)
+            .unwrap_or_else(|e| fail(format!("cannot connect to {addr}: {e}")))
     };
     let op = matches.get_one::<String>("op").expect("defaulted");
     match op.as_str() {
         "ping" | "stats" | "dump" | "shutdown" => {
-            let mut client = connect()?;
+            let mut client = connect();
             let response = match op.as_str() {
                 "ping" => client.ping(),
                 "stats" => client.stats(),
                 "dump" => client.dump(),
                 _ => client.shutdown(),
             }
-            .map_err(|e| failed(format!("request failed: {e}")))?;
+            .unwrap_or_else(|e| fail(format!("request failed: {e}")));
             println!("{response}");
             return Ok(());
         }
         "place" => {}
-        other => {
-            return Err(format!("unknown op '{other}' (place, ping, stats, dump, shutdown)").into())
-        }
+        other => return Err(format!("unknown op '{other}' (place, ping, stats, dump, shutdown)")),
     }
 
     let circuit = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("file")) {
-        (Some(_), Some(_)) => return Err("--circuit and --file are mutually exclusive".into()),
+        (Some(_), Some(_)) => return Err("--circuit and --file are mutually exclusive".to_string()),
         (Some(name), None) => CircuitSource::Bundled(name.clone()),
         (None, Some(path)) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+                .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
             // fail fast with a positioned message instead of shipping junk
-            parse_circuit(&text).map_err(|e| failed(format!("{path}:{e}")))?;
+            parse_circuit(&text).unwrap_or_else(|e| fail(format!("{path}:{e}")));
             CircuitSource::Inline(text)
         }
         (None, None) => {
-            return Err("submit needs a circuit: --circuit NAME or --file FILE.apls".into())
+            return Err("submit needs a circuit: --circuit NAME or --file FILE.apls".to_string())
         }
     };
     let spec = job_spec(matches, circuit)?;
     let stream = matches.get_flag("stream");
     let retries: Option<u32> = parse_optional(matches.get_one::<String>("retries"), "--retries")?;
     match retries {
-        Some(_) if stream => return Err("--retries cannot be combined with --stream".into()),
-        Some(0) => return Err("--retries must be at least 1".into()),
+        Some(_) if stream => return Err("--retries cannot be combined with --stream".to_string()),
+        Some(0) => return Err("--retries must be at least 1".to_string()),
         _ => {}
     }
 
     let response = if stream {
-        connect()?.place_streaming(&spec, |frame| match frame {
+        connect().place_streaming(&spec, |frame| match frame {
             StreamFrame::Accepted { job, circuit, seed, .. } => {
                 println!("accepted: job {job} circuit={circuit} seed={seed}");
             }
@@ -727,10 +705,10 @@ fn run_submit(matches: &ArgMatches) -> Result<(), Failure> {
                 let policy = RetryPolicy { max_attempts: attempts, ..RetryPolicy::default() };
                 ServiceClient::place_with_retry(addr.as_str(), &spec, &policy)
             }
-            _ => connect()?.place(&spec),
+            _ => connect().place(&spec),
         }
     }
-    .map_err(|e| failed(format!("request failed: {e}")))?;
+    .unwrap_or_else(|e| fail(format!("request failed: {e}")));
     match response.status.as_str() {
         "ok" => {
             let attempts_note = if response.attempts > 1 {
@@ -749,52 +727,50 @@ fn run_submit(matches: &ArgMatches) -> Result<(), Failure> {
                 response.total_ms.unwrap_or(0.0),
             );
             if let Some(path) = matches.get_one::<String>("json") {
-                let report = response
-                    .report
-                    .as_deref()
-                    .ok_or_else(|| failed("response carried no report"))?;
-                write_output(path, report, "report")?;
+                let report = response.report.as_deref();
+                let report = report.unwrap_or_else(|| fail("response carried no report".into()));
+                write_output(path, report, "report");
             }
             Ok(())
         }
-        "retry" => Err(failed(format!(
+        "retry" => fail(format!(
             "service busy: {} (resubmit later)",
             response.error.as_deref().unwrap_or("queue full")
-        ))),
-        "timeout" => Err(failed(format!(
+        )),
+        "timeout" => fail(format!(
             "job timed out: {}",
             response.error.as_deref().unwrap_or("deadline exceeded")
-        ))),
-        _ => Err(failed(format!(
-            "service error: {}",
-            response.error.as_deref().unwrap_or("unknown error")
-        ))),
+        )),
+        _ => {
+            fail(format!("service error: {}", response.error.as_deref().unwrap_or("unknown error")))
+        }
     }
 }
 
-fn run_convert(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_convert(matches: &ArgMatches) -> Result<(), String> {
     let circuit = match (matches.get_one::<String>("circuit"), matches.get_one::<String>("in")) {
-        (Some(_), Some(_)) => return Err("--circuit and --in are mutually exclusive".into()),
+        (Some(_), Some(_)) => return Err("--circuit and --in are mutually exclusive".to_string()),
         (Some(name), None) => benchmarks::by_name(name).ok_or_else(|| {
             format!("unknown circuit '{name}' (available: {})", benchmarks::names().join(", "))
         })?,
         (None, Some(path)) => {
             let text = std::fs::read_to_string(path)
-                .map_err(|e| failed(format!("cannot read {path}: {e}")))?;
-            parse_circuit(&text).map_err(|e| failed(format!("{path}:{e}")))?
+                .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+            parse_circuit(&text).unwrap_or_else(|e| fail(format!("{path}:{e}")))
         }
         (None, None) => {
-            return Err("convert needs an input: --circuit NAME or --in FILE.apls".into())
+            return Err("convert needs an input: --circuit NAME or --in FILE.apls".to_string())
         }
     };
     let out = matches.get_one::<String>("out").expect("defaulted");
-    write_output(out, &serialize_circuit(&circuit), &format!("circuit '{}'", circuit.name))
+    write_output(out, &serialize_circuit(&circuit), &format!("circuit '{}'", circuit.name));
+    Ok(())
 }
 
-fn run_gen(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_gen(matches: &ArgMatches) -> Result<(), String> {
     let module_count: usize = parse_number(matches.get_one::<String>("modules"), "--modules")?;
     if module_count == 0 {
-        return Err("--modules must be at least 1".into());
+        return Err("--modules must be at least 1".to_string());
     }
     let config = GeneratorConfig {
         module_count,
@@ -815,15 +791,16 @@ fn run_gen(matches: &ArgMatches) -> Result<(), Failure> {
         max_edge: parse_number(matches.get_one::<String>("max-edge"), "--max-edge")?,
     };
     if config.min_edge < 1 || config.max_edge <= config.min_edge {
-        return Err("edge lengths must satisfy 1 <= --min-edge < --max-edge".into());
+        return Err("edge lengths must satisfy 1 <= --min-edge < --max-edge".to_string());
     }
     let name = matches.get_one::<String>("name").expect("defaulted");
     let circuit = benchmarks::generate(name, config);
     let out = matches.get_one::<String>("out").expect("defaulted");
-    write_output(out, &serialize_circuit(&circuit), &format!("circuit '{name}'"))
+    write_output(out, &serialize_circuit(&circuit), &format!("circuit '{name}'"));
+    Ok(())
 }
 
-fn run_default(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_default(matches: &ArgMatches) -> Result<(), String> {
     if matches.get_flag("list") {
         println!("bundled benchmark circuits:");
         for name in benchmarks::names() {
@@ -883,12 +860,12 @@ fn run_default(matches: &ArgMatches) -> Result<(), Failure> {
     }
 
     if let Some(path) = matches.get_one::<String>("json") {
-        write_output(path, &report.to_json(), "report")?;
+        write_output(path, &report.to_json(), "report");
     }
     if let Some(path) = matches.get_one::<String>("svg") {
         let svg =
             analog_layout_synthesis::portfolio::svg::render_svg(&circuit, &report.best().placement);
-        std::fs::write(path, svg).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+        std::fs::write(path, svg).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         println!("winning placement written to {path}");
     }
     if let (Some(path), Some(recorder)) = (trace_path, recorder) {
@@ -899,23 +876,18 @@ fn run_default(matches: &ArgMatches) -> Result<(), Failure> {
         } else {
             recorder.to_json_lines()
         };
-        std::fs::write(path, body).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+        std::fs::write(path, body).unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         println!("trace ({} event(s)) written to {path}", recorder.len());
     }
     Ok(())
 }
 
-fn run_trace(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_trace(matches: &ArgMatches) -> Result<(), String> {
     let path = matches
         .get_one::<String>("file")
         .ok_or("trace needs a file: apls trace --file out.jsonl")?;
-    summarise_trace(path).map_err(failed)
-}
-
-/// Reads a trace file (one event per line, or one Chrome trace document)
-/// and prints its per-phase summary.
-fn summarise_trace(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
     let mut summary = TraceSummary::new();
     let mut events = 0usize;
 
@@ -947,14 +919,14 @@ fn summarise_trace(path: &str) -> Result<(), String> {
         || trimmed.starts_with("{\"traceEvents\"")
     {
         // One-object form: either a Chrome trace document or a single event.
-        let doc = Json::parse(trimmed.trim_end()).map_err(|e| format!("{path}: {e}"))?;
+        let doc = Json::parse(trimmed.trim_end()).unwrap_or_else(|e| fail(format!("{path}: {e}")));
         match doc.get("traceEvents").and_then(Json::as_arr) {
             Some(list) => {
                 for event in list {
-                    feed(event).map_err(|e| format!("{path}: {e}"))?;
+                    feed(event).unwrap_or_else(|e| fail(format!("{path}: {e}")));
                 }
             }
-            None => feed(&doc).map_err(|e| format!("{path}: {e}"))?,
+            None => feed(&doc).unwrap_or_else(|e| fail(format!("{path}: {e}"))),
         }
     } else {
         for (lineno, line) in text.lines().enumerate() {
@@ -962,8 +934,9 @@ fn summarise_trace(path: &str) -> Result<(), String> {
             if line.is_empty() {
                 continue;
             }
-            let event = Json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-            feed(&event).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+            let event =
+                Json::parse(line).unwrap_or_else(|e| fail(format!("{path}:{}: {e}", lineno + 1)));
+            feed(&event).unwrap_or_else(|e| fail(format!("{path}:{}: {e}", lineno + 1)));
         }
     }
 
@@ -981,35 +954,24 @@ fn render_top(addr: &str, stats: &Json) -> String {
     };
     let c = |name: &str| series("counters", name).unwrap_or(0);
     let g = |name: &str| series("gauges", name).unwrap_or(0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "apls top — {addr}  workers={} uptime={}s  {}",
+    let mut out = format!(
+        "apls top — {addr}  workers={} uptime={}s  {}\n\
+         jobs {}  queue {}/{}  in-flight {}  connections {}\n\
+         cache {}/{} entries  hits {}  misses {}  evictions {}\n\
+         requests {}  errors {}  retries {}  timeouts {}  frames {}  stalls {}  dumps {}\n",
         g("workers"),
         g("uptime_seconds"),
         if g("ready") == 1 { "READY" } else { "NOT READY" },
-    );
-    let _ = writeln!(
-        out,
-        "jobs {}  queue {}/{}  in-flight {}  connections {}",
         c("jobs_completed_total"),
         g("queue_depth"),
         g("queue_capacity"),
         g("in_flight_jobs"),
         g("connections_active"),
-    );
-    let _ = writeln!(
-        out,
-        "cache {}/{} entries  hits {}  misses {}  evictions {}",
         g("cache_entries"),
         g("cache_capacity"),
         c("cache_hits_total"),
         c("cache_misses_total"),
         c("cache_evictions_total"),
-    );
-    let _ = writeln!(
-        out,
-        "requests {}  errors {}  retries {}  timeouts {}  frames {}  stalls {}  dumps {}",
         c("requests_total"),
         c("errors_total"),
         c("retries_total"),
@@ -1047,7 +1009,7 @@ fn render_top(addr: &str, stats: &Json) -> String {
     out
 }
 
-fn run_top(matches: &ArgMatches) -> Result<(), Failure> {
+fn run_top(matches: &ArgMatches) -> Result<(), String> {
     let addr = matches.get_one::<String>("addr").expect("defaulted");
     let interval_ms: u64 = parse_number(matches.get_one::<String>("interval-ms"), "--interval-ms")?;
     let iterations: u64 = parse_number(matches.get_one::<String>("iterations"), "--iterations")?;
@@ -1063,7 +1025,7 @@ fn run_top(matches: &ArgMatches) -> Result<(), Failure> {
                     Json::parse(&line).map_err(|e| format!("bad stats reply from {addr}: {e}"))?;
                 Ok(render_top(addr, &stats))
             })
-            .map_err(failed)?;
+            .unwrap_or_else(|e| fail(e));
         if clear {
             // ANSI clear-screen + home, like watch(1)
             print!("\u{1b}[2J\u{1b}[H");
@@ -1079,7 +1041,7 @@ fn run_top(matches: &ArgMatches) -> Result<(), Failure> {
     }
 }
 
-fn run() -> Result<(), Failure> {
+fn run() -> Result<(), String> {
     let matches = cli().get_matches();
     match matches.subcommand() {
         Some(("serve", sub)) => run_serve(sub),
@@ -1093,11 +1055,11 @@ fn run() -> Result<(), Failure> {
 }
 
 fn main() -> ExitCode {
-    let (message, code) = match run() {
-        Ok(()) => return ExitCode::SUCCESS,
-        Err(Failure::Refused(message)) => (message, 2),
-        Err(Failure::Failed(message)) => (message, 1),
-    };
-    eprintln!("error: {message}");
-    ExitCode::from(code)
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::from(2)
+        }
+    }
 }
